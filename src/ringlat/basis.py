@@ -53,8 +53,7 @@ class FockBasis:
 
     ``shift_perm``/``shift_sign`` cache the one-site translation as a
     signed permutation: state k maps to state ``shift_perm[k]`` with
-    amplitude ``shift_sign[k]``.  ``sector_labels`` is a diagnostics slot
-    (unused by the solvers) for per-state translation-sector tags.
+    amplitude ``shift_sign[k]``.
     """
 
     n_sites: int
@@ -63,7 +62,6 @@ class FockBasis:
     dimension: int
     shift_perm: np.ndarray = field(repr=False)
     shift_sign: np.ndarray = field(repr=False)
-    sector_labels: np.ndarray | None = field(default=None, repr=False)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def index_of(self, state: FockState) -> int:

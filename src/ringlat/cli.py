@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__, analytic
 from .basis import BasisSizeError
-from .eigen import ConvergenceError, SolverOptions
+from .eigen import DEFAULT_OPTIONS, ConvergenceError, SolverOptions
 from .model import (
     Bosons,
     DomainError,
@@ -234,8 +234,9 @@ def resolve_config(args) -> RunConfig:
     solver_tol = float(solver_cfg.get("tol", 1e-10))
     degeneracy_tol = float(solver_cfg.get("degeneracy_tol", 1e-8))
     solver = SolverOptions(
-        dense_threshold=int(solver_cfg.get("dense_threshold", 4096)),
-        seed=int(solver_cfg.get("seed", 7)),
+        dense_threshold=int(solver_cfg.get("dense_threshold",
+                                           DEFAULT_OPTIONS.dense_threshold)),
+        seed=int(solver_cfg.get("seed", DEFAULT_OPTIONS.seed)),
     )
     echo = {
         "ring": {"sites": sites, "t": t, "k_factor": ring.k_factor},
@@ -386,8 +387,7 @@ def _sweep_spec(config: RunConfig) -> SweepSpec:
         control = OmegaGrid(config.omega_min, config.omega_max,
                             config.omega_points)
     return SweepSpec(ring=config.ring, species=config.species,
-                     control=control, refine_crossings=config.refine,
-                     bisection_tol=config.bisection_tol)
+                     control=control, bisection_tol=config.bisection_tol)
 
 
 def _sector_cell(sectors: tuple, failed: bool) -> str:

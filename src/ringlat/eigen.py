@@ -1,11 +1,12 @@
 """Lowest eigenpairs of a Hermitian operator.
 
 Small operators (dimension <= ``dense_threshold``) go through LAPACK's
-dense Hermitian solver.  Larger ones use Lanczos iteration with full
-reorthogonalization; degenerate partners are found by deflation, locking
-each converged eigenvector and restarting in its orthogonal complement.
-The Krylov start vector is drawn from a seeded generator so repeated runs
-are bit-for-bit reproducible at a fixed thread count.
+dense Hermitian solver.  Larger ones go through ARPACK's implicitly
+restarted Arnoldi iteration, followed by a Rayleigh-Ritz step that makes
+the returned vectors exactly orthonormal and a check that no copy of a
+degenerate level was skipped.  The Krylov start vector and ARPACK's
+restart vectors come from a seeded generator, so repeated runs are
+bit-for-bit reproducible at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -15,13 +16,20 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
 from .hamiltonian import HermitianOperator
 from .model import DomainError
 
-DENSE_THRESHOLD = 4096
+# Ground-state solves cost the same on both paths near this dimension
+# (2-CPU x86, OpenBLAS): dense eigh wins at 256 and below, ARPACK with its
+# missed-copy check at 324 and above.
+DENSE_THRESHOLD = 300
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
+# ARPACK stops on its own residual estimate; aim below the bound that
+# lowest_k checks so the check does not fail on rounding.
+_ARPACK_TOL_FACTOR = 1e-2
 
 
 class ConvergenceError(RuntimeError):
@@ -30,12 +38,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the eigensolver paths (all have safe defaults)."""
+    """Knobs for the eigensolver paths (all have safe defaults).
+
+    ``max_krylov`` is ARPACK's ``ncv`` (raised to ``2k + 1`` when smaller)
+    and ``max_restarts`` bounds its restarts (``maxiter = max_restarts + 1``).
+    """
 
     dense_threshold: int = DENSE_THRESHOLD
     seed: int = KRYLOV_SEED
-    max_krylov: int = 300
-    max_restarts: int = 8
+    max_krylov: int = 20
+    # 3+3 fermions on 12 sites fail at 10 restarts and converge by 20
+    # (ncv = 20).
+    max_restarts: int = 100
 
 
 DEFAULT_OPTIONS = SolverOptions()
@@ -59,6 +73,7 @@ class GroundState(NamedTuple):
     energy: float
     vectors: np.ndarray
     degenerate: bool
+    gap: float
 
 
 def _group_degenerate(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
@@ -83,17 +98,19 @@ def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
     if not tol > 0:
         raise DomainError(f"tol: must be > 0, got {tol!r}")
 
-    if op.dimension <= options.dense_threshold:
-        values, vectors = _dense_lowest(op, k)
+    # ARPACK needs k < n - 1 and k + 1 < ncv <= n.
+    krylov = op.dimension > options.dense_threshold and k + 2 <= op.dimension
+    if krylov:
+        values, vectors = _krylov_lowest(op, k, tol, degeneracy_tol, options)
     else:
-        values, vectors = _krylov_lowest(op, k, tol, options)
+        values, vectors = _dense_lowest(op, k)
 
     residuals = np.array([
         np.linalg.norm(op.apply(vectors[:, i]) - values[i] * vectors[:, i])
         for i in range(k)
     ])
     bounds = tol * np.maximum(1.0, np.abs(values))
-    if op.dimension > options.dense_threshold and np.any(residuals > bounds):
+    if krylov and np.any(residuals > bounds):
         raise ConvergenceError(
             f"Krylov residuals {residuals} exceed tolerance bounds {bounds}")
     return EigenResult(values=values, vectors=vectors, residuals=residuals,
@@ -110,88 +127,76 @@ def _dense_lowest(op: HermitianOperator, k: int) -> tuple[np.ndarray, np.ndarray
     return values[:k], vectors[:, :k]
 
 
-def _orthogonalize(vector: np.ndarray, against: list[np.ndarray]) -> np.ndarray:
-    for q in against:
-        vector = vector - np.vdot(q, vector) * q
-    return vector
+def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Ritz vectors of the k smallest-real-part eigenvalues.
+
+    ``eigsh`` hands complex Hermitian matrices to ``eigs`` without the
+    generator, so ``eigs`` is called directly to keep the restart vectors
+    seeded.
+    """
+    n = matrix.shape[0]
+    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    ncv = min(n, max(options.max_krylov, 2 * k + 1))
+    try:
+        _, vectors = eigs(matrix, k, which="SR", v0=start, rng=rng, ncv=ncv,
+                          maxiter=options.max_restarts + 1,
+                          tol=tol * _ARPACK_TOL_FACTOR)
+    except ArpackNoConvergence as error:
+        raise ConvergenceError(
+            f"ARPACK brought {len(error.eigenvalues)}/{k} eigenpairs under "
+            f"residual tol {tol * _ARPACK_TOL_FACTOR:.3e} in "
+            f"{options.max_restarts + 1} iterations with ncv {ncv}") from None
+    return vectors
+
+
+def _rayleigh_ritz(op: HermitianOperator,
+                   vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending Ritz pairs of H on the span of ``vectors``.
+
+    ARPACK's non-Hermitian driver returns a degenerate level's vectors
+    only approximately orthogonal; projecting fixes both that and the
+    ordering.
+    """
+    basis, _ = np.linalg.qr(vectors)
+    projected = basis.conj().T @ (op.matrix @ basis)
+    values, rotation = sla.eigh(0.5 * (projected + projected.conj().T))
+    return values, basis @ rotation
 
 
 def _krylov_lowest(op: HermitianOperator, k: int, tol: float,
+                   degeneracy_tol: float,
                    options: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
-    locked_values: list[float] = []
-    locked_vectors: list[np.ndarray] = []
     rng = np.random.default_rng(options.seed)
-    for _ in range(k):
-        value, vector = _lanczos_lowest(op, locked_vectors, tol, rng, options)
-        locked_values.append(value)
-        locked_vectors.append(vector)
-    order = np.argsort(locked_values, kind="stable")
-    values = np.array([locked_values[i] for i in order])
-    vectors = np.column_stack([locked_vectors[i] for i in order])
-    return values, vectors
+    values, vectors = _rayleigh_ritz(
+        op, _arpack_lowest(op.matrix, k, tol, options, rng))
+    # ARPACK can skip a copy of a degenerate level.  Lock the vectors found
+    # so far, shifted above the spectrum, and ask for the lowest level of
+    # the rest until it no longer lies below the k-th value.
+    shift = 1.0 + float(abs(op.matrix).sum(axis=1).max())
+    while True:
+        locked = vectors
+        locked_conj = locked.conj()
 
+        def matvec(v: np.ndarray) -> np.ndarray:
+            v = v.ravel()
+            overlaps = np.einsum("ij,i->j", locked_conj, v)
+            w = op.matrix @ (v - np.einsum("ij,j->i", locked, overlaps))
+            w = w - np.einsum("ij,j->i", locked,
+                              np.einsum("ij,i->j", locked_conj, w))
+            return w + shift * np.einsum("ij,j->i", locked, overlaps)
 
-def _lanczos_lowest(op: HermitianOperator, locked: list[np.ndarray],
-                    tol: float, rng: np.random.Generator,
-                    options: SolverOptions) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of H restricted to the complement of ``locked``."""
-    n = op.dimension
-    subspace_limit = min(options.max_krylov, n - len(locked))
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-    best_residual = np.inf
-    for _ in range(options.max_restarts + 1):
-        start = _orthogonalize(_orthogonalize(start, locked), locked)
-        norm = np.linalg.norm(start)
-        if norm < 1e-12:
-            start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            continue
-
-        basis = np.empty((subspace_limit, n), dtype=complex)
-        basis[0] = start / norm
-        alphas: list[float] = []
-        betas: list[float] = []
-        exhausted = False
-        for m in range(subspace_limit):
-            w = op.apply(basis[m])
-            alphas.append(float(np.vdot(basis[m], w).real))
-            w = w - alphas[m] * basis[m]
-            if m > 0:
-                w = w - betas[m - 1] * basis[m - 1]
-            # Full reorthogonalization keeps the Krylov basis clean and
-            # the locked directions deflated despite rounding.
-            overlaps = basis[:m + 1].conj() @ w
-            w = w - basis[:m + 1].T @ overlaps
-            w = _orthogonalize(w, locked)
-            beta = float(np.linalg.norm(w))
-            if beta < 1e-13 or m + 1 == subspace_limit:
-                exhausted = beta < 1e-13
-                break
-            betas.append(beta)
-            basis[m + 1] = w / beta
-
-        theta, ritz = _ritz_lowest(alphas, betas, basis[:len(alphas)])
-        residual = np.linalg.norm(op.apply(ritz) - theta * ritz)
-        if residual <= tol * max(1.0, abs(theta)) or exhausted:
-            return theta, ritz
-        best_residual = min(best_residual, residual)
-        start = ritz  # restart from the best current estimate
-
-    raise ConvergenceError(
-        f"Lanczos failed after {options.max_restarts} restarts with "
-        f"subspace size {subspace_limit}; best residual {best_residual:.3e} "
-        f"> tol {tol:.3e}")
-
-
-def _ritz_lowest(alphas: list[float], betas: list[float],
-                 basis: np.ndarray) -> tuple[float, np.ndarray]:
-    if len(alphas) == 1:
-        vector = basis[0].copy()
-        return alphas[0], vector / np.linalg.norm(vector)
-    values, vectors = sla.eigh_tridiagonal(alphas, betas, select="i",
-                                           select_range=(0, 0))
-    ritz = basis.T @ vectors[:, 0]
-    return float(values[0]), ritz / np.linalg.norm(ritz)
+        complement = LinearOperator(op.matrix.shape, matvec=matvec,
+                                    dtype=complex)
+        extra = _arpack_lowest(complement, 1, tol, options, rng)
+        extra = extra[:, 0] - locked @ (locked_conj.T @ extra[:, 0])
+        value = float(np.vdot(extra, op.matrix @ extra).real
+                      / np.vdot(extra, extra).real)
+        if not value < values[k - 1] - degeneracy_tol:
+            break
+        values, vectors = _rayleigh_ritz(
+            op, np.column_stack([locked, extra]))
+    return values[:k], vectors[:, :k]
 
 
 def ground_state(op: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL,
@@ -201,6 +206,8 @@ def ground_state(op: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL,
 
     Grows the requested pair count until the spectrum escapes the window,
     so exact crossings report all members of the degenerate multiplet.
+    ``gap`` is the distance to the next eigenvalue (zero inside a
+    multiplet, NaN for a one-state space).
     """
     if op.dimension < 1:
         raise DomainError("dimension: operator is empty")
@@ -212,6 +219,8 @@ def ground_state(op: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL,
             break
         k = min(op.dimension, 2 * k)
     members = result.degeneracy_groups[0]
-    vectors = result.vectors[:, list(members)]
-    return GroundState(energy=float(result.values[0]), vectors=vectors,
-                       degenerate=len(members) > 1)
+    values = result.values
+    return GroundState(
+        energy=float(values[0]), vectors=result.vectors[:, list(members)],
+        degenerate=len(members) > 1,
+        gap=float(values[1] - values[0]) if len(values) > 1 else float("nan"))

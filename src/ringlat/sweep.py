@@ -28,6 +28,7 @@ from .eigen import (
     DEGENERACY_TOL,
     ConvergenceError,
     SolverOptions,
+    ground_state,
     lowest_k,
 )
 from .hamiltonian import build_operator
@@ -93,7 +94,6 @@ class SweepSpec:
     ring: RingSpec
     species: SpeciesSpec
     control: SweepControl
-    refine_crossings: bool = False
     bisection_tol: float = 1e-6
 
     def __post_init__(self) -> None:
@@ -149,20 +149,10 @@ def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesS
 def _ed_row(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
             control_value: float, degeneracy_tol: float, tol: float,
             options: SolverOptions) -> SweepRow:
-    op = build_operator(ring, species, basis)
-    k = min(2, basis.dimension)
-    while True:
-        result = lowest_k(op, k, tol=tol, degeneracy_tol=degeneracy_tol,
-                          options=options)
-        if (k == basis.dimension
-                or result.values[-1] - result.values[0] > degeneracy_tol):
-            break
-        k = min(basis.dimension, 2 * k)
-    members = result.degeneracy_groups[0]
-    gap = (float(result.values[1] - result.values[0])
-           if len(result.values) > 1 else math.nan)
+    gs = ground_state(build_operator(ring, species, basis),
+                      degeneracy_tol=degeneracy_tol, tol=tol, options=options)
     jop = current_operator(ring, species, basis)
-    multiplet, _ = split_into_sectors(result.vectors[:, list(members)], basis)
+    multiplet, _ = split_into_sectors(gs.vectors, basis)
     reports = [evaluate(jop, multiplet[:, i], species, ring, basis)
                for i in range(multiplet.shape[1])]
     total = float(np.mean([r.total_current for r in reports]))
@@ -171,12 +161,12 @@ def _ed_row(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
         control_value=control_value,
         omega=ring.omega,
         u=getattr(species, "u", 0.0),
-        ground_energy=float(result.values[0]),
-        gap=gap,
+        ground_energy=gs.energy,
+        gap=gs.gap,
         total_current=total,
         per_particle_current=per_particle,
         sectors=tuple(r.sector for r in reports),
-        degenerate=len(members) > 1,
+        degenerate=gs.degenerate,
         is_fast_current=total > FAST_CURRENT_EPS * ring.t,
         is_max_winding=all(r.is_max_winding for r in reports),
     )

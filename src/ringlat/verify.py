@@ -16,7 +16,7 @@ import numpy as np
 
 from . import analytic, observables
 from .basis import apply_translation, enumerate_basis, sector_of_state
-from .eigen import lowest_k
+from .eigen import SolverOptions, lowest_k
 from .hamiltonian import build_operator
 from .model import Bosons, Fermions, RingSpec, SpeciesSpec, make_ring
 from .sweep import OmegaGrid, SweepSpec, run as run_sweep
@@ -167,15 +167,52 @@ def check_sector_labels() -> CheckResult:
                    detail=f"{mismatches} plane waves mislabeled")
 
 
+def check_krylov_vs_dense() -> CheckResult:
+    """The ARPACK path must reproduce the dense spectrum and its groups.
+
+    Includes the rest-frame 2+2 fermion doublet, where a plain ARPACK
+    call skips one copy of the second level.
+    """
+    dense = SolverOptions(dense_threshold=2**62)
+    krylov = SolverOptions(dense_threshold=1)
+    systems = _test_systems() + [(make_ring(8), Fermions(2, 2, u=4.0))]
+    worst, mismatched = 0.0, []
+    for ring, species in systems:
+        basis = enumerate_basis(ring, species)
+        op = build_operator(ring, species, basis)
+        for k in (3, 4):
+            reference = lowest_k(op, k, options=dense)
+            result = lowest_k(op, k, options=krylov)
+            worst = max(worst, float(np.max(np.abs(result.values
+                                                   - reference.values))))
+            if result.degeneracy_groups != reference.degeneracy_groups:
+                mismatched.append(f"{species!r} k={k}")
+    if mismatched:
+        return _result("krylov_vs_dense", np.inf, 1e-10,
+                       detail="degeneracy groups differ: "
+                       + ", ".join(mismatched))
+    return _result("krylov_vs_dense", worst, 1e-10)
+
+
 def check_determinism() -> CheckResult:
-    """The same sweep spec must reproduce identical rows."""
-    spec = SweepSpec(ring=make_ring(8), species=Fermions(1, 1, u=2.0),
-                     control=OmegaGrid(0.0, 6.0, 7))
-    first = run_sweep(spec)
-    second = run_sweep(spec)
-    identical = first.rows == second.rows
-    return _result("determinism", 0.0 if identical else 1.0, 0.0,
-                   detail="" if identical else "rows differ between runs")
+    """The same sweep spec must reproduce identical rows, serially and
+    across a worker pool, on both solver paths."""
+    specs = (
+        SweepSpec(ring=make_ring(8), species=Fermions(1, 1, u=2.0),
+                  control=OmegaGrid(0.0, 6.0, 7)),
+        # dim 784: above the dense threshold, so ARPACK does the solve.
+        SweepSpec(ring=make_ring(8), species=Fermions(2, 2, u=4.0),
+                  control=OmegaGrid(0.0, 6.0, 3)),
+    )
+    differing = []
+    for spec in specs:
+        serial = run_sweep(spec).rows
+        pooled = run_sweep(spec, workers=2).rows
+        if not serial == run_sweep(spec).rows == pooled:
+            differing.append(repr(spec.species))
+    return _result("determinism", float(len(differing)), 0.0,
+                   detail="" if not differing else
+                   "rows differ between runs: " + ", ".join(differing))
 
 
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
@@ -185,6 +222,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_hermiticity,
     check_translation_commutation,
     check_sector_labels,
+    check_krylov_vs_dense,
     check_determinism,
 )
 

@@ -23,6 +23,7 @@ from ringlat.hamiltonian import operator_from_entries
 from conftest import omega_for
 
 FORCE_KRYLOV = SolverOptions(dense_threshold=1)
+FORCE_DENSE = SolverOptions(dense_threshold=2**62)
 
 
 def pauli_x():
@@ -80,10 +81,16 @@ class TestLowestKDense:
 
 class TestLowestKKrylov:
     def test_agrees_with_dense_small(self):
-        _, _, _, op = ring_operator(x=1.1, species=Fermions(1, 1, u=2.5))
-        dense = lowest_k(op, 5)
-        krylov = lowest_k(op, 5, options=FORCE_KRYLOV)
-        assert np.max(np.abs(dense.values - krylov.values)) < 1e-8
+        # The rest-frame 2+2 case has a doublet as its second level; a
+        # single ARPACK call returns only one copy of it.
+        for x, species, ks in ((1.1, Fermions(1, 1, u=2.5), (5,)),
+                               (0.0, Fermions(2, 2, u=4.0), (3, 4))):
+            _, _, _, op = ring_operator(x=x, species=species)
+            for k in ks:
+                dense = lowest_k(op, k, options=FORCE_DENSE)
+                krylov = lowest_k(op, k, options=FORCE_KRYLOV)
+                assert np.max(np.abs(dense.values - krylov.values)) < 1e-8
+                assert krylov.degeneracy_groups == dense.degeneracy_groups
 
     @pytest.mark.parametrize("n_sites,species", [
         (16, Fermions(1, 1, u=3.0)),   # dim 256
@@ -98,20 +105,41 @@ class TestLowestKKrylov:
         op = build_operator(ring, species, basis)
         boundary = SolverOptions(dense_threshold=300)
         routed = lowest_k(op, 5, options=boundary)
-        dense = lowest_k(op, 5)
+        dense = lowest_k(op, 5, options=FORCE_DENSE)
         krylov = lowest_k(op, 5, options=FORCE_KRYLOV)
         assert np.max(np.abs(dense.values - krylov.values)) < 1e-8
         assert np.max(np.abs(routed.values - dense.values)) < 1e-8
 
     def test_finds_degenerate_partners_by_deflation(self):
-        base = make_ring(8)
-        ring = base.with_omega(crossing_frequency(0, 1, base))
-        basis = enumerate_basis(ring, Bosons(1))
-        op = build_operator(ring, Bosons(1), basis)
-        result = lowest_k(op, 2, options=FORCE_KRYLOV)
-        assert result.values[1] - result.values[0] < 1e-9
+        # At 32 sites the operator is larger than ARPACK's ncv = 20.
+        for n_sites in (8, 32):
+            base = make_ring(n_sites)
+            ring = base.with_omega(crossing_frequency(0, 1, base))
+            basis = enumerate_basis(ring, Bosons(1))
+            op = build_operator(ring, Bosons(1), basis)
+            result = lowest_k(op, 2, options=FORCE_KRYLOV)
+            assert result.values[1] - result.values[0] < 1e-9
+            gram = result.vectors.conj().T @ result.vectors
+            assert np.max(np.abs(gram - np.eye(2))) < 1e-8
+
+    def test_degenerate_level_wider_than_krylov_space_orthonormal(self):
+        # A 24-fold lowest level in a 60-dim space, above ncv = 20.
+        rng = np.random.default_rng(3)
+        n, copies = 60, 24
+        spectrum = np.concatenate([np.full(copies, -1.0),
+                                   np.linspace(0.0, 5.0, n - copies)])
+        unitary, _ = np.linalg.qr(rng.standard_normal((n, n))
+                                  + 1j * rng.standard_normal((n, n)))
+        dense = unitary @ np.diag(spectrum) @ unitary.conj().T
+        dense = 0.5 * (dense + dense.conj().T)
+        rows, cols = np.indices((n, n))
+        op = operator_from_entries(n, rows.ravel(), cols.ravel(),
+                                   dense.ravel())
+        assert FORCE_KRYLOV.max_krylov < copies
+        result = lowest_k(op, 6, options=FORCE_KRYLOV)
+        assert np.max(np.abs(result.values + 1.0)) < 1e-10
         gram = result.vectors.conj().T @ result.vectors
-        assert np.max(np.abs(gram - np.eye(2))) < 1e-8
+        assert np.max(np.abs(gram - np.eye(6))) < 1e-10
 
     def test_ground_value_stable_as_k_grows(self):
         _, _, _, op = ring_operator(x=0.7, species=Bosons(2, u=1.0))
