@@ -47,13 +47,29 @@ BosonFockState = tuple  # occupations per site, summing to the particle count
 FockState = BosonFockState | FermionFockState
 
 
+class HopTable(NamedTuple):
+    """Every nonzero matrix element of the forward hops c+_{j+1} c_j.
+
+    Entry i says that the hop across bond ``bonds[i]`` (site j to j+1,
+    summed over spins) takes state ``cols[i]`` to state ``rows[i]`` with
+    the real factor ``values[i]``: a fermion sign, or sqrt(n_j (n_{j+1}+1))
+    for bosons.  Backward hops are the transposed entries.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+    bonds: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class FockBasis:
     """Enumerated many-body basis with an exact reverse index.
 
     ``shift_perm``/``shift_sign`` cache the one-site translation as a
     signed permutation: state k maps to state ``shift_perm[k]`` with
-    amplitude ``shift_sign[k]``.
+    amplitude ``shift_sign[k]``.  ``hops`` lists the forward hops once,
+    so every ring bilinear on this basis is built from numpy arrays.
     """
 
     n_sites: int
@@ -62,6 +78,7 @@ class FockBasis:
     dimension: int
     shift_perm: np.ndarray = field(repr=False)
     shift_sign: np.ndarray = field(repr=False)
+    hops: HopTable = field(repr=False)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     def index_of(self, state: FockState) -> int:
@@ -113,26 +130,102 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
     if isinstance(species, Bosons):
         states: tuple[FockState, ...] = tuple(
             _boson_occupations(n, species.n_particles))
-    elif isinstance(species, Fermions):
-        ups = _masks_with_popcount(n, species.n_up)
-        downs = _masks_with_popcount(n, species.n_down)
-        states = tuple(FermionFockState(mu, md) for mu in ups for md in downs)
+        index = {state: k for k, state in enumerate(states)}
+        hops = _boson_hops(states, index, n)
     else:
-        ups = _masks_with_popcount(n, species.n_particles)
-        states = tuple(FermionFockState(mu, 0) for mu in ups)
-
-    index = {state: k for k, state in enumerate(states)}
+        if isinstance(species, Fermions):
+            ups = _masks_with_popcount(n, species.n_up)
+            downs = _masks_with_popcount(n, species.n_down)
+        else:
+            ups = _masks_with_popcount(n, species.n_particles)
+            downs = [0]
+        states = tuple(FermionFockState(mu, md) for mu in ups for md in downs)
+        index = {state: k for k, state in enumerate(states)}
+        hops = _fermion_hops(ups, downs, n)
     perm = np.empty(dimension, dtype=np.int64)
     sign = np.empty(dimension, dtype=np.float64)
     for k, state in enumerate(states):
         shifted, s = translate(state, ring)
         perm[k] = index[shifted]
         sign[k] = s
-    perm.setflags(write=False)
-    sign.setflags(write=False)
+    for arr in (perm, sign, *hops):
+        arr.setflags(write=False)
     return FockBasis(n_sites=n, species=species, states=states,
                      dimension=dimension, shift_perm=perm, shift_sign=sign,
-                     _index=index)
+                     hops=hops, _index=index)
+
+
+def _hop_table(entries: list[tuple[int, int, float, int]]) -> HopTable:
+    columns = np.array(entries, dtype=np.float64).reshape(-1, 4).T
+    rows, cols, values, bonds = columns
+    return HopTable(rows.astype(np.int64), cols.astype(np.int64), values,
+                    bonds.astype(np.int64))
+
+
+def _boson_hops(states: tuple, index: dict, n_sites: int) -> HopTable:
+    entries = []
+    for col, occ in enumerate(states):
+        for j in range(n_sites):
+            if occ[j]:
+                jp = (j + 1) % n_sites
+                shifted = list(occ)
+                shifted[j] -= 1
+                shifted[jp] += 1
+                entries.append((index[tuple(shifted)], col,
+                                math.sqrt(occ[j] * (occ[jp] + 1)), j))
+    return _hop_table(entries)
+
+
+def _fermion_hop(mask: int, dst: int, src: int) -> tuple[int, int] | None:
+    """Apply c+_dst c_src to one spin sector; None if it annihilates.
+
+    Signs count occupied sites below the touched position, per the
+    ascending-site operator ordering.
+    """
+    if not (mask >> src) & 1:
+        return None
+    sign = -1 if (mask & ((1 << src) - 1)).bit_count() & 1 else 1
+    mask ^= 1 << src
+    if (mask >> dst) & 1:
+        return None
+    if (mask & ((1 << dst) - 1)).bit_count() & 1:
+        sign = -sign
+    return mask | (1 << dst), sign
+
+
+def _sector_hops(masks: list[int], n_sites: int) -> HopTable:
+    """Forward hops of one spin sector, indexed by position in ``masks``."""
+    position = {mask: i for i, mask in enumerate(masks)}
+    entries = []
+    for col, mask in enumerate(masks):
+        for j in range(n_sites):
+            hop = _fermion_hop(mask, (j + 1) % n_sites, j)
+            if hop is not None:
+                entries.append((position[hop[0]], col, float(hop[1]), j))
+    return _hop_table(entries)
+
+
+def _fermion_hops(ups: list[int], downs: list[int], n_sites: int) -> HopTable:
+    """Forward hops of both spins on the product basis (up-major order).
+
+    A hop in one spin sector leaves the other sector's mask, and so its
+    index, untouched; the down operators stand right of all up operators,
+    so a down hop's sign depends on the down mask alone.
+    """
+    n_down = len(downs)
+
+    def spread(hops: HopTable, stride: int,
+               spectators: np.ndarray) -> HopTable:
+        # State index = sector index * stride + spectator offset.
+        return HopTable(np.add.outer(hops.rows * stride, spectators).ravel(),
+                        np.add.outer(hops.cols * stride, spectators).ravel(),
+                        np.repeat(hops.values, len(spectators)),
+                        np.repeat(hops.bonds, len(spectators)))
+
+    up = spread(_sector_hops(ups, n_sites), n_down, np.arange(n_down))
+    down = spread(_sector_hops(downs, n_sites), 1,
+                  np.arange(len(ups)) * n_down)
+    return HopTable(*(np.concatenate(pair) for pair in zip(up, down)))
 
 
 def _shift_mask(mask: int, n_sites: int) -> int:

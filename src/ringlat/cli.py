@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -108,7 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="refine crossings/boundaries after the sweep")
     out.add_argument("--tol", type=float,
                      help="bisection tolerance for refinement")
-    out.add_argument("--workers", type=int, help="worker pool size")
+    out.add_argument("--workers", type=int,
+                     help="kept for compatibility and recorded in the "
+                          "provenance; grid points run serially")
     out.add_argument("--config", help="JSON config file; flags override it")
 
     parser = argparse.ArgumentParser(
@@ -226,11 +227,11 @@ def resolve_config(args) -> RunConfig:
             if not 0 <= n < ring.n_sites:
                 raise DomainError(f"windings: {n} outside [0, {ring.n_sites})")
 
-    workers_default = max(1, os.cpu_count() or 1)
     refine = bool(_pick(args.refine, sweep_cfg.get("refine"), False))
     bisection_tol = float(_pick(args.tol, sweep_cfg.get("tol"), 1e-6))
-    workers = int(_pick(args.workers, solver_cfg.get("workers"),
-                        workers_default))
+    workers = int(_pick(args.workers, solver_cfg.get("workers"), 1))
+    if workers < 1:
+        raise DomainError(f"workers: must be at least 1, got {workers}")
     solver_tol = float(solver_cfg.get("tol", 1e-10))
     degeneracy_tol = float(solver_cfg.get("degeneracy_tol", 1e-8))
     solver = SolverOptions(

@@ -16,12 +16,11 @@ number of doubly occupied sites for spin-1/2 fermions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .basis import BosonFockState, FermionFockState, FockBasis
+from .basis import FockBasis
 from .model import (
     Bosons,
     DomainError,
@@ -37,18 +36,13 @@ _HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Complex Hermitian matrix stored as its upper triangle.
+    """Complex Hermitian matrix held as one full CSR matrix.
 
-    ``rows``/``cols``/``values`` hold the coordinate entries with
-    row <= col; the lower triangle is the implicit conjugate mirror.
-    ``matrix`` caches the reconstructed full sparse matrix for fast
-    products.
+    ``matrix`` is canonical (sorted indices, no duplicates) and was
+    checked on assembly to be Hermitian with a real diagonal.
     """
 
     dimension: int
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
     matrix: sparse.csr_matrix = field(repr=False, compare=False)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
@@ -88,79 +82,28 @@ def operator_from_entries(dimension: int, rows, cols, values) -> HermitianOperat
     if diag_imag.size and diag_imag.max() > _DIAG_IMAG_TOL * scale:
         raise ValueError(f"diagonal is not real: max imaginary part "
                          f"{diag_imag.max():.3e}")
-
-    upper = sparse.triu(full).tocoo()
-    rows_u = upper.row.astype(np.int64)
-    cols_u = upper.col.astype(np.int64)
-    values_u = upper.data.astype(complex)
-    for arr in (rows_u, cols_u, values_u):
-        arr.setflags(write=False)
-    return HermitianOperator(dimension=dimension, rows=rows_u, cols=cols_u,
-                             values=values_u, matrix=full)
+    return HermitianOperator(dimension=dimension, matrix=full)
 
 
-def _fermion_hop(mask: int, dst: int, src: int) -> tuple[int, int] | None:
-    """Apply c+_dst c_src to one spin sector; None if it annihilates.
-
-    Signs count occupied sites below the touched position, per the
-    ascending-site operator ordering.
-    """
-    if not (mask >> src) & 1:
-        return None
-    sign = -1 if (mask & ((1 << src) - 1)).bit_count() & 1 else 1
-    mask ^= 1 << src
-    if (mask >> dst) & 1:
-        return None
-    if (mask & ((1 << dst) - 1)).bit_count() & 1:
-        sign = -sign
-    return mask | (1 << dst), sign
-
-
-def hopping_entries(basis: FockBasis,
-                    forward_amplitude: complex) -> Iterator[tuple[int, int, complex]]:
-    """Coordinate terms of sum over bonds of (amp * hop_forward + h.c.).
+def hopping_operator(basis: FockBasis, forward_amplitude: complex,
+                     diagonal: np.ndarray | None = None) -> HermitianOperator:
+    """Sum over bonds of (amp * hop_forward + h.c.), plus a real diagonal.
 
     Works for any one-body ring bilinear: the Hamiltonian hopping uses
     amp = -t - i*omega*K, the current operator amp = i*t - omega*K.
     """
-    n = basis.n_sites
-    amp = complex(forward_amplitude)
-    amp_back = np.conj(amp)
-    if isinstance(basis.species, Bosons):
-        for col, occ in enumerate(basis.states):
-            for j in range(n):
-                jp = (j + 1) % n
-                if occ[j]:
-                    shifted = list(occ)
-                    shifted[j] -= 1
-                    shifted[jp] += 1
-                    row = basis.index_of(tuple(shifted))
-                    yield row, col, amp * np.sqrt(occ[j] * (occ[jp] + 1))
-                if occ[jp]:
-                    shifted = list(occ)
-                    shifted[jp] -= 1
-                    shifted[j] += 1
-                    row = basis.index_of(tuple(shifted))
-                    yield row, col, amp_back * np.sqrt(occ[jp] * (occ[j] + 1))
-    else:
-        for col, state in enumerate(basis.states):
-            for sector in (0, 1):
-                mask = state[sector]
-                other = state[1 - sector]
-                for j in range(n):
-                    jp = (j + 1) % n
-                    hop = _fermion_hop(mask, jp, j)
-                    if hop is not None:
-                        new_mask, sign = hop
-                        key = (FermionFockState(new_mask, other) if sector == 0
-                               else FermionFockState(other, new_mask))
-                        yield basis.index_of(key), col, amp * sign
-                    hop = _fermion_hop(mask, j, jp)
-                    if hop is not None:
-                        new_mask, sign = hop
-                        key = (FermionFockState(new_mask, other) if sector == 0
-                               else FermionFockState(other, new_mask))
-                        yield basis.index_of(key), col, amp_back * sign
+    hops = basis.hops
+    forward = complex(forward_amplitude) * hops.values
+    rows = [hops.rows, hops.cols]
+    cols = [hops.cols, hops.rows]
+    values = [forward, forward.conj()]
+    if diagonal is not None:
+        nonzero = np.flatnonzero(diagonal)
+        rows.append(nonzero)
+        cols.append(nonzero)
+        values.append(diagonal[nonzero])
+    return operator_from_entries(basis.dimension, np.concatenate(rows),
+                                 np.concatenate(cols), np.concatenate(values))
 
 
 def _check_basis(ring: RingSpec, species: SpeciesSpec, basis: FockBasis) -> None:
@@ -220,18 +163,6 @@ def build_operator(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
 def _build(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
            twist: float) -> HermitianOperator:
     amp = (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[complex] = []
-    for r, c, v in hopping_entries(basis, amp):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
     u = getattr(species, "u", 0.0)
-    if u:
-        diag = interaction_diagonal(species, basis)
-        for k in np.flatnonzero(diag):
-            rows.append(int(k))
-            cols.append(int(k))
-            vals.append(u * diag[k])
-    return operator_from_entries(basis.dimension, rows, cols, vals)
+    diagonal = u * interaction_diagonal(species, basis) if u else None
+    return hopping_operator(basis, amp, diagonal)

@@ -1,10 +1,12 @@
 """Parameter scans: drive-frequency grids, interaction grids, crossing and
 boundary refinement.
 
-Every grid point is an independent task (build, solve, measure); failed
-points are recorded in their row instead of aborting the scan, and rows
-always come back ordered by the control value, so a sweep with the same
-spec is reproducible bit for bit.
+Every grid point is an independent task (build, solve, measure) on one
+basis enumerated per call; points run serially, and the ``workers``
+argument is accepted and recorded only for compatibility.  Failed points
+are recorded in their row instead of aborting the scan, and rows always
+come back ordered by the control value, so a sweep with the same spec is
+reproducible bit for bit.
 
 Ground-state level crossings are located by watching the translation
 sector of the ground state change between neighboring grid points (with a
@@ -16,7 +18,6 @@ current along an interaction grid, bracketed and bisected the same way.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -136,6 +137,11 @@ class BoundaryPoint:
     sign_above: int
 
 
+def _check_workers(workers: int) -> None:
+    if workers < 1:
+        raise DomainError(f"workers: must be at least 1, got {workers}")
+
+
 def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesSpec]:
     if isinstance(spec.control, OmegaGrid):
         return spec.ring.with_omega(float(value)), spec.species
@@ -219,6 +225,7 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         degeneracy_tol: float = DEGENERACY_TOL,
         options: SolverOptions = DEFAULT_OPTIONS) -> SweepResult:
     """Solve the ground state and measure currents on every grid point."""
+    _check_workers(workers)
     validate_species(spec.species, spec.ring)
     polarized = isinstance(spec.species, PolarizedFermions)
     if polarized and isinstance(spec.control, InteractionGrid):
@@ -236,12 +243,7 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         except ConvergenceError as error:
             return _failed_row(spec, value, error)
 
-    values = spec.control.values()
-    if workers == 1:
-        rows = tuple(solve(v) for v in values)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(solve, values))
+    rows = tuple(solve(v) for v in spec.control.values())
 
     provenance = {
         "ring": {"n_sites": spec.ring.n_sites, "t": spec.ring.t,
@@ -284,6 +286,7 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     if not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
                           "frequency; use an OmegaGrid")
+    _check_workers(workers)
     validate_species(spec.species, spec.ring)
     polarized = isinstance(spec.species, PolarizedFermions)
     basis = None if polarized else enumerate_basis(spec.ring, spec.species)
@@ -292,11 +295,7 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         return _ground_label(spec, basis, omega, degeneracy_tol, tol, options)
 
     omegas = spec.control.values()
-    if workers == 1:
-        labeled = [label_at(w) for w in omegas]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            labeled = list(pool.map(label_at, omegas))
+    labeled = [label_at(w) for w in omegas]
 
     # Brackets span consecutive points with RESOLVED labels; a grid point
     # that lands exactly on a crossing labels as mixed (None) and must not
@@ -375,6 +374,7 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     if not isinstance(spec.species, Fermions):
         raise DomainError(f"species: boundary detection needs Fermions, "
                           f"got {type(spec.species).__name__}")
+    _check_workers(workers)
     validate_species(spec.species, spec.ring)
     basis = enumerate_basis(spec.ring, spec.species)
     ring = spec.ring.with_omega(spec.control.omega)
@@ -386,11 +386,7 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         return row.per_particle_current
 
     us = spec.control.values()
-    if workers == 1:
-        currents = [current_at(u) for u in us]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            currents = list(pool.map(current_at, us))
+    currents = [current_at(u) for u in us]
 
     boundaries = []
     signs = [_sign(c, eps) for c in currents]

@@ -162,4 +162,4 @@ class TestSectorOfState:
         defect = (apply_translation(op.apply(v), basis)
                   - op.apply(apply_translation(v, basis)))
         assert np.linalg.norm(defect) < 1e-12 * max(
-            1.0, float(np.abs(op.values).max()))
+            1.0, float(np.abs(op.matrix.data).max()))

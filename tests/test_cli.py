@@ -121,6 +121,13 @@ class TestSweep:
                    for r in body)
         assert all(r["fast_current"] == "true" for r in body)
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_worker_count_below_one_is_config_error(self, tmp_path, capsys,
+                                                    workers):
+        assert main(["sweep", "--omega-points", "3", "--workers", workers,
+                     "--out", str(tmp_path)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+
     def test_polarized_sweep(self, tmp_path):
         assert main(["sweep", "--species", "polarized", "--n", "3",
                      "--omega-min", "20", "--omega-max", "30",

@@ -14,6 +14,7 @@ from ringlat import (
     build_boson,
     build_fermion,
     build_operator,
+    current_operator,
     energy,
     enumerate_basis,
     make_ring,
@@ -22,6 +23,7 @@ from ringlat import (
 from ringlat.hamiltonian import operator_from_entries
 
 from conftest import omega_for
+from oracles import dense_ring_bilinear
 
 
 def analytic_spectrum(ring):
@@ -86,23 +88,33 @@ class TestStructure:
         assert np.max(np.abs(op.to_dense().imag)) == 0.0
 
     def test_upper_triangle_storage(self, ring8):
+        # The stored CSR matrix is exactly Hermitian with a real diagonal.
         ring = ring8.with_omega(2.0)
         basis = enumerate_basis(ring, Fermions(1, 1, u=2.0))
         op = build_fermion(ring, Fermions(1, 1, u=2.0), basis)
-        assert np.all(op.rows <= op.cols)
-        diag = op.values[op.rows == op.cols]
-        assert np.max(np.abs(diag.imag)) <= 1e-14
+        assert (op.matrix != op.matrix.conj().T).nnz == 0
+        assert np.max(np.abs(op.matrix.diagonal().imag)) <= 1e-14
 
-    def test_mirror_reconstruction_matches_dense(self, ring8):
-        ring = ring8.with_omega(1.3)
-        basis = enumerate_basis(ring, Bosons(2, u=2.0))
-        op = build_boson(ring, Bosons(2, u=2.0), basis)
-        rebuilt = np.zeros((op.dimension, op.dimension), dtype=complex)
-        for r, c, v in zip(op.rows, op.cols, op.values):
-            rebuilt[r, c] += v
-            if r != c:
-                rebuilt[c, r] += np.conj(v)
-        assert np.max(np.abs(rebuilt - op.to_dense())) == 0.0
+    @pytest.mark.parametrize("n_sites, species", [
+        (6, Bosons(3, u=2.5)),
+        (3, Bosons(4, u=-1.5)),
+        (5, Fermions(2, 1, u=3.0)),
+        (8, Fermions(2, 2, u=4.0)),
+        (7, PolarizedFermions(3)),
+    ])
+    def test_matches_dense_state_walk_oracle(self, n_sites, species):
+        ring = make_ring(n_sites, omega=1.3)
+        basis = enumerate_basis(ring, species)
+        twist = 0.37
+        amp = (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
+        expected = dense_ring_bilinear(basis, n_sites, amp,
+                                       getattr(species, "u", 0.0))
+        op = build_operator(ring, species, basis, twist=twist)
+        assert np.array_equal(op.to_dense(), expected)
+        jop = current_operator(ring, species, basis)
+        expected_j = dense_ring_bilinear(
+            basis, n_sites, 1j * ring.t - ring.omega * ring.k_factor)
+        assert np.array_equal(jop.to_dense(), expected_j)
 
     @given(x=st.floats(min_value=-5, max_value=5),
            u=st.floats(min_value=-8, max_value=8))

@@ -94,8 +94,10 @@ class TestEvaluate:
         assert report.sector == 4  # both particles wind twice: q = 2 + 2
         assert report.is_max_winding
 
-    def test_bonds_homogeneous_and_consistent(self, ring8):
-        species = Fermions(1, 1, u=4.0)
+    @pytest.mark.parametrize("species", [Fermions(1, 1, u=4.0),
+                                         Bosons(2, u=3.0)],
+                             ids=["fermions", "bosons"])
+    def test_bonds_homogeneous_and_consistent(self, ring8, species):
         ring = ring8.with_omega(2.3)
         basis, gs = solve_ground(ring, species)
         jop = current_operator(ring, species, basis)

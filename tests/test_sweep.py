@@ -101,6 +101,19 @@ class TestRun:
                          control=OmegaGrid(0.0, 4.0, 7))
         assert run(spec, workers=1).rows == run(spec, workers=4).rows
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, ring8, workers):
+        species = Fermions(1, 1, u=1.0)
+        omegas = SweepSpec(ring=ring8, species=species,
+                           control=OmegaGrid(0.0, 4.0, 3))
+        interactions = SweepSpec(ring=ring8, species=species,
+                                 control=InteractionGrid(-1.0, 1.0, 3,
+                                                         omega=1.0))
+        for call, spec in ((run, omegas), (find_crossings, omegas),
+                           (fast_mode_boundary, interactions)):
+            with pytest.raises(DomainError, match="workers"):
+                call(spec, workers=workers)
+
     def test_failed_points_are_recorded_not_fatal(self, ring8):
         spec = SweepSpec(ring=ring8, species=Fermions(1, 1, u=1.0),
                          control=OmegaGrid(0.0, 4.0, 5))

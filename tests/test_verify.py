@@ -1,4 +1,4 @@
-from ringlat.hamiltonian import hopping_entries, operator_from_entries
+from ringlat.hamiltonian import hopping_operator
 from ringlat.verify import (
     check_determinism,
     check_ground_current_vs_formula,
@@ -13,12 +13,7 @@ from ringlat.verify import (
 
 def corrupted_current_operator(ring, species, basis):
     """Current with the drive term's sign flipped: a wrong convention."""
-    amp = 1j * ring.t + ring.omega * ring.k_factor
-    entries = list(hopping_entries(basis, amp))
-    return operator_from_entries(basis.dimension,
-                                 [e[0] for e in entries],
-                                 [e[1] for e in entries],
-                                 [e[2] for e in entries])
+    return hopping_operator(basis, 1j * ring.t + ring.omega * ring.k_factor)
 
 
 def test_all_checks_pass():
