@@ -147,75 +147,84 @@ def _load_config_file(path: str | None) -> dict:
         raise DomainError(f"config: {path} is not valid JSON: {error}") from error
     if not isinstance(data, dict):
         raise DomainError(f"config: {path} must hold a JSON object")
+    for section in ("ring", "species", "sweep", "output", "solver"):
+        if not isinstance(data.get(section, {}), dict):
+            raise DomainError(f"{section}: must be a JSON object in {path}")
     return data
 
 
-def _pick(flag, file_value, default):
+def _pick(convert, flag, cfg: dict, key: str, default):
+    """``convert`` of the flag if given, else of the config-file value at
+    ``key`` ("section.name"), else of the default (None stays None).
+
+    A file value that ``convert`` rejects is a DomainError naming its key.
+    """
     if flag is not None:
-        return flag
-    if file_value is not None:
-        return file_value
-    return default
+        return convert(flag)
+    section, name = key.split(".")
+    value = cfg.get(section, {}).get(name)
+    if value is None:
+        return None if default is None else convert(default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as error:
+        raise DomainError(f"{key}: cannot read {value!r} as "
+                          f"{convert.__name__}") from error
 
 
 def _resolve_species(args, cfg: dict) -> SpeciesSpec:
-    section = cfg.get("species", {})
-    kind = _pick(args.species, section.get("kind"), "boson")
-    u = float(_pick(args.u, section.get("u"), 0.0))
+    kind = _pick(str, args.species, cfg, "species.kind", "boson")
+    u = _pick(float, args.u, cfg, "species.u", 0.0)
     if kind == "boson":
-        n = int(_pick(args.n, section.get("n"), 1))
+        n = _pick(int, args.n, cfg, "species.n", 1)
         return Bosons(n_particles=n, u=u)
     if kind == "fermion":
-        n_up = int(_pick(args.n_up, section.get("n_up"), 1))
-        n_down = int(_pick(args.n_down, section.get("n_down"), 1))
+        n_up = _pick(int, args.n_up, cfg, "species.n_up", 1)
+        n_down = _pick(int, args.n_down, cfg, "species.n_down", 1)
         return Fermions(n_up=n_up, n_down=n_down, u=u)
     if kind == "polarized":
-        n = int(_pick(args.n, section.get("n"), 1))
+        n = _pick(int, args.n, cfg, "species.n", 1)
         return PolarizedFermions(n_particles=n)
     raise DomainError(f"species: unknown kind {kind!r}")
 
 
 def resolve_config(args) -> RunConfig:
     cfg = _load_config_file(args.config)
-    ring_cfg = cfg.get("ring", {})
-    sweep_cfg = cfg.get("sweep", {})
-    out_cfg = cfg.get("output", {})
-    solver_cfg = cfg.get("solver", {})
 
-    sites = int(_pick(args.sites, ring_cfg.get("sites"), 8))
-    t = float(_pick(args.t, ring_cfg.get("t"), 1.0))
-    beta = float(_pick(args.beta, ring_cfg.get("beta"), 1.0))
-    k_direct = _pick(args.k, ring_cfg.get("k"), None)
+    sites = _pick(int, args.sites, cfg, "ring.sites", 8)
+    t = _pick(float, args.t, cfg, "ring.t", 1.0)
+    beta = _pick(float, args.beta, cfg, "ring.beta", 1.0)
+    k_direct = _pick(float, args.k, cfg, "ring.k", None)
     if k_direct is not None:
-        ring = RingSpec(n_sites=sites, t=t, k_factor=float(k_direct))
+        ring = RingSpec(n_sites=sites, t=t, k_factor=k_direct)
     else:
         ring = make_ring(sites, t=t, beta=beta)
 
     species = _resolve_species(args, cfg)
     validate_species(species, ring)
 
-    omega_min = float(_pick(args.omega_min, sweep_cfg.get("omega_min"), 0.0))
-    omega_max = float(_pick(args.omega_max, sweep_cfg.get("omega_max"),
-                            4.0 * ring.t / ring.k_factor))
-    omega_points = int(_pick(args.omega_points,
-                             sweep_cfg.get("omega_points"), 201))
-    omega_fixed = float(_pick(args.omega, sweep_cfg.get("omega"), 0.0))
+    omega_min = _pick(float, args.omega_min, cfg, "sweep.omega_min", 0.0)
+    omega_max = _pick(float, args.omega_max, cfg, "sweep.omega_max",
+                      4.0 * ring.t / ring.k_factor)
+    omega_points = _pick(int, args.omega_points, cfg, "sweep.omega_points",
+                         201)
+    omega_fixed = _pick(float, args.omega, cfg, "sweep.omega", 0.0)
 
-    u_min = _pick(args.u_min, sweep_cfg.get("u_min"), None)
-    u_max = _pick(args.u_max, sweep_cfg.get("u_max"), None)
-    u_points = _pick(args.u_points, sweep_cfg.get("u_points"), None)
+    u_min = _pick(float, args.u_min, cfg, "sweep.u_min", None)
+    u_max = _pick(float, args.u_max, cfg, "sweep.u_max", None)
+    u_points = _pick(int, args.u_points, cfg, "sweep.u_points", None)
     if any(v is not None for v in (u_min, u_max, u_points)):
         if None in (u_min, u_max, u_points):
             raise DomainError("u_grid: an interaction grid needs u-min, "
                               "u-max and u-points together")
-        u_grid = (float(u_min), float(u_max), int(u_points))
+        u_grid = (u_min, u_max, u_points)
     else:
         u_grid = None
 
     windings = None
     raw_windings = getattr(args, "windings", None)
     if raw_windings is None:
-        raw_windings = sweep_cfg.get("windings")
+        raw_windings = cfg.get("sweep", {}).get("windings")
     if raw_windings is not None:
         if isinstance(raw_windings, str):
             raw_windings = [w for w in raw_windings.split(",") if w.strip()]
@@ -227,17 +236,17 @@ def resolve_config(args) -> RunConfig:
             if not 0 <= n < ring.n_sites:
                 raise DomainError(f"windings: {n} outside [0, {ring.n_sites})")
 
-    refine = bool(_pick(args.refine, sweep_cfg.get("refine"), False))
-    bisection_tol = float(_pick(args.tol, sweep_cfg.get("tol"), 1e-6))
-    workers = int(_pick(args.workers, solver_cfg.get("workers"), 1))
+    refine = _pick(bool, args.refine, cfg, "sweep.refine", False)
+    bisection_tol = _pick(float, args.tol, cfg, "sweep.tol", 1e-6)
+    workers = _pick(int, args.workers, cfg, "solver.workers", 1)
     if workers < 1:
         raise DomainError(f"workers: must be at least 1, got {workers}")
-    solver_tol = float(solver_cfg.get("tol", 1e-10))
-    degeneracy_tol = float(solver_cfg.get("degeneracy_tol", 1e-8))
+    solver_tol = _pick(float, None, cfg, "solver.tol", 1e-10)
+    degeneracy_tol = _pick(float, None, cfg, "solver.degeneracy_tol", 1e-8)
     solver = SolverOptions(
-        dense_threshold=int(solver_cfg.get("dense_threshold",
-                                           DEFAULT_OPTIONS.dense_threshold)),
-        seed=int(solver_cfg.get("seed", DEFAULT_OPTIONS.seed)),
+        dense_threshold=_pick(int, None, cfg, "solver.dense_threshold",
+                              DEFAULT_OPTIONS.dense_threshold),
+        seed=_pick(int, None, cfg, "solver.seed", DEFAULT_OPTIONS.seed),
     )
     echo = {
         "ring": {"sites": sites, "t": t, "k_factor": ring.k_factor},
@@ -260,8 +269,8 @@ def resolve_config(args) -> RunConfig:
         omega_points=omega_points,
         omega_fixed=omega_fixed,
         u_grid=u_grid,
-        out_dir=Path(_pick(args.out, out_cfg.get("dir"), "out")),
-        svg=bool(_pick(args.svg, out_cfg.get("svg"), False)),
+        out_dir=_pick(Path, args.out, cfg, "output.dir", "out"),
+        svg=_pick(bool, args.svg, cfg, "output.svg", False),
         refine=refine,
         bisection_tol=bisection_tol,
         workers=workers,

@@ -1,12 +1,12 @@
 """Lowest eigenpairs of a Hermitian operator.
 
-Small operators (dimension <= ``dense_threshold``) go through LAPACK's
-dense Hermitian solver.  Larger ones go through ARPACK's implicitly
-restarted Arnoldi iteration, followed by a Rayleigh-Ritz step that makes
-the returned vectors exactly orthonormal and a check that no copy of a
-degenerate level was skipped.  The Krylov start vector and ARPACK's
-restart vectors come from a seeded generator, so repeated runs are
-bit-for-bit reproducible at a fixed thread count.
+``lowest_k`` and ``ground_state`` ask one routine for the k lowest pairs,
+every further copy of the k-th level and the next pair above it.  Small
+operators (dimension <= ``dense_threshold``) go through LAPACK's dense
+solver; larger ones through seeded ARPACK and a Rayleigh-Ritz step, then
+through solves on the complement of the locked pairs until its lowest
+pair lies above the k-th level.  Repeated runs are bit-for-bit
+reproducible at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 from .hamiltonian import HermitianOperator
 from .model import DomainError
 
-# Ground-state solves cost the same on both paths near this dimension
-# (2-CPU x86, OpenBLAS): dense eigh wins at 256 and below, ARPACK with its
-# missed-copy check at 324 and above.
+# Ground-state solves cost about the same on both paths near this dimension
+# (2-CPU x86, OpenBLAS, 1+1 fermions): dense eigh wins at 256 and below,
+# ARPACK with its complement solve at 400 and above, and at 324 they are
+# within 10 %.
 DENSE_THRESHOLD = 300
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
@@ -51,6 +52,10 @@ class SolverOptions:
     # (ncv = 20).
     max_restarts: int = 100
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise DomainError(f"seed: must be >= 0, got {self.seed!r}")
+
 
 DEFAULT_OPTIONS = SolverOptions()
 
@@ -77,22 +82,21 @@ class GroundState(NamedTuple):
 
 
 def _group_degenerate(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
-    groups: list[tuple[int, ...]] = []
-    current = [0]
-    for i in range(1, len(values)):
-        if values[i] - values[i - 1] < tol:
-            current.append(i)
-        else:
-            groups.append(tuple(current))
-            current = [i]
-    groups.append(tuple(current))
-    return tuple(groups)
+    bounds = [0, *(np.flatnonzero(np.diff(values) >= tol) + 1), len(values)]
+    return tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
 
 
-def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
-             degeneracy_tol: float = DEGENERACY_TOL,
-             options: SolverOptions = DEFAULT_OPTIONS) -> EigenResult:
-    """The k lowest eigenpairs, each with ||Hv - ev|| <= tol*max(1, |e|)."""
+def _level_end(values: np.ndarray, k: int, tol: float) -> int:
+    """One past the last copy of the k-th value in ascending ``values``."""
+    groups = _group_degenerate(values, tol)
+    return next(group[-1] for group in groups if group[-1] >= k - 1) + 1
+
+
+def _lowest_levels(op: HermitianOperator, k: int, tol: float,
+                   degeneracy_tol: float, options: SolverOptions
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, vectors and residuals of the k lowest pairs, every further
+    copy of the k-th level, and the next pair above it (if there is one)."""
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
     if not tol > 0:
@@ -103,28 +107,36 @@ def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
     if krylov:
         values, vectors = _krylov_lowest(op, k, tol, degeneracy_tol, options)
     else:
-        values, vectors = _dense_lowest(op, k)
+        values, vectors = _dense_lowest(op, k, degeneracy_tol)
+    stop = _level_end(values, k, degeneracy_tol) + 1
+    values, vectors = values[:stop], vectors[:, :stop]
 
-    residuals = np.array([
-        np.linalg.norm(op.apply(vectors[:, i]) - values[i] * vectors[:, i])
-        for i in range(k)
-    ])
+    residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
     bounds = tol * np.maximum(1.0, np.abs(values))
     if krylov and np.any(residuals > bounds):
         raise ConvergenceError(
             f"Krylov residuals {residuals} exceed tolerance bounds {bounds}")
-    return EigenResult(values=values, vectors=vectors, residuals=residuals,
-                       degeneracy_groups=_group_degenerate(values, degeneracy_tol))
+    return values, vectors, residuals
 
 
-def _dense_lowest(op: HermitianOperator, k: int) -> tuple[np.ndarray, np.ndarray]:
+def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
+             degeneracy_tol: float = DEGENERACY_TOL,
+             options: SolverOptions = DEFAULT_OPTIONS) -> EigenResult:
+    """The k lowest eigenpairs, each with ||Hv - ev|| <= tol*max(1, |e|)."""
+    values, vectors, residuals = _lowest_levels(op, k, tol, degeneracy_tol,
+                                                options)
+    return EigenResult(values[:k], vectors[:, :k], residuals[:k],
+                       _group_degenerate(values[:k], degeneracy_tol))
+
+
+def _dense_lowest(op: HermitianOperator, k: int,
+                  degeneracy_tol: float) -> tuple[np.ndarray, np.ndarray]:
     dense = op.to_dense()
     if k < op.dimension:
-        values, vectors = sla.eigh(dense, subset_by_index=(0, k - 1),
-                                   driver="evr")
-    else:
-        values, vectors = sla.eigh(dense)
-    return values[:k], vectors[:, :k]
+        values, vectors = sla.eigh(dense, subset_by_index=(0, k), driver="evr")
+        if values[k] - values[k - 1] >= degeneracy_tol:
+            return values, vectors
+    return sla.eigh(dense)
 
 
 def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
@@ -170,33 +182,27 @@ def _krylov_lowest(op: HermitianOperator, k: int, tol: float,
     rng = np.random.default_rng(options.seed)
     values, vectors = _rayleigh_ritz(
         op, _arpack_lowest(op.matrix, k, tol, options, rng))
-    # ARPACK can skip a copy of a degenerate level.  Lock the vectors found
-    # so far, shifted above the spectrum, and ask for the lowest level of
-    # the rest until it no longer lies below the k-th value.
-    shift = 1.0 + float(abs(op.matrix).sum(axis=1).max())
-    while True:
-        locked = vectors
-        locked_conj = locked.conj()
+    # ARPACK can skip copies of a degenerate level.  Lock the pairs found by
+    # shifting them above the spectrum (H + s*V*V^H; 2*max|row sum| bounds
+    # the spread) and add the lowest pair of the rest until it lies above
+    # the k-th level: that last pair is the next one.
+    shift = 1.0 + 2.0 * float(abs(op.matrix).sum(axis=1).max())
+    while len(values) < op.dimension:
+        top = values[_level_end(values, k, degeneracy_tol) - 1]
+        locked, locked_conj = vectors, vectors.conj()
 
         def matvec(v: np.ndarray) -> np.ndarray:
             v = v.ravel()
-            overlaps = np.einsum("ij,i->j", locked_conj, v)
-            w = op.matrix @ (v - np.einsum("ij,j->i", locked, overlaps))
-            w = w - np.einsum("ij,j->i", locked,
-                              np.einsum("ij,i->j", locked_conj, w))
-            return w + shift * np.einsum("ij,j->i", locked, overlaps)
+            return op.matrix @ v + shift * np.einsum(
+                "ij,j->i", locked, np.einsum("ij,i->j", locked_conj, v))
 
-        complement = LinearOperator(op.matrix.shape, matvec=matvec,
-                                    dtype=complex)
-        extra = _arpack_lowest(complement, 1, tol, options, rng)
-        extra = extra[:, 0] - locked @ (locked_conj.T @ extra[:, 0])
-        value = float(np.vdot(extra, op.matrix @ extra).real
-                      / np.vdot(extra, extra).real)
-        if not value < values[k - 1] - degeneracy_tol:
+        complement = LinearOperator(op.matrix.shape, matvec, dtype=complex)
+        extra = _arpack_lowest(complement, 1, tol, options, rng)[:, 0]
+        value = np.vdot(extra, op.matrix @ extra).real
+        values, vectors = _rayleigh_ritz(op, np.column_stack([locked, extra]))
+        if value >= top + degeneracy_tol:
             break
-        values, vectors = _rayleigh_ritz(
-            op, np.column_stack([locked, extra]))
-    return values[:k], vectors[:, :k]
+    return values, vectors
 
 
 def ground_state(op: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL,
@@ -204,23 +210,14 @@ def ground_state(op: HermitianOperator, degeneracy_tol: float = DEGENERACY_TOL,
                  options: SolverOptions = DEFAULT_OPTIONS) -> GroundState:
     """Ground energy with every eigenvector inside the degeneracy window.
 
-    Grows the requested pair count until the spectrum escapes the window,
-    so exact crossings report all members of the degenerate multiplet.
-    ``gap`` is the distance to the next eigenvalue (zero inside a
-    multiplet, NaN for a one-state space).
+    One solve returns every copy of the lowest level and the next pair
+    above it, so exact crossings report all members of the degenerate
+    multiplet.  ``gap`` is the distance to the next eigenvalue (zero
+    inside a multiplet, NaN for a one-state space).
     """
-    if op.dimension < 1:
-        raise DomainError("dimension: operator is empty")
-    k = min(2, op.dimension)
-    while True:
-        result = lowest_k(op, k, tol=tol, degeneracy_tol=degeneracy_tol,
-                          options=options)
-        if k == op.dimension or result.values[-1] - result.values[0] > degeneracy_tol:
-            break
-        k = min(op.dimension, 2 * k)
-    members = result.degeneracy_groups[0]
-    values = result.values
+    values, vectors, _ = _lowest_levels(op, 1, tol, degeneracy_tol, options)
+    members = _level_end(values, 1, degeneracy_tol)
     return GroundState(
-        energy=float(values[0]), vectors=result.vectors[:, list(members)],
-        degenerate=len(members) > 1,
+        energy=float(values[0]), vectors=vectors[:, :members],
+        degenerate=members > 1,
         gap=float(values[1] - values[0]) if len(values) > 1 else float("nan"))

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import FockBasis, sector_of_state
-from .hamiltonian import HermitianOperator, hopping_operator
-from .model import Bosons, RingSpec, SpeciesSpec, particle_content, particle_count
+from .hamiltonian import HermitianOperator, _check_basis, hopping_operator
+from .model import Bosons, RingSpec, SpeciesSpec, particle_count
 
 #: Currents with |J| below this (in units of t) count as zero, not fast.
 FAST_CURRENT_EPS = 1e-9
@@ -50,11 +50,7 @@ def forward_hop_amplitude(ring: RingSpec) -> complex:
 def current_operator(ring: RingSpec, species: SpeciesSpec,
                      basis: FockBasis) -> HermitianOperator:
     """Integrated ring-current operator on the given basis."""
-    if (basis.n_sites != ring.n_sites
-            or particle_content(basis.species) != particle_content(species)):
-        raise ValueError(f"basis enumerated for {basis.species!r} on "
-                         f"{basis.n_sites} sites; got {species!r} on "
-                         f"{ring.n_sites}")
+    _check_basis(ring, species, basis)
     return hopping_operator(basis, forward_hop_amplitude(ring))
 
 

@@ -184,6 +184,22 @@ class TestConfigHandling:
         assert main(["spectrum", "--config", str(bad),
                      "--out", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("config,key", [
+        # A dimension-8 sweep forced onto the Krylov path.
+        ({"solver": {"seed": -1, "dense_threshold": 1}}, "seed"),
+        ({"solver": {"dense_threshold": "abc"}}, "solver.dense_threshold"),
+        ({"solver": {"tol": "x"}}, "solver.tol"),
+        ({"ring": 5}, "ring"),
+    ])
+    def test_bad_setting_is_config_error(self, tmp_path, capsys, config,
+                                         key):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(config))
+        assert main(["sweep", "--config", str(config_path),
+                     "--omega-points", "3", "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: " + key)
+
     def test_bad_sites_is_config_error(self, tmp_path):
         assert main(["spectrum", "--sites", "2", "--out", str(tmp_path)]) == 1
 

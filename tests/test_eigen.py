@@ -17,8 +17,11 @@ from ringlat import (
     sector_of_state,
     winding_state,
 )
+from ringlat import eigen
 from ringlat.basis import split_into_sectors
+from ringlat.eigen import _lowest_levels
 from ringlat.hamiltonian import operator_from_entries
+from ringlat.verify import _test_systems
 
 from conftest import omega_for
 
@@ -33,6 +36,24 @@ def pauli_x():
 def diagonal(*values):
     n = len(values)
     return operator_from_entries(n, range(n), range(n), values)
+
+
+WIDE_COPIES = 24
+
+
+def wide_level_operator():
+    """A 24-fold lowest level at -1 in a 60-dim space (above ncv = 20),
+    with the next level at 0."""
+    rng = np.random.default_rng(3)
+    n = 60
+    spectrum = np.concatenate([np.full(WIDE_COPIES, -1.0),
+                               np.linspace(0.0, 5.0, n - WIDE_COPIES)])
+    unitary, _ = np.linalg.qr(rng.standard_normal((n, n))
+                              + 1j * rng.standard_normal((n, n)))
+    dense = unitary @ np.diag(spectrum) @ unitary.conj().T
+    dense = 0.5 * (dense + dense.conj().T)
+    rows, cols = np.indices((n, n))
+    return operator_from_entries(n, rows.ravel(), cols.ravel(), dense.ravel())
 
 
 def ring_operator(n_sites=8, x=0.0, species=None, u=0.0):
@@ -123,19 +144,8 @@ class TestLowestKKrylov:
             assert np.max(np.abs(gram - np.eye(2))) < 1e-8
 
     def test_degenerate_level_wider_than_krylov_space_orthonormal(self):
-        # A 24-fold lowest level in a 60-dim space, above ncv = 20.
-        rng = np.random.default_rng(3)
-        n, copies = 60, 24
-        spectrum = np.concatenate([np.full(copies, -1.0),
-                                   np.linspace(0.0, 5.0, n - copies)])
-        unitary, _ = np.linalg.qr(rng.standard_normal((n, n))
-                                  + 1j * rng.standard_normal((n, n)))
-        dense = unitary @ np.diag(spectrum) @ unitary.conj().T
-        dense = 0.5 * (dense + dense.conj().T)
-        rows, cols = np.indices((n, n))
-        op = operator_from_entries(n, rows.ravel(), cols.ravel(),
-                                   dense.ravel())
-        assert FORCE_KRYLOV.max_krylov < copies
+        op = wide_level_operator()
+        assert FORCE_KRYLOV.max_krylov < WIDE_COPIES
         result = lowest_k(op, 6, options=FORCE_KRYLOV)
         assert np.max(np.abs(result.values + 1.0)) < 1e-10
         gram = result.vectors.conj().T @ result.vectors
@@ -148,6 +158,10 @@ class TestLowestKKrylov:
             value = lowest_k(op, k, options=FORCE_KRYLOV).values[0]
             assert value <= previous + 1e-10
             previous = value
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(DomainError, match="seed"):
+            SolverOptions(seed=-1)
 
     def test_nonconvergence_raises_with_diagnostics(self):
         _, _, _, op = ring_operator(x=1.0, species=Fermions(2, 2, u=4.0))
@@ -198,3 +212,74 @@ class TestGroundState:
         op = build_operator(ring8, species, basis)
         gs = ground_state(op)
         assert gs.energy == pytest.approx(-4.0 * ring8.t, abs=1e-10)
+
+
+def ground_paths(op):
+    """The Krylov ground state, after checking it against the dense one."""
+    dense = ground_state(op, options=FORCE_DENSE)
+    krylov = ground_state(op, options=FORCE_KRYLOV)
+    assert abs(krylov.energy - dense.energy) < 1e-10
+    assert abs(krylov.gap - dense.gap) < 1e-10
+    assert krylov.vectors.shape[1] == dense.vectors.shape[1]
+    assert krylov.degenerate == dense.degenerate
+    return krylov
+
+
+class TestGroundStatePaths:
+    @pytest.mark.parametrize("ring,species", _test_systems())
+    def test_verify_systems(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        ground_paths(build_operator(ring, species, basis))
+
+    def test_rest_frame_pair_below_doublet(self):
+        # The second level of 2+2 fermions at rest is a doublet.
+        _, _, _, op = ring_operator(species=Fermions(2, 2, u=4.0))
+        assert lowest_k(op, 3).degeneracy_groups == ((0,), (1, 2))
+        gs = ground_paths(op)
+        assert not gs.degenerate
+        assert gs.gap > 1e-3
+
+    def test_single_boson_crossing(self):
+        base = make_ring(8)
+        ring = base.with_omega(crossing_frequency(0, 1, base))
+        op = build_operator(ring, Bosons(1), enumerate_basis(ring, Bosons(1)))
+        gs = ground_paths(op)
+        assert gs.degenerate
+        assert gs.vectors.shape[1] == 2
+        assert gs.gap < 1e-9
+
+    def test_level_wider_than_krylov_space(self):
+        op = wide_level_operator()
+        gs = ground_paths(op)
+        assert gs.vectors.shape[1] == WIDE_COPIES
+        gram = gs.vectors.conj().T @ gs.vectors
+        assert np.max(np.abs(gram - np.eye(WIDE_COPIES))) < 1e-10
+        # Zero inside the multiplet; the pair after it lies 1.0 higher.
+        assert abs(gs.gap) < 1e-10
+        for options in (FORCE_DENSE, FORCE_KRYLOV):
+            values = _lowest_levels(op, 1, 1e-10, 1e-8, options)[0]
+            assert len(values) == WIDE_COPIES + 1
+            assert values[-1] - values[0] == pytest.approx(1.0, abs=1e-10)
+
+    def test_deflation_shift_exceeds_spread(self, monkeypatch):
+        # The locked ground at -10 must be shifted above the top at 10, or
+        # the complement solve finds the locked vector again.  One solve
+        # for the ground and one on its complement then suffice.
+        op = diagonal(-10.0, *np.linspace(9.9, 10.0, 20))
+        solves = []
+        arpack = eigen._arpack_lowest
+
+        def counted(*args):
+            solves.append(args[1])
+            return arpack(*args)
+
+        monkeypatch.setattr(eigen, "_arpack_lowest", counted)
+        gs = ground_paths(op)
+        assert gs.gap == pytest.approx(19.9, abs=1e-10)
+        assert solves == [1, 1]
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(DomainError):
+            ground_state(pauli_x(), tol=0.0)
+        with pytest.raises(DomainError):
+            ground_state(operator_from_entries(0, [], [], []))

@@ -3,6 +3,7 @@ import pytest
 
 from ringlat import (
     Bosons,
+    DomainError,
     Fermions,
     build_operator,
     current,
@@ -29,6 +30,11 @@ def solve_ground(ring, species):
 
 
 class TestCurrentOperator:
+    def test_basis_from_another_ring_rejected(self, ring8):
+        basis = enumerate_basis(make_ring(6), Bosons(1))
+        with pytest.raises(DomainError, match="basis"):
+            current_operator(ring8, Bosons(1), basis)
+
     def test_saturated_winding_carries_two_t(self, ring8):
         for x in (0.0, 4.0, 11.0):
             ring = ring8.with_omega(omega_for(ring8, x))
