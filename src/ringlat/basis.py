@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 
 from .model import (
     Bosons,
-    DomainError,
     Fermions,
-    PolarizedFermions,
     RingSpec,
     SpeciesSpec,
     validate_species,
@@ -291,33 +288,24 @@ def sector_of_state(vector: np.ndarray, basis: FockBasis,
     return int(q)
 
 
-def split_into_sectors(vectors: np.ndarray, basis: FockBasis,
-                       tol: float = 1e-8,
-                       ) -> tuple[np.ndarray, tuple[int | None, ...]]:
-    """Rotate a degenerate multiplet into translation-sector eigenvectors.
+def translation_orbits(basis: FockBasis) -> tuple[np.ndarray, ...]:
+    """Orbits of the forward shift T, walked for every state at once.
 
-    Eigensolvers return an arbitrary orthonormal span for a degenerate
-    level, generally mixing symmetry sectors.  Since the shift commutes
-    with the Hamiltonian, its restriction to the span is a small unitary
-    matrix; its Schur vectors rotate the span into sector-pure states.
-    Returns the rotated columns and their labels, ordered by label.
+    Returns per-state arrays (representative, steps, signs, period,
+    closing) with T^steps |s> = signs |representative>, where the
+    representative is the orbit's lowest index and steps < period, and
+    T^period |s> = closing |s>.
     """
-    if vectors.ndim == 1:
-        vectors = vectors[:, None]
-    count = vectors.shape[1]
-    if count == 1:
-        return vectors, (sector_of_state(vectors[:, 0], basis, tol),)
-    shifted = np.column_stack([
-        apply_translation(vectors[:, i], basis) for i in range(count)])
-    restricted = vectors.conj().T @ shifted
-    _, rotation = sla.schur(restricted, output="complex")
-    rotated = vectors @ rotation
-    labels = []
-    for i in range(count):
-        column = rotated[:, i]
-        column /= np.linalg.norm(column)
-        rotated[:, i] = column
-        labels.append(sector_of_state(column, basis, tol))
-    order = sorted(range(count),
-                   key=lambda i: (labels[i] is None, labels[i]))
-    return rotated[:, order], tuple(labels[i] for i in order)
+    start = np.arange(basis.dimension)
+    current, sign = start, np.ones(basis.dimension)
+    representative, steps, signs = start.copy(), np.zeros_like(start), sign
+    period, closing = np.zeros_like(start), sign.copy()
+    for step in range(1, basis.n_sites + 1):
+        sign = sign * basis.shift_sign[current]
+        current = basis.shift_perm[current]
+        lower = current < representative
+        representative[lower], steps[lower] = current[lower], step
+        signs = np.where(lower, sign, signs)
+        back = (period == 0) & (current == start)
+        period[back], closing[back] = step, sign[back]
+    return representative, steps, signs, period, closing

@@ -153,11 +153,19 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
+# The JSON values a config file may give each setting type.  A JSON true
+# or false is a Python bool, which is also an int, so bools are told apart
+# separately.
+_JSON_KINDS = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               Path: ((str,), "a string")}
+
+
 def _pick(convert, flag, cfg: dict, key: str, default):
     """``convert`` of the flag if given, else of the config-file value at
     ``key`` ("section.name"), else of the default (None stays None).
 
-    A file value that ``convert`` rejects is a DomainError naming its key.
+    A file value of the wrong JSON type is a DomainError naming its key.
     """
     if flag is not None:
         return convert(flag)
@@ -165,11 +173,11 @@ def _pick(convert, flag, cfg: dict, key: str, default):
     value = cfg.get(section, {}).get(name)
     if value is None:
         return None if default is None else convert(default)
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as error:
-        raise DomainError(f"{key}: cannot read {value!r} as "
-                          f"{convert.__name__}") from error
+    types, kind = _JSON_KINDS[convert]
+    if (isinstance(value, bool) != (convert is bool)
+            or not isinstance(value, types)):
+        raise DomainError(f"{key}: expected {kind}, got {json.dumps(value)}")
+    return convert(value)
 
 
 def _resolve_species(args, cfg: dict) -> SpeciesSpec:
@@ -401,11 +409,7 @@ def _sweep_spec(config: RunConfig) -> SweepSpec:
 
 
 def _sector_cell(sectors: tuple, failed: bool) -> str:
-    if failed:
-        return "failed"
-    if not sectors:
-        return "mixed"
-    return "|".join("mixed" if q is None else str(q) for q in sectors)
+    return "failed" if failed else "|".join(str(q) for q in sectors)
 
 
 def cmd_sweep(config: RunConfig) -> int:

@@ -15,12 +15,13 @@ number of doubly occupied sites for spin-1/2 fermions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sparse
 
-from .basis import FockBasis
+from .basis import FockBasis, translation_orbits
 from .model import (
     Bosons,
     DomainError,
@@ -38,8 +39,8 @@ _HERMITICITY_TOL = 1e-12
 class HermitianOperator:
     """Complex Hermitian matrix held as one full CSR matrix.
 
-    ``matrix`` is canonical (sorted indices, no duplicates) and was
-    checked on assembly to be Hermitian with a real diagonal.
+    ``matrix`` is canonical and Hermitian with a real diagonal: checked on
+    assembly, or exact by construction for a :class:`SectorBlock`.
     """
 
     dimension: int
@@ -133,8 +134,7 @@ def build_boson(ring: RingSpec, species: Bosons, basis: FockBasis,
     if not isinstance(species, Bosons):
         raise DomainError(f"species: build_boson needs Bosons, got "
                           f"{type(species).__name__}")
-    _check_basis(ring, species, basis)
-    return _build(ring, species, basis, twist)
+    return build_operator(ring, species, basis, twist)
 
 
 def build_fermion(ring: RingSpec, species: Fermions, basis: FockBasis,
@@ -144,25 +144,87 @@ def build_fermion(ring: RingSpec, species: Fermions, basis: FockBasis,
     if not isinstance(species, Fermions):
         raise DomainError(f"species: build_fermion needs Fermions, got "
                           f"{type(species).__name__}")
-    _check_basis(ring, species, basis)
-    return _build(ring, species, basis, twist)
+    return build_operator(ring, species, basis, twist)
 
 
 def build_operator(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
                    twist: float = 0.0) -> HermitianOperator:
     """Hamiltonian for any species; polarized fermions hop with no
     interaction."""
-    if isinstance(species, Bosons):
-        return build_boson(ring, species, basis, twist)
-    if isinstance(species, Fermions):
-        return build_fermion(ring, species, basis, twist)
     _check_basis(ring, species, basis)
-    return _build(ring, species, basis, twist)
-
-
-def _build(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
-           twist: float) -> HermitianOperator:
-    amp = (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
     u = getattr(species, "u", 0.0)
     diagonal = u * interaction_diagonal(species, basis) if u else None
-    return hopping_operator(basis, amp, diagonal)
+    return hopping_operator(basis, hopping_amplitude(ring, twist), diagonal)
+
+
+def hopping_amplitude(ring: RingSpec, twist: float = 0.0) -> complex:
+    """Coefficient of the forward-hop bilinear in the Hamiltonian."""
+    return (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
+
+
+@dataclass(frozen=True, eq=False)
+class SectorBlock:
+    """Sector q of the ring Hamiltonians on the Bloch states
+    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives`` r,
+    where T is the forward shift and p the period of the orbit of r.
+
+    ``hop`` is the forward-hop sum on a pattern that also holds the
+    mirror entries (entry k mirrors ``transpose[k]``) and the diagonal,
+    where ``interaction`` puts the contact energy at unit coupling.
+    """
+
+    q: int
+    representatives: np.ndarray
+    hop: sparse.csr_matrix = field(repr=False)
+    transpose: np.ndarray = field(repr=False)
+    interaction: np.ndarray = field(repr=False)
+
+    def operator(self, forward_amplitude: complex,
+                 u: float = 0.0) -> HermitianOperator:
+        """amp * hop + h.c. + u * interaction, Hermitian by construction."""
+        forward = forward_amplitude * self.hop.data
+        data = forward + forward[self.transpose].conj() + u * self.interaction
+        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
+            (data, self.hop.indices, self.hop.indptr), shape=self.hop.shape))
+
+
+def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
+    """The nonempty translation-sector blocks of ring Hamiltonians.
+
+    Block q holds the representatives whose orbit period p and closing
+    sign c give exp(2*pi*i*q*p/N) * c = 1.  A hop out of representative r
+    into state s of the orbit of r' adds its factor times signs[s] *
+    exp(2*pi*i*q*steps[s]/N) * sqrt(p_r/p_r') to entry (r', r) (Sandvik,
+    arXiv:1101.3281, sec. 4.1).
+    """
+    orbit, steps, signs, period, closing = translation_orbits(basis)
+    n, hops = basis.n_sites, basis.hops
+    from_rep = orbit[hops.cols] == hops.cols
+    rows, cols = hops.rows[from_rep], hops.cols[from_rep]
+    targets = orbit[rows]
+    factors = hops.values[from_rep] * signs[rows] * np.sqrt(
+        period[cols] / period[targets])
+    reps = np.flatnonzero(orbit == np.arange(basis.dimension))
+    diagonal = interaction_diagonal(basis.species, basis)
+    blocks = []
+    for q in range(n):
+        # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
+        members = reps[(2 * q * period[reps] + n * (closing[reps] < 0))
+                       % (2 * n) == 0]
+        m = len(members)
+        if not m:
+            continue
+        keep = np.isin(cols, members) & np.isin(targets, members)
+        entries = (np.searchsorted(members, targets[keep]) * m
+                   + np.searchsorted(members, cols[keep]))
+        keys = np.unique(np.concatenate(  # row-major (i, j) -> i*m + j
+            [entries, entries % m * m + entries // m, np.arange(m) * (m + 1)]))
+        i, j = np.divmod(keys, m)
+        data = np.zeros(len(keys), dtype=complex)
+        np.add.at(data, np.searchsorted(keys, entries), factors[keep] * np.exp(
+            2j * math.pi * q * steps[rows[keep]] / n))
+        hop = sparse.csr_matrix((data, j, np.searchsorted(i, np.arange(m + 1))),
+                                shape=(m, m))
+        blocks.append(SectorBlock(q, members, hop, np.searchsorted(
+            keys, j * m + i), np.where(i == j, diagonal[members][i], 0.0)))
+    return tuple(blocks)

@@ -133,10 +133,6 @@ def particle_content(species: SpeciesSpec) -> tuple:
     return ("polarized", species.n_particles)
 
 
-def interaction_strength(species: SpeciesSpec) -> float:
-    return getattr(species, "u", 0.0)
-
-
 def validate_species(species: SpeciesSpec, ring: RingSpec) -> SpeciesSpec:
     """Check particle counts against the ring; returns the spec unchanged.
 

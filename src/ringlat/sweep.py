@@ -1,17 +1,18 @@
 """Parameter scans: drive-frequency grids, interaction grids, crossing and
 boundary refinement.
 
-Every grid point is an independent task (build, solve, measure) on one
-basis enumerated per call; points run serially, and the ``workers``
-argument is accepted and recorded only for compatibility.  Failed points
-are recorded in their row instead of aborting the scan, and rows always
-come back ordered by the control value, so a sweep with the same spec is
+Each call splits one basis into translation-sector blocks
+(:func:`ringlat.hamiltonian.sector_blocks`); every grid point solves each
+block for its lowest level, so each ground-state member carries its
+block's exact sector.  Points run serially, and the ``workers`` argument
+is accepted and recorded only for compatibility.  Failed points are
+recorded in their row instead of aborting the scan, and rows always come
+back ordered by the control value, so a sweep with the same spec is
 reproducible bit for bit.
 
-Ground-state level crossings are located by watching the translation
-sector of the ground state change between neighboring grid points (with a
-fidelity drop as fallback when the label is mixed) and bisecting each
-bracket.  Fast-mode boundaries are zero crossings of the per-particle
+Ground-state level crossings are located by watching the sector of the
+lowest block level change between neighboring grid points and bisecting
+each bracket.  Fast-mode boundaries are zero crossings of the per-particle
 current along an interaction grid, bracketed and bisected the same way.
 """
 
@@ -23,18 +24,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import analytic
-from .basis import FockBasis, enumerate_basis, sector_of_state, split_into_sectors
+from .basis import enumerate_basis
 from .eigen import (
     DEFAULT_OPTIONS,
     DEGENERACY_TOL,
     ConvergenceError,
     SolverOptions,
-    ground_state,
-    lowest_k,
+    _level_end,
+    _lowest_levels,
 )
-from .hamiltonian import build_operator
+from .hamiltonian import SectorBlock, hopping_amplitude, sector_blocks
 from .model import (
-    Bosons,
     DomainError,
     Fermions,
     PolarizedFermions,
@@ -43,48 +43,38 @@ from .model import (
     particle_count,
     validate_species,
 )
-from .observables import FAST_CURRENT_EPS, current_operator, evaluate
-
-_FIDELITY_DROP = 0.5
+from .observables import FAST_CURRENT_EPS, forward_hop_amplitude
 
 
 @dataclass(frozen=True)
-class OmegaGrid:
+class _Grid:
+    """Evenly spaced control values, both ends included."""
+
+    minimum: float
+    maximum: float
+    points: int
+
+    def __post_init__(self) -> None:
+        if not self.minimum < self.maximum:
+            raise DomainError(f"maximum: need minimum < maximum, got "
+                              f"[{self.minimum}, {self.maximum}]")
+        if self.points < 2:
+            raise DomainError(f"points: need at least 2, got {self.points}")
+
+    def values(self) -> np.ndarray:
+        return np.linspace(self.minimum, self.maximum, self.points)
+
+
+@dataclass(frozen=True)
+class OmegaGrid(_Grid):
     """Scan of the drive frequency omega."""
 
-    minimum: float
-    maximum: float
-    points: int
-
-    def __post_init__(self) -> None:
-        if not self.minimum < self.maximum:
-            raise DomainError(f"maximum: need minimum < maximum, got "
-                              f"[{self.minimum}, {self.maximum}]")
-        if self.points < 2:
-            raise DomainError(f"points: need at least 2, got {self.points}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.minimum, self.maximum, self.points)
-
 
 @dataclass(frozen=True)
-class InteractionGrid:
+class InteractionGrid(_Grid):
     """Scan of the interaction u at a fixed drive frequency."""
 
-    minimum: float
-    maximum: float
-    points: int
     omega: float
-
-    def __post_init__(self) -> None:
-        if not self.minimum < self.maximum:
-            raise DomainError(f"maximum: need minimum < maximum, got "
-                              f"[{self.minimum}, {self.maximum}]")
-        if self.points < 2:
-            raise DomainError(f"points: need at least 2, got {self.points}")
-
-    def values(self) -> np.ndarray:
-        return np.linspace(self.minimum, self.maximum, self.points)
 
 
 SweepControl = OmegaGrid | InteractionGrid
@@ -112,7 +102,7 @@ class SweepRow:
     gap: float
     total_current: float
     per_particle_current: float
-    sectors: tuple[int | None, ...]
+    sectors: tuple[int, ...]
     degenerate: bool
     is_fast_current: bool
     is_max_winding: bool
@@ -137,44 +127,67 @@ class BoundaryPoint:
     sign_above: int
 
 
-def _check_workers(workers: int) -> None:
+def _sector_blocks(spec: SweepSpec,
+                   workers: int) -> tuple[SectorBlock, ...] | None:
+    """The spec's sector blocks; None for polarized fermions (closed forms)."""
     if workers < 1:
         raise DomainError(f"workers: must be at least 1, got {workers}")
+    validate_species(spec.species, spec.ring)
+    if isinstance(spec.species, PolarizedFermions):
+        return None
+    return sector_blocks(enumerate_basis(spec.ring, spec.species))
 
 
 def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesSpec]:
     if isinstance(spec.control, OmegaGrid):
         return spec.ring.with_omega(float(value)), spec.species
-    ring = spec.ring.with_omega(spec.control.omega)
-    if isinstance(spec.species, PolarizedFermions):
-        raise DomainError("control: polarized fermions carry no interaction "
-                          "to scan")
-    return ring, replace(spec.species, u=float(value))
+    return (spec.ring.with_omega(spec.control.omega),
+            replace(spec.species, u=float(value)))
 
 
-def _ed_row(ring: RingSpec, species: SpeciesSpec, basis: FockBasis,
-            control_value: float, degeneracy_tol: float, tol: float,
-            options: SolverOptions) -> SweepRow:
-    gs = ground_state(build_operator(ring, species, basis),
-                      degeneracy_tol=degeneracy_tol, tol=tol, options=options)
-    jop = current_operator(ring, species, basis)
-    multiplet, _ = split_into_sectors(gs.vectors, basis)
-    reports = [evaluate(jop, multiplet[:, i], species, ring, basis)
-               for i in range(multiplet.shape[1])]
-    total = float(np.mean([r.total_current for r in reports]))
-    per_particle = total / particle_count(species)
+def _ground(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
+            degeneracy_tol: float, tol: float, options: SolverOptions
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every block's lowest level and next pair, merged by value, and the
+    block sectors and <hop_forward> of the ground multiplet among them."""
+    amp = hopping_amplitude(ring)
+    parts = []
+    for block in blocks:
+        values, vectors, _ = _lowest_levels(block.operator(amp, u), 1, tol,
+                                            degeneracy_tol, options)
+        hop = np.einsum("ij,ij->j", vectors.conj(), block.hop @ vectors)
+        parts.append((values, np.full(len(values), block.q), hop))
+    values, sectors, hops = (np.concatenate(column) for column in zip(*parts))
+    order = np.argsort(values, kind="stable")
+    members = order[:_level_end(values[order], 1, degeneracy_tol)]
+    return values[order], sectors[members], hops[members]
+
+
+def _block_row(ring: RingSpec, species: SpeciesSpec,
+               blocks: tuple[SectorBlock, ...], control_value: float,
+               degeneracy_tol: float, tol: float,
+               options: SolverOptions) -> SweepRow:
+    u = getattr(species, "u", 0.0)
+    values, sectors, hops = _ground(blocks, ring, u, degeneracy_tol, tol,
+                                    options)
+    # The multiplet's current is a trace over its span, so any orthonormal
+    # basis of it gives the same mean.
+    total = float(np.mean(2.0 * (forward_hop_amplitude(ring) * hops).real))
+    labels = tuple(sorted(int(q) for q in sectors))
+    n_particles = particle_count(species)
+    target = (n_particles * (ring.n_sites // 4)) % ring.n_sites
     return SweepRow(
         control_value=control_value,
         omega=ring.omega,
-        u=getattr(species, "u", 0.0),
-        ground_energy=gs.energy,
-        gap=gs.gap,
+        u=u,
+        ground_energy=float(values[0]),
+        gap=float(values[1] - values[0]) if len(values) > 1 else math.nan,
         total_current=total,
-        per_particle_current=per_particle,
-        sectors=tuple(r.sector for r in reports),
-        degenerate=gs.degenerate,
+        per_particle_current=total / n_particles,
+        sectors=labels,
+        degenerate=len(labels) > 1,
         is_fast_current=total > FAST_CURRENT_EPS * ring.t,
-        is_max_winding=all(r.is_max_winding for r in reports),
+        is_max_winding=all(q == target for q in labels),
     )
 
 
@@ -208,13 +221,11 @@ def _polarized_row(ring: RingSpec, species: PolarizedFermions,
     )
 
 
-def _failed_row(spec: SweepSpec, value: float, error: Exception) -> SweepRow:
-    omega = (value if isinstance(spec.control, OmegaGrid)
-             else spec.control.omega)
-    u = (value if isinstance(spec.control, InteractionGrid)
-         else getattr(spec.species, "u", 0.0))
+def _failed_row(ring: RingSpec, species: SpeciesSpec, value: float,
+                error: Exception) -> SweepRow:
     nan = math.nan
-    return SweepRow(control_value=float(value), omega=float(omega), u=float(u),
+    return SweepRow(control_value=float(value), omega=float(ring.omega),
+                    u=float(getattr(species, "u", 0.0)),
                     ground_energy=nan, gap=nan, total_current=nan,
                     per_particle_current=nan, sectors=(), degenerate=False,
                     is_fast_current=False, is_max_winding=False,
@@ -225,23 +236,20 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         degeneracy_tol: float = DEGENERACY_TOL,
         options: SolverOptions = DEFAULT_OPTIONS) -> SweepResult:
     """Solve the ground state and measure currents on every grid point."""
-    _check_workers(workers)
-    validate_species(spec.species, spec.ring)
-    polarized = isinstance(spec.species, PolarizedFermions)
-    if polarized and isinstance(spec.control, InteractionGrid):
+    blocks = _sector_blocks(spec, workers)
+    if blocks is None and isinstance(spec.control, InteractionGrid):
         raise DomainError("control: polarized fermions carry no interaction "
                           "to scan")
-    basis = None if polarized else enumerate_basis(spec.ring, spec.species)
 
     def solve(value: float) -> SweepRow:
         ring, species = _point_parameters(spec, value)
         try:
-            if polarized:
+            if blocks is None:
                 return _polarized_row(ring, species, float(value))
-            return _ed_row(ring, species, basis, float(value),
-                           degeneracy_tol, tol, options)
+            return _block_row(ring, species, blocks, float(value),
+                              degeneracy_tol, tol, options)
         except ConvergenceError as error:
-            return _failed_row(spec, value, error)
+            return _failed_row(ring, species, value, error)
 
     rows = tuple(solve(v) for v in spec.control.values())
 
@@ -258,105 +266,51 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     return SweepResult(spec=spec, rows=rows, provenance=provenance)
 
 
-def _ground_label(spec: SweepSpec, basis: FockBasis | None, omega: float,
-                  degeneracy_tol: float, tol: float,
-                  options: SolverOptions) -> tuple[int | None, np.ndarray | None]:
-    """Primary ground sector and one ground vector at the given drive."""
-    ring = spec.ring.with_omega(float(omega))
-    if isinstance(spec.species, PolarizedFermions):
-        left, _, _ = analytic.polarized_occupation_limits(
-            spec.species.n_particles, ring)
-        return sum(s.n for s in left) % ring.n_sites, None
-    row_op = build_operator(ring, spec.species, basis)
-    result = lowest_k(row_op, min(2, basis.dimension), tol=tol,
-                      degeneracy_tol=degeneracy_tol, options=options)
-    vector = result.vectors[:, 0]
-    return sector_of_state(vector, basis), vector
-
-
 def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                    degeneracy_tol: float = DEGENERACY_TOL,
                    options: SolverOptions = DEFAULT_OPTIONS) -> tuple[float, ...]:
     """Drive frequencies where the ground state changes symmetry sector.
 
-    Scans the grid for sector-label changes (falling back to a ground
-    state fidelity drop below 0.5 when labels are mixed) and bisects each
-    bracket down to ``spec.bisection_tol``.
+    Labels each grid point by the sector of its lowest block level,
+    brackets every label change and bisects it down to
+    ``spec.bisection_tol``.  A grid point whose ground multiplet spans
+    several blocks sits on an exact crossing and is no bracket end.
     """
     if not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
                           "frequency; use an OmegaGrid")
-    _check_workers(workers)
-    validate_species(spec.species, spec.ring)
-    polarized = isinstance(spec.species, PolarizedFermions)
-    basis = None if polarized else enumerate_basis(spec.ring, spec.species)
+    blocks = _sector_blocks(spec, workers)
 
-    def label_at(omega: float) -> tuple[int | None, np.ndarray | None]:
-        return _ground_label(spec, basis, omega, degeneracy_tol, tol, options)
+    def label_at(omega: float) -> tuple[int, bool]:
+        """Sector of the lowest level, and whether the ground ties blocks."""
+        ring = spec.ring.with_omega(float(omega))
+        if blocks is None:
+            left, _, _ = analytic.polarized_occupation_limits(
+                spec.species.n_particles, ring)
+            return sum(s.n for s in left) % ring.n_sites, False
+        _, sectors, _ = _ground(blocks, ring, getattr(spec.species, "u", 0.0),
+                                degeneracy_tol, tol, options)
+        return int(sectors[0]), len(set(sectors)) > 1
 
-    omegas = spec.control.values()
-    labeled = [label_at(w) for w in omegas]
-
-    # Brackets span consecutive points with RESOLVED labels; a grid point
-    # that lands exactly on a crossing labels as mixed (None) and must not
-    # break the change detection across it.
-    resolved = [i for i in range(len(omegas)) if labeled[i][0] is not None]
-    brackets = []
-    for i, j in zip(resolved, resolved[1:]):
-        if labeled[i][0] != labeled[j][0]:
-            brackets.append((i, j))
-    covered = set()
-    for i, j in brackets:
-        covered.update(range(i, j))
-    # Fidelity fallback for adjacent pairs that label detection cannot
-    # see (both ends mixed, e.g. accidental degeneracies).
-    for i in range(len(omegas) - 1):
-        if i in covered:
-            continue
-        (label_lo, vec_lo), (label_hi, vec_hi) = labeled[i], labeled[i + 1]
-        if label_lo is not None and label_hi is not None:
-            continue
-        if vec_lo is None or vec_hi is None:
-            continue
-        if abs(np.vdot(vec_lo, vec_hi)) < _FIDELITY_DROP:
-            brackets.append((i, i + 1))
-
-    crossings = []
-    for i, j in brackets:
-        (label_lo, vec_lo), (label_hi, vec_hi) = labeled[i], labeled[j]
-        crossings.append(_bisect_crossing(
-            float(omegas[i]), float(omegas[j]), label_lo, label_hi,
-            vec_lo, vec_hi, label_at, spec.bisection_tol))
-    return tuple(sorted(crossings))
+    labeled = [(float(w), *label_at(w)) for w in spec.control.values()]
+    ends = [(w, label) for w, label, tie in labeled if not tie]
+    return tuple(
+        _bisect_crossing(lo, hi, label_lo, lambda w: label_at(w)[0],
+                         spec.bisection_tol)
+        for (lo, label_lo), (hi, label_hi) in zip(ends, ends[1:])
+        if label_lo != label_hi)
 
 
-def _bisect_crossing(lo, hi, label_lo, label_hi, vec_lo, vec_hi, label_at,
-                     bisection_tol) -> float:
+def _bisect_crossing(lo, hi, label_lo, label_at, bisection_tol) -> float:
+    # Any label but the low end's moves the high end, so a third sector
+    # inside the bracket is chased to the first change.
     while hi - lo > bisection_tol:
         mid = 0.5 * (lo + hi)
-        label_mid, vec_mid = label_at(mid)
-        if label_mid is not None and label_mid == label_lo:
-            lo, vec_lo = mid, vec_mid
-        elif label_mid is not None and label_mid != label_hi:
-            # A third sector appeared inside the bracket: chase the first
-            # change so the bracket invariant (different ends) survives.
-            hi, label_hi, vec_hi = mid, label_mid, vec_mid
-        elif label_mid is not None:
-            hi, vec_hi = mid, vec_mid
-        elif vec_mid is not None and vec_lo is not None and (
-                abs(np.vdot(vec_mid, vec_lo)) >= abs(np.vdot(vec_mid, vec_hi))):
-            lo, vec_lo = mid, vec_mid
+        if label_at(mid) == label_lo:
+            lo = mid
         else:
-            hi, vec_hi = mid, vec_mid
+            hi = mid
     return 0.5 * (lo + hi)
-
-
-def _sign(value: float, eps: float) -> int:
-    if value > eps:
-        return 1
-    if value < -eps:
-        return -1
-    return 0
 
 
 def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
@@ -374,22 +328,18 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     if not isinstance(spec.species, Fermions):
         raise DomainError(f"species: boundary detection needs Fermions, "
                           f"got {type(spec.species).__name__}")
-    _check_workers(workers)
-    validate_species(spec.species, spec.ring)
-    basis = enumerate_basis(spec.ring, spec.species)
-    ring = spec.ring.with_omega(spec.control.omega)
-    eps = FAST_CURRENT_EPS * ring.t
+    blocks = _sector_blocks(spec, workers)
+    eps = FAST_CURRENT_EPS * spec.ring.t
 
-    def current_at(u: float) -> float:
-        row = _ed_row(ring, replace(spec.species, u=float(u)), basis,
-                      float(u), degeneracy_tol, tol, options)
-        return row.per_particle_current
+    def sign_at(u: float) -> int:
+        """Sign of the per-particle current, 0 within eps of zero."""
+        current = _block_row(*_point_parameters(spec, u), blocks, float(u),
+                             degeneracy_tol, tol, options).per_particle_current
+        return int(current > eps) - int(current < -eps)
 
     us = spec.control.values()
-    currents = [current_at(u) for u in us]
-
+    signs = [sign_at(u) for u in us]
     boundaries = []
-    signs = [_sign(c, eps) for c in currents]
     for i in range(len(us) - 1):
         s_lo, s_hi = signs[i], signs[i + 1]
         if s_lo == 0:
@@ -400,16 +350,8 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
             if after != s_lo:
                 boundaries.append(BoundaryPoint(float(us[i + 1]), s_lo, after))
             continue
-        if s_lo == s_hi:
-            continue
-        lo, hi = float(us[i]), float(us[i + 1])
-        f_lo = currents[i]
-        while hi - lo > spec.bisection_tol:
-            mid = 0.5 * (lo + hi)
-            f_mid = current_at(mid)
-            if _sign(f_mid, eps) == _sign(f_lo, eps):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-        boundaries.append(BoundaryPoint(0.5 * (lo + hi), s_lo, s_hi))
+        if s_lo != s_hi:
+            u_star = _bisect_crossing(float(us[i]), float(us[i + 1]), s_lo,
+                                      sign_at, spec.bisection_tol)
+            boundaries.append(BoundaryPoint(u_star, s_lo, s_hi))
     return tuple(boundaries)

@@ -9,15 +9,27 @@ confirm that a deliberately corrupted convention is caught.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import analytic, observables
-from .basis import apply_translation, enumerate_basis, sector_of_state
+from .basis import (
+    FockBasis,
+    apply_translation,
+    enumerate_basis,
+    sector_of_state,
+    translation_orbits,
+)
 from .eigen import SolverOptions, lowest_k
-from .hamiltonian import build_operator
+from .hamiltonian import (
+    SectorBlock,
+    build_operator,
+    hopping_amplitude,
+    sector_blocks,
+)
 from .model import Bosons, Fermions, RingSpec, SpeciesSpec, make_ring
 from .sweep import OmegaGrid, SweepSpec, run as run_sweep
 
@@ -88,6 +100,12 @@ def _test_systems() -> list[tuple[RingSpec, SpeciesSpec]]:
         (make_ring(8, omega=2.4), Fermions(1, 1, u=4.0)),
         (make_ring(5, omega=-1.1), Fermions(2, 1, u=-2.5)),
     ]
+
+
+def _with_rest_doublet() -> list[tuple[RingSpec, SpeciesSpec]]:
+    """The test systems plus 2+2 fermions on 8 sites at rest, whose second
+    level is a doublet split across two translation sectors."""
+    return _test_systems() + [(make_ring(8), Fermions(2, 2, u=4.0))]
 
 
 def check_twist_current_identity(
@@ -175,9 +193,8 @@ def check_krylov_vs_dense() -> CheckResult:
     """
     dense = SolverOptions(dense_threshold=2**62)
     krylov = SolverOptions(dense_threshold=1)
-    systems = _test_systems() + [(make_ring(8), Fermions(2, 2, u=4.0))]
     worst, mismatched = 0.0, []
-    for ring, species in systems:
+    for ring, species in _with_rest_doublet():
         basis = enumerate_basis(ring, species)
         op = build_operator(ring, species, basis)
         for k in (3, 4):
@@ -194,19 +211,72 @@ def check_krylov_vs_dense() -> CheckResult:
     return _result("krylov_vs_dense", worst, 1e-10)
 
 
+def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
+    """Fock amplitudes of the block's basis states, one column per
+    representative r: p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r>,
+    where p is the period of the orbit of r."""
+    orbit, steps, signs, period, _ = translation_orbits(basis)
+    inside = np.flatnonzero(np.isin(orbit, block.representatives))
+    states = np.zeros((basis.dimension, len(block.representatives)),
+                      dtype=complex)
+    states[inside, np.searchsorted(block.representatives, orbit[inside])] = (
+        signs[inside] / np.sqrt(period[inside]) * np.exp(
+            -2j * math.pi * block.q * steps[inside] / basis.n_sites))
+    return states
+
+
+def check_sector_blocks() -> CheckResult:
+    """The translation-sector blocks must cover the basis, hold Bloch
+    states of their own sector, equal H in those states and together hold
+    the dense spectrum."""
+    worst, problems = 0.0, []
+    # 4+2 fermions on 6 sites have orbits whose closing sign is -1.
+    systems = _with_rest_doublet() + [(make_ring(6, omega=1.3),
+                                       Fermions(4, 2, u=1.5))]
+    for ring, species in systems:
+        basis = enumerate_basis(ring, species)
+        blocks = sector_blocks(basis)
+        amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
+        matrices = [block.operator(amp, u).to_dense() for block in blocks]
+        spectra = np.sort(np.concatenate(
+            [np.linalg.eigvalsh(matrix) for matrix in matrices]))
+        if len(spectra) != basis.dimension:
+            problems.append(f"{species!r}: blocks hold {len(spectra)} of "
+                            f"{basis.dimension} states")
+            continue
+        dense = build_operator(ring, species, basis).to_dense()
+        worst = max(worst, float(np.max(np.abs(
+            spectra - np.linalg.eigvalsh(dense)))))
+        for block, matrix in zip(blocks, matrices):
+            states = bloch_states(basis, block)
+            # The block must be H in its Bloch basis, not only isospectral.
+            worst = max(worst, float(np.max(np.abs(
+                states.conj().T @ dense @ states - matrix))))
+            problems.extend(
+                f"{species!r}: a state of block {block.q} has sector {label}"
+                for label in {sector_of_state(v, basis) for v in states.T}
+                if label != block.q)
+    if problems:
+        return _result("sector_blocks", np.inf, 1e-10,
+                       detail="; ".join(problems))
+    return _result("sector_blocks", worst, 1e-10)
+
+
 def check_determinism() -> CheckResult:
     """The same sweep spec must reproduce identical rows on both solver
     paths when run twice."""
     specs = (
-        SweepSpec(ring=make_ring(8), species=Fermions(1, 1, u=2.0),
-                  control=OmegaGrid(0.0, 6.0, 7)),
-        # dim 784: above the dense threshold, so ARPACK does the solve.
-        SweepSpec(ring=make_ring(8), species=Fermions(2, 2, u=4.0),
-                  control=OmegaGrid(0.0, 6.0, 3)),
+        (SweepSpec(ring=make_ring(8), species=Fermions(1, 1, u=2.0),
+                   control=OmegaGrid(0.0, 6.0, 7)), SolverOptions()),
+        # Sector blocks of up to 100 states, pushed onto the ARPACK path.
+        (SweepSpec(ring=make_ring(8), species=Fermions(2, 2, u=4.0),
+                   control=OmegaGrid(0.0, 6.0, 3)),
+         SolverOptions(dense_threshold=20)),
     )
     differing = []
-    for spec in specs:
-        if run_sweep(spec).rows != run_sweep(spec).rows:
+    for spec, options in specs:
+        if (run_sweep(spec, options=options).rows
+                != run_sweep(spec, options=options).rows):
             differing.append(repr(spec.species))
     return _result("determinism", float(len(differing)), 0.0,
                    detail="" if not differing else
@@ -221,6 +291,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_translation_commutation,
     check_sector_labels,
     check_krylov_vs_dense,
+    check_sector_blocks,
     check_determinism,
 )
 

@@ -2,12 +2,24 @@
 
 Everything here is built directly from first principles (dense matrices,
 finite differences, golden-section searches) without touching the package
-internals, so agreement between the two is meaningful.
+internals, so agreement between the two is meaningful.  The one exception
+is ``real_space_row``, which reads a sweep row off the package's public
+real-space operators, the reference for the sector-block sweep path.
 """
 
 import math
 
 import numpy as np
+
+from ringlat import (
+    apply_translation,
+    build_operator,
+    current_operator,
+    evaluate,
+    ground_state,
+    particle_count,
+)
+from ringlat.observables import FAST_CURRENT_EPS
 
 
 def one_particle_matrix(n_sites: int, t: float, omega: float, k: float,
@@ -136,3 +148,30 @@ def gap_minimum_omega(n_sites: int, t: float, k: float, lo: float,
             d = a + inv_phi * (b - a)
             fd = gap(d)
     return 0.5 * (a + b)
+
+
+def real_space_row(ring, species, basis, degeneracy_tol: float = 1e-8):
+    """The ground-state row of a sweep point from the real-space operators.
+
+    Energy, gap and multiplet come from ``ground_state`` on the full
+    Hamiltonian and the current is the mean of ``evaluate`` over the
+    multiplet.  The sectors are read off the eigenvalues of the one-site
+    shift T restricted to the multiplet span, V^H T V: a state of sector q
+    has T v = exp(-2*pi*i*q/N) v.
+    """
+    gs = ground_state(build_operator(ring, species, basis),
+                      degeneracy_tol=degeneracy_tol)
+    vectors = gs.vectors
+    jop = current_operator(ring, species, basis)
+    total = float(np.mean([evaluate(jop, v, species, ring, basis).total_current
+                           for v in vectors.T]))
+    shifted = np.column_stack([apply_translation(v, basis) for v in vectors.T])
+    n = ring.n_sites
+    sectors = sorted(round(-np.angle(z) * n / (2 * math.pi)) % n
+                     for z in np.linalg.eigvals(vectors.conj().T @ shifted))
+    target = (particle_count(species) * (n // 4)) % n
+    return {"energy": gs.energy, "gap": gs.gap, "members": vectors.shape[1],
+            "current": total, "sectors": tuple(sectors),
+            "degenerate": gs.degenerate,
+            "is_fast_current": total > FAST_CURRENT_EPS * ring.t,
+            "is_max_winding": all(q == target for q in sectors)}

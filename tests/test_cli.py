@@ -190,6 +190,10 @@ class TestConfigHandling:
         ({"solver": {"dense_threshold": "abc"}}, "solver.dense_threshold"),
         ({"solver": {"tol": "x"}}, "solver.tol"),
         ({"ring": 5}, "ring"),
+        # Values of the wrong JSON type, which used to be coerced.
+        ({"output": {"svg": "false"}}, "output.svg"),
+        ({"ring": {"sites": 8.9}}, "ring.sites"),
+        ({"solver": {"workers": True}}, "solver.workers"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, config,
                                          key):

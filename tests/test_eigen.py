@@ -18,9 +18,12 @@ from ringlat import (
     winding_state,
 )
 from ringlat import eigen
-from ringlat.basis import split_into_sectors
 from ringlat.eigen import _lowest_levels
-from ringlat.hamiltonian import operator_from_entries
+from ringlat.hamiltonian import (
+    hopping_amplitude,
+    operator_from_entries,
+    sector_blocks,
+)
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -194,10 +197,12 @@ class TestGroundState:
         gs = ground_state(op)
         assert gs.degenerate
         assert gs.vectors.shape[1] == 2
-        # The returned span mixes the two sectors; rotating it into
-        # translation eigenvectors recovers them.
-        _, labels = split_into_sectors(gs.vectors, basis)
-        assert set(labels) == {0, 1}
+        # One copy of the level lies in each of two translation blocks.
+        amp = hopping_amplitude(ring)
+        labels = [block.q for block in sector_blocks(basis)
+                  if abs(ground_state(block.operator(amp)).energy
+                         - gs.energy) < 1e-10]
+        assert sorted(labels) == [0, 1]
 
     def test_rest_frame_unique_ground(self):
         _, _, basis, op = ring_operator(x=0.0)

@@ -20,7 +20,12 @@ from ringlat import (
     make_ring,
     winding_state,
 )
-from ringlat.hamiltonian import operator_from_entries
+from ringlat.hamiltonian import (
+    hopping_amplitude,
+    operator_from_entries,
+    sector_blocks,
+)
+from ringlat.verify import bloch_states
 
 from conftest import omega_for
 from oracles import dense_ring_bilinear
@@ -223,3 +228,28 @@ class TestPolarizedBuild:
         values_p = np.linalg.eigvalsh(op_p.to_dense())
         values_f = np.linalg.eigvalsh(op_f.to_dense())
         assert np.max(np.abs(values_p - values_f)) < 1e-12
+
+
+class TestSectorBlocks:
+    @pytest.mark.parametrize("species", [
+        Bosons(3, u=2.0), Fermions(4, 2, u=1.5), Fermions(2, 1, u=-2.5),
+        PolarizedFermions(2),
+    ], ids=["bosons", "fermions-even", "fermions-odd", "polarized"])
+    def test_blocks_are_the_bloch_projections(self, species):
+        # On 6 sites, 4+2 fermions and 2 polarized fermions have orbits
+        # whose closing sign is -1.
+        ring = make_ring(6, omega=1.3)
+        basis = enumerate_basis(ring, species)
+        dense = build_operator(ring, species, basis).to_dense()
+        blocks = sector_blocks(basis)
+        assert sum(len(b.representatives) for b in blocks) == basis.dimension
+        amp = hopping_amplitude(ring)
+        for block in blocks:
+            states = bloch_states(basis, block)
+            size = len(block.representatives)
+            assert np.allclose(states.conj().T @ states, np.eye(size),
+                               atol=1e-12)
+            projected = states.conj().T @ dense @ states
+            matrix = block.operator(amp, getattr(species, "u", 0.0)).matrix
+            assert np.abs(projected - matrix.toarray()).max() < 1e-12
+            assert (matrix != matrix.conj().T).nnz == 0

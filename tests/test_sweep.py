@@ -7,6 +7,7 @@ from ringlat import (
     Bosons,
     DomainError,
     Fermions,
+    enumerate_basis,
     InteractionGrid,
     OmegaGrid,
     PolarizedFermions,
@@ -22,7 +23,10 @@ from ringlat import (
     run,
 )
 
+from ringlat.verify import _test_systems
+
 from conftest import omega_for
+from oracles import real_space_row
 
 SQRT2 = math.sqrt(2.0)
 
@@ -155,6 +159,45 @@ class TestRun:
             run(spec)
 
 
+def _block_row_cases():
+    ring8 = make_ring(8)
+    crossing = crossing_frequency(1, 2, ring8)
+    cases = {f"test_system{i}": SweepSpec(ring, species, OmegaGrid(
+        ring.omega, ring.omega + 1.0, 2))
+        for i, (ring, species) in enumerate(_test_systems())}
+    cases.update({
+        "2+2/8": SweepSpec(ring8, Fermions(2, 2, u=4.0),
+                           OmegaGrid(0.0, 40.0, 41)),
+        "1boson/8 crossing": SweepSpec(ring8, Bosons(1),
+                                       OmegaGrid(0.0, 2.0 * crossing, 3)),
+        "4bosons/8": SweepSpec(ring8, Bosons(4, u=1.0),
+                               OmegaGrid(0.0, 8.0, 9)),
+        # Blocks of about 1 440 states: the Krylov path in every block.
+        "3+3/10": SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
+                            OmegaGrid(3.0, 3.5, 2)),
+    })
+    return cases
+
+
+class TestBlockRows:
+    @pytest.mark.parametrize("name", list(_block_row_cases()))
+    def test_rows_match_real_space_oracle(self, name):
+        spec = _block_row_cases()[name]
+        basis = enumerate_basis(spec.ring, spec.species)
+        for row in run(spec).rows:
+            want = real_space_row(spec.ring.with_omega(row.omega),
+                                  spec.species, basis)
+            t = spec.ring.t
+            assert abs(row.ground_energy - want["energy"]) <= 1e-10 * t
+            assert (abs(row.gap - want["gap"]) <= 1e-10 * t
+                    or math.isnan(row.gap) and math.isnan(want["gap"]))
+            assert abs(row.total_current - want["current"]) <= 1e-9 * t
+            assert len(row.sectors) == want["members"]
+            assert row.sectors == want["sectors"]
+            for flag in ("degenerate", "is_fast_current", "is_max_winding"):
+                assert getattr(row, flag) == want[flag], flag
+
+
 class TestFindCrossings:
     def test_eight_site_single_particle(self, ring8):
         spec = SweepSpec(ring=ring8, species=Bosons(1),
@@ -197,6 +240,23 @@ class TestFindCrossings:
         assert len(coarse) == len(fine) == 2
         for a, b in zip(coarse, fine):
             assert abs(a - b) <= spacing
+
+    @pytest.mark.parametrize("species,windings", [
+        (Bosons(3, u=7.0), (1, 3)),
+        (Fermions(2, 1, u=-3.0), (1, 2, 3)),
+    ], ids=["bosons", "fermions"])
+    def test_crossings_at_exact_twist_degeneracies(self, ring8, species,
+                                                   windings):
+        # omega*K/t = tan(m*pi/N) puts a twist of m*pi/N on every bond,
+        # where sectors q and m*N_p - q are degenerate for any u.
+        spec = SweepSpec(ring=ring8, species=species,
+                         control=OmegaGrid(0.0, 8.0, 17), bisection_tol=1e-8)
+        crossings = find_crossings(spec)
+        expected = [ring8.t * math.tan(m * math.pi / 8) / ring8.k_factor
+                    for m in windings]
+        assert len(crossings) == len(expected)
+        for got, want in zip(crossings, expected):
+            assert abs(got - want) <= spec.bisection_tol
 
     def test_polarized_fermi_sea_crossings(self, ring8):
         # The two-fermion sea rearranges where the second-lowest level

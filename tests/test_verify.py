@@ -3,6 +3,7 @@ from ringlat.verify import (
     check_determinism,
     check_ground_current_vs_formula,
     check_hermiticity,
+    check_sector_blocks,
     check_sector_labels,
     check_spectrum_vs_diagonalization,
     check_translation_commutation,
@@ -42,6 +43,7 @@ def test_individual_checks_pass():
                   check_hermiticity,
                   check_translation_commutation,
                   check_sector_labels,
+                  check_sector_blocks,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
