@@ -65,8 +65,10 @@ class FockBasis:
 
     ``shift_perm``/``shift_sign`` cache the one-site translation as a
     signed permutation: state k maps to state ``shift_perm[k]`` with
-    amplitude ``shift_sign[k]``.  ``hops`` lists the forward hops once,
-    so every ring bilinear on this basis is built from numpy arrays.
+    amplitude ``shift_sign[k]``.  ``reflect_perm``/``reflect_sign`` cache
+    the site reflection j -> -j (mod N) the same way.  ``hops`` lists the
+    forward hops once, so every ring bilinear on this basis is built from
+    numpy arrays.
     """
 
     n_sites: int
@@ -75,6 +77,8 @@ class FockBasis:
     dimension: int
     shift_perm: np.ndarray = field(repr=False)
     shift_sign: np.ndarray = field(repr=False)
+    reflect_perm: np.ndarray = field(repr=False)
+    reflect_sign: np.ndarray = field(repr=False)
     hops: HopTable = field(repr=False)
     _index: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -129,6 +133,7 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
             _boson_occupations(n, species.n_particles))
         index = {state: k for k, state in enumerate(states)}
         hops = _boson_hops(states, index, n)
+        shift, reflection = _boson_symmetries(states, index)
     else:
         if isinstance(species, Fermions):
             ups = _masks_with_popcount(n, species.n_up)
@@ -139,17 +144,75 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
         states = tuple(FermionFockState(mu, md) for mu in ups for md in downs)
         index = {state: k for k, state in enumerate(states)}
         hops = _fermion_hops(ups, downs, n)
-    perm = np.empty(dimension, dtype=np.int64)
-    sign = np.empty(dimension, dtype=np.float64)
-    for k, state in enumerate(states):
-        shifted, s = translate(state, ring)
-        perm[k] = index[shifted]
-        sign[k] = s
-    for arr in (perm, sign, *hops):
+        shift, reflection = _fermion_symmetries(ups, downs, n)
+    for arr in (*shift, *reflection, *hops):
         arr.setflags(write=False)
     return FockBasis(n_sites=n, species=species, states=states,
-                     dimension=dimension, shift_perm=perm, shift_sign=sign,
-                     hops=hops, _index=index)
+                     dimension=dimension, shift_perm=shift[0],
+                     shift_sign=shift[1], reflect_perm=reflection[0],
+                     reflect_sign=reflection[1], hops=hops, _index=index)
+
+
+SignedPermutation = tuple[np.ndarray, np.ndarray]
+
+
+def _boson_symmetries(states: tuple, index: dict
+                      ) -> tuple[SignedPermutation, SignedPermutation]:
+    """The one-site shift and the site reflection, state by state."""
+    shift = np.empty(len(states), dtype=np.int64)
+    reflect = np.empty(len(states), dtype=np.int64)
+    for k, occ in enumerate(states):
+        shift[k] = index[(occ[-1],) + occ[:-1]]
+        reflect[k] = index[occ[:1] + occ[:0:-1]]
+    ones = np.ones(len(states))
+    return (shift, ones), (reflect, ones)
+
+
+def _reflect_mask(mask: int, n_sites: int) -> int:
+    reflected = mask & 1
+    for j in range(1, n_sites):
+        if (mask >> j) & 1:
+            reflected |= 1 << (n_sites - j)
+    return reflected
+
+
+def _mask_symmetries(masks: list[int], n_sites: int
+                     ) -> tuple[SignedPermutation, SignedPermutation]:
+    """The shift and the reflection of one spin sector, by mask position.
+
+    With k particles, the shift moves the top-site operator to the front
+    when it wraps: (-1)**(k-1).  The reflection keeps site 0 first and
+    reverses the order of the other k' occupied sites: (-1)**(k'(k'-1)/2).
+    """
+    position = {mask: i for i, mask in enumerate(masks)}
+    shift = np.empty(len(masks), dtype=np.int64)
+    reflect = np.empty(len(masks), dtype=np.int64)
+    shift_sign, reflect_sign = np.ones(len(masks)), np.ones(len(masks))
+    for i, mask in enumerate(masks):
+        k = mask.bit_count()
+        shift[i] = position[_shift_mask(mask, n_sites)]
+        if (mask >> (n_sites - 1)) & 1 and k % 2 == 0:
+            shift_sign[i] = -1.0
+        reflect[i] = position[_reflect_mask(mask, n_sites)]
+        rest = k - (mask & 1)
+        if rest * (rest - 1) // 2 % 2:
+            reflect_sign[i] = -1.0
+    return (shift, shift_sign), (reflect, reflect_sign)
+
+
+def _fermion_symmetries(ups: list[int], downs: list[int], n_sites: int
+                        ) -> tuple[SignedPermutation, SignedPermutation]:
+    """The shift and the reflection on the product basis (up-major order):
+    each spin sector moves on its own, and the signs multiply."""
+    n_down = len(downs)
+
+    def combine(up: SignedPermutation,
+                down: SignedPermutation) -> SignedPermutation:
+        return (np.add.outer(up[0] * n_down, down[0]).ravel(),
+                np.multiply.outer(up[1], down[1]).ravel())
+
+    up, down = _mask_symmetries(ups, n_sites), _mask_symmetries(downs, n_sites)
+    return combine(up[0], down[0]), combine(up[1], down[1])
 
 
 def _hop_table(entries: list[tuple[int, int, float, int]]) -> HopTable:

@@ -5,8 +5,11 @@ every further copy of the k-th level and the next pair above it.  Small
 operators (dimension <= ``dense_threshold``) go through LAPACK's dense
 solver; larger ones through seeded ARPACK and a Rayleigh-Ritz step, then
 through solves on the complement of the locked pairs until its lowest
-pair lies above the k-th level.  Repeated runs are bit-for-bit
-reproducible at a fixed thread count.
+pair lies above the k-th level.  Both paths run in the operator's own
+arithmetic: real symmetric matrices (the sector blocks) through the
+real drivers (``dsyevr``, symmetric Lanczos), complex Hermitian ones
+(the real-space operators) through the complex ones.  Repeated runs are
+bit-for-bit reproducible at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -16,7 +19,12 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+from scipy.sparse.linalg import (
+    ArpackNoConvergence,
+    LinearOperator,
+    eigs,
+    eigsh,
+)
 
 from .hamiltonian import HermitianOperator
 from .model import DomainError
@@ -24,7 +32,9 @@ from .model import DomainError
 # Ground-state solves cost about the same on both paths near this dimension
 # (2-CPU x86, OpenBLAS, 1+1 fermions): dense eigh wins at 256 and below,
 # ARPACK with its complement solve at 400 and above, and at 324 they are
-# within 10 %.
+# within 10 %.  Real sector blocks cross over nearby: dense wins at 202,
+# the two are within 10 % at 363 and ARPACK wins at 540 (2+2 and 3+2
+# fermions on 10-14 sites).
 DENSE_THRESHOLD = 300
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
@@ -141,19 +151,24 @@ def _dense_lowest(op: HermitianOperator, k: int,
 
 def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
                    rng: np.random.Generator) -> np.ndarray:
-    """Ritz vectors of the k smallest-real-part eigenvalues.
+    """Ritz vectors of the k lowest eigenvalues.
 
+    A real symmetric matrix goes through ``eigsh`` (symmetric Lanczos).
     ``eigsh`` hands complex Hermitian matrices to ``eigs`` without the
-    generator, so ``eigs`` is called directly to keep the restart vectors
+    generator, so those call ``eigs`` directly to keep the restart vectors
     seeded.
     """
     n = matrix.shape[0]
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     ncv = min(n, max(options.max_krylov, 2 * k + 1))
+    if np.dtype(matrix.dtype).kind == "f":
+        solve, which, start = eigsh, "SA", rng.standard_normal(n)
+    else:
+        solve, which = eigs, "SR"
+        start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     try:
-        _, vectors = eigs(matrix, k, which="SR", v0=start, rng=rng, ncv=ncv,
-                          maxiter=options.max_restarts + 1,
-                          tol=tol * _ARPACK_TOL_FACTOR)
+        _, vectors = solve(matrix, k, which=which, v0=start, rng=rng,
+                           ncv=ncv, maxiter=options.max_restarts + 1,
+                           tol=tol * _ARPACK_TOL_FACTOR)
     except ArpackNoConvergence as error:
         raise ConvergenceError(
             f"ARPACK brought {len(error.eigenvalues)}/{k} eigenpairs under "
@@ -196,7 +211,8 @@ def _krylov_lowest(op: HermitianOperator, k: int, tol: float,
             return op.matrix @ v + shift * np.einsum(
                 "ij,j->i", locked, np.einsum("ij,i->j", locked_conj, v))
 
-        complement = LinearOperator(op.matrix.shape, matvec, dtype=complex)
+        complement = LinearOperator(op.matrix.shape, matvec,
+                                    dtype=op.matrix.dtype)
         extra = _arpack_lowest(complement, 1, tol, options, rng)[:, 0]
         value = np.vdot(extra, op.matrix @ extra).real
         values, vectors = _rayleigh_ritz(op, np.column_stack([locked, extra]))

@@ -37,10 +37,11 @@ _HERMITICITY_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Complex Hermitian matrix held as one full CSR matrix.
+    """Hermitian matrix held as one full CSR matrix.
 
-    ``matrix`` is canonical and Hermitian with a real diagonal: checked on
-    assembly, or exact by construction for a :class:`SectorBlock`.
+    ``matrix`` is canonical and Hermitian with a real diagonal: complex
+    and checked on assembly for the real-space operators, or real and
+    exactly symmetric by construction for a :class:`SectorBlock`.
     """
 
     dimension: int
@@ -164,28 +165,78 @@ def hopping_amplitude(ring: RingSpec, twist: float = 0.0) -> complex:
 
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
-    """Sector q of the ring Hamiltonians on the Bloch states
-    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives`` r,
-    where T is the forward shift and p the period of the orbit of r.
+    """Sector q of the ring Hamiltonians, real symmetric on states that
+    the site reflection times complex conjugation leaves fixed.
 
-    ``hop`` is the forward-hop sum on a pattern that also holds the
-    mirror entries (entry k mirrors ``transpose[k]``) and the diagonal,
-    where ``interaction`` puts the contact energy at unit coupling.
+    The states are the Bloch states
+    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives``
+    r (T the forward shift, p the period of the orbit of r), rotated as
+    :func:`reflection_rotation` says.  In them the forward-hop sum is a
+    complex symmetric matrix X.  ``hop_real`` and ``hop_imag`` hold its
+    upper triangle row by row, every diagonal entry included (at
+    ``diagonal``); the full CSR pattern is ``indices``/``indptr``, whose
+    entry k reads upper entry ``source[k]``.  ``interaction`` is each
+    state's contact energy at unit coupling.
     """
 
     q: int
     representatives: np.ndarray
-    hop: sparse.csr_matrix = field(repr=False)
-    transpose: np.ndarray = field(repr=False)
+    hop_real: np.ndarray = field(repr=False)
+    hop_imag: np.ndarray = field(repr=False)
+    diagonal: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
+    source: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
+    indptr: np.ndarray = field(repr=False)
 
     def operator(self, forward_amplitude: complex,
                  u: float = 0.0) -> HermitianOperator:
-        """amp * hop + h.c. + u * interaction, Hermitian by construction."""
-        forward = forward_amplitude * self.hop.data
-        data = forward + forward[self.transpose].conj() + u * self.interaction
-        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
-            (data, self.hop.indices, self.hop.indptr), shape=self.hop.shape))
+        """amp * X + h.c. + u * interaction = 2 Re(amp * X) + u * interaction:
+        real, and exactly symmetric since both mirror entries read one
+        stored value."""
+        amp = complex(forward_amplitude)
+        upper = self.hop_real * (2.0 * amp.real)
+        upper -= self.hop_imag * (2.0 * amp.imag)
+        upper[self.diagonal] += u * self.interaction
+        m = len(self.representatives)
+        return HermitianOperator(m, sparse.csr_matrix(
+            (upper[self.source], self.indices, self.indptr), shape=(m, m)))
+
+
+def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
+                        q: int, members: np.ndarray
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unitary W from the Bloch states of ``members`` (sector q) to
+    states fixed by Theta = R*K, the site reflection R times complex
+    conjugation.
+
+    ``orbits`` is :func:`~ringlat.basis.translation_orbits` of the basis.
+    Theta commutes with every ring bilinear and maps sector q to itself:
+    Theta|r,q> = c_r |r',q>, where r' represents the orbit of s = R(r)
+    and c_r = Rsign[r] * signs[s] * exp(2*pi*i*q*steps[s]/N).  A state
+    with r' = r gives the column sqrt(c_r)|r,q>; a pair r < r' gives the
+    columns (|r> + c_r|r'>)/sqrt(2) and i(|r> - c_r|r'>)/sqrt(2), in the
+    order of r.  Theta squares to 1, so c_r' = c_r.
+
+    Returns, per Bloch state, the first column of its group and its
+    amplitudes in that column and the next (0 for a state on its own).
+    """
+    orbit, steps, signs = orbits[:3]
+    mirror = basis.reflect_perm[members]
+    c = basis.reflect_sign[members] * signs[mirror] * np.exp(
+        2j * math.pi * q * steps[mirror] / basis.n_sites)
+    state = np.arange(len(members))
+    partner = np.searchsorted(members, orbit[mirror])
+    lead = np.minimum(state, partner)
+    alone = partner == state
+    width = np.where(alone, 1, 2) * (state == lead)
+    column = (np.cumsum(width) - width)[lead]
+    half = math.sqrt(0.5)
+    first = np.where(alone, np.sqrt(c),
+                     np.where(state == lead, half, half * c[lead]))
+    second = np.where(alone, 0.0,
+                      np.where(state == lead, 1j * half, -1j * half * c[lead]))
+    return column, first, second
 
 
 def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
@@ -194,10 +245,13 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     Block q holds the representatives whose orbit period p and closing
     sign c give exp(2*pi*i*q*p/N) * c = 1.  A hop out of representative r
     into state s of the orbit of r' adds its factor times signs[s] *
-    exp(2*pi*i*q*steps[s]/N) * sqrt(p_r/p_r') to entry (r', r) (Sandvik,
-    arXiv:1101.3281, sec. 4.1).
+    exp(2*pi*i*q*steps[s]/N) * sqrt(p_r/p_r') to the Bloch entry (r', r)
+    of the forward-hop sum T_q (Sandvik, arXiv:1101.3281, sec. 4.1).  The
+    block holds T_q in the states of :func:`reflection_rotation`, where
+    every block Hamiltonian is real.
     """
-    orbit, steps, signs, period, closing = translation_orbits(basis)
+    orbits = translation_orbits(basis)
+    orbit, steps, signs, period, closing = orbits
     n, hops = basis.n_sites, basis.hops
     from_rep = orbit[hops.cols] == hops.cols
     rows, cols = hops.rows[from_rep], hops.cols[from_rep]
@@ -211,20 +265,49 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
         # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
         members = reps[(2 * q * period[reps] + n * (closing[reps] < 0))
                        % (2 * n) == 0]
-        m = len(members)
-        if not m:
+        if not len(members):
             continue
         keep = np.isin(cols, members) & np.isin(targets, members)
-        entries = (np.searchsorted(members, targets[keep]) * m
-                   + np.searchsorted(members, cols[keep]))
-        keys = np.unique(np.concatenate(  # row-major (i, j) -> i*m + j
-            [entries, entries % m * m + entries // m, np.arange(m) * (m + 1)]))
-        i, j = np.divmod(keys, m)
-        data = np.zeros(len(keys), dtype=complex)
-        np.add.at(data, np.searchsorted(keys, entries), factors[keep] * np.exp(
-            2j * math.pi * q * steps[rows[keep]] / n))
-        hop = sparse.csr_matrix((data, j, np.searchsorted(i, np.arange(m + 1))),
-                                shape=(m, m))
-        blocks.append(SectorBlock(q, members, hop, np.searchsorted(
-            keys, j * m + i), np.where(i == j, diagonal[members][i], 0.0)))
+        blocks.append(_sector_block(
+            q, members, reflection_rotation(basis, orbits, q, members),
+            np.searchsorted(members, targets[keep]),
+            np.searchsorted(members, cols[keep]),
+            factors[keep] * np.exp(2j * math.pi * q * steps[rows[keep]] / n),
+            diagonal[members]))
     return tuple(blocks)
+
+
+def _sector_block(q: int, members: np.ndarray,
+                  rotation: tuple[np.ndarray, np.ndarray, np.ndarray],
+                  i: np.ndarray, j: np.ndarray, bloch: np.ndarray,
+                  contact: np.ndarray) -> SectorBlock:
+    """Block q from the Bloch entries bloch[k] at (i[k], j[k]) of T_q: each
+    adds its share of X = W^H T_q W to the upper triangle of X."""
+    m = len(members)
+    column, first, second = rotation
+    paired = second != 0
+    slots = ((first, 0, np.ones(m, dtype=bool)), (second, 1, paired))
+    keys, values = [np.arange(m) * (m + 1)], [np.zeros(m, dtype=complex)]
+    for w_i, d_i, valid_i in slots:
+        for w_j, d_j, valid_j in slots:
+            a, b = column[i] + d_i, column[j] + d_j
+            upper = np.flatnonzero(valid_i[i] & valid_j[j] & (a <= b))
+            keys.append(a[upper] * m + b[upper])
+            values.append(w_i[i[upper]].conj() * bloch[upper] * w_j[j[upper]])
+    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
+    values = np.concatenate(values)
+    hop_real = np.bincount(where, values.real, len(keys))
+    hop_imag = np.bincount(where, values.imag, len(keys))
+    del where, values  # freed before the pattern build, the block's peak
+    # The full pattern: each entry holds 1 + the index of its upper entry.
+    row, col = np.divmod(keys, m)
+    starts = np.searchsorted(row, np.arange(m + 1))
+    upper = sparse.csr_matrix((np.arange(1, len(keys) + 1), col, starts),
+                              shape=(m, m))
+    full = upper + sparse.triu(upper, k=1).T
+    interaction = np.empty(m)
+    interaction[column] = interaction[column + paired] = contact
+    return SectorBlock(
+        q, members, hop_real, hop_imag, np.flatnonzero(row == col),
+        interaction, (full.data - 1).astype(np.int32), full.indices,
+        full.indptr)

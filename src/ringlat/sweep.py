@@ -147,20 +147,20 @@ def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesS
 
 def _ground(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
             degeneracy_tol: float, tol: float, options: SolverOptions
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            ) -> tuple[np.ndarray, list[tuple[SectorBlock, np.ndarray]]]:
     """Every block's lowest level and next pair, merged by value, and the
-    block sectors and <hop_forward> of the ground multiplet among them."""
+    ground multiplet among them as (block, vector) pairs."""
     amp = hopping_amplitude(ring)
-    parts = []
+    values, pairs = [], []
     for block in blocks:
-        values, vectors, _ = _lowest_levels(block.operator(amp, u), 1, tol,
+        levels, vectors, _ = _lowest_levels(block.operator(amp, u), 1, tol,
                                             degeneracy_tol, options)
-        hop = np.einsum("ij,ij->j", vectors.conj(), block.hop @ vectors)
-        parts.append((values, np.full(len(values), block.q), hop))
-    values, sectors, hops = (np.concatenate(column) for column in zip(*parts))
+        values.append(levels)
+        pairs.extend((block, vector) for vector in vectors.T)
+    values = np.concatenate(values)
     order = np.argsort(values, kind="stable")
     members = order[:_level_end(values[order], 1, degeneracy_tol)]
-    return values[order], sectors[members], hops[members]
+    return values[order], [pairs[i] for i in members]
 
 
 def _block_row(ring: RingSpec, species: SpeciesSpec,
@@ -168,12 +168,13 @@ def _block_row(ring: RingSpec, species: SpeciesSpec,
                degeneracy_tol: float, tol: float,
                options: SolverOptions) -> SweepRow:
     u = getattr(species, "u", 0.0)
-    values, sectors, hops = _ground(blocks, ring, u, degeneracy_tol, tol,
-                                    options)
+    values, members = _ground(blocks, ring, u, degeneracy_tol, tol, options)
     # The multiplet's current is a trace over its span, so any orthonormal
     # basis of it gives the same mean.
-    total = float(np.mean(2.0 * (forward_hop_amplitude(ring) * hops).real))
-    labels = tuple(sorted(int(q) for q in sectors))
+    amp = forward_hop_amplitude(ring)
+    total = float(np.mean([block.operator(amp).expectation(vector)
+                           for block, vector in members]))
+    labels = tuple(sorted(block.q for block, _ in members))
     n_particles = particle_count(species)
     target = (n_particles * (ring.n_sites // 4)) % ring.n_sites
     return SweepRow(
@@ -288,9 +289,10 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
             left, _, _ = analytic.polarized_occupation_limits(
                 spec.species.n_particles, ring)
             return sum(s.n for s in left) % ring.n_sites, False
-        _, sectors, _ = _ground(blocks, ring, getattr(spec.species, "u", 0.0),
-                                degeneracy_tol, tol, options)
-        return int(sectors[0]), len(set(sectors)) > 1
+        _, members = _ground(blocks, ring, getattr(spec.species, "u", 0.0),
+                             degeneracy_tol, tol, options)
+        sectors = {block.q for block, _ in members}
+        return members[0][0].q, len(sectors) > 1
 
     labeled = [(float(w), *label_at(w)) for w in spec.control.values()]
     ends = [(w, label) for w, label, tie in labeled if not tie]

@@ -17,7 +17,9 @@ import numpy as np
 
 from . import analytic, observables
 from .basis import (
+    FermionFockState,
     FockBasis,
+    FockState,
     apply_translation,
     enumerate_basis,
     sector_of_state,
@@ -28,10 +30,11 @@ from .hamiltonian import (
     SectorBlock,
     build_operator,
     hopping_amplitude,
+    reflection_rotation,
     sector_blocks,
 )
 from .model import Bosons, Fermions, RingSpec, SpeciesSpec, make_ring
-from .sweep import OmegaGrid, SweepSpec, run as run_sweep
+from .sweep import OmegaGrid, SweepSpec, find_crossings, run as run_sweep
 
 _TWIST_STEP = 1e-6
 
@@ -212,23 +215,50 @@ def check_krylov_vs_dense() -> CheckResult:
 
 
 def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
-    """Fock amplitudes of the block's basis states, one column per
-    representative r: p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r>,
-    where p is the period of the orbit of r."""
-    orbit, steps, signs, period, _ = translation_orbits(basis)
-    inside = np.flatnonzero(np.isin(orbit, block.representatives))
-    states = np.zeros((basis.dimension, len(block.representatives)),
-                      dtype=complex)
-    states[inside, np.searchsorted(block.representatives, orbit[inside])] = (
+    """Fock amplitudes of the block's basis states: the Bloch states
+    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of its representatives
+    r (p the period of the orbit of r), times the rotation W of
+    :func:`~ringlat.hamiltonian.reflection_rotation`."""
+    orbits = translation_orbits(basis)
+    orbit, steps, signs, period, _ = orbits
+    members = block.representatives
+    inside = np.flatnonzero(np.isin(orbit, members))
+    states = np.zeros((basis.dimension, len(members)), dtype=complex)
+    states[inside, np.searchsorted(members, orbit[inside])] = (
         signs[inside] / np.sqrt(period[inside]) * np.exp(
             -2j * math.pi * block.q * steps[inside] / basis.n_sites))
-    return states
+    column, first, second = reflection_rotation(basis, orbits, block.q,
+                                                members)
+    rotation = np.zeros((len(members),) * 2, dtype=complex)
+    state = np.arange(len(members))
+    rotation[state, column] = first
+    paired = second != 0
+    rotation[state[paired], column[paired] + 1] = second[paired]
+    return states @ rotation
+
+
+def _reflected(state: FockState, n_sites: int) -> tuple[FockState, int]:
+    """R|state> for the site reflection j -> -j (mod N), as (state, sign).
+
+    A fermion sign is the parity of sorting each spin's reflected creation
+    operators back into ascending site order.
+    """
+    if isinstance(state, FermionFockState):
+        sign, masks = 1, []
+        for mask in state:
+            sites = [-j % n_sites for j in range(n_sites) if (mask >> j) & 1]
+            sign *= (-1) ** sum(a > b for k, a in enumerate(sites)
+                                for b in sites[k + 1:])
+            masks.append(sum(1 << j for j in sites))
+        return FermionFockState(*masks), sign
+    return tuple(state[-j % n_sites] for j in range(n_sites)), 1
 
 
 def check_sector_blocks() -> CheckResult:
-    """The translation-sector blocks must cover the basis, hold Bloch
-    states of their own sector, equal H in those states and together hold
-    the dense spectrum."""
+    """The translation-sector blocks must cover the basis, hold states of
+    their own sector that the reflection times complex conjugation leaves
+    fixed, be real and exactly symmetric, equal H in those states and
+    together hold the dense spectrum."""
     worst, problems = 0.0, []
     # 4+2 fermions on 6 sites have orbits whose closing sign is -1.
     systems = _with_rest_doublet() + [(make_ring(6, omega=1.3),
@@ -237,9 +267,13 @@ def check_sector_blocks() -> CheckResult:
         basis = enumerate_basis(ring, species)
         blocks = sector_blocks(basis)
         amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
-        matrices = [block.operator(amp, u).to_dense() for block in blocks]
+        matrices = [block.operator(amp, u).matrix for block in blocks]
+        problems.extend(
+            f"{species!r}: block {block.q} is not real and exactly symmetric"
+            for block, matrix in zip(blocks, matrices)
+            if matrix.dtype != np.float64 or (matrix != matrix.T).nnz)
         spectra = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(matrix) for matrix in matrices]))
+            [np.linalg.eigvalsh(matrix.toarray()) for matrix in matrices]))
         if len(spectra) != basis.dimension:
             problems.append(f"{species!r}: blocks hold {len(spectra)} of "
                             f"{basis.dimension} states")
@@ -247,11 +281,17 @@ def check_sector_blocks() -> CheckResult:
         dense = build_operator(ring, species, basis).to_dense()
         worst = max(worst, float(np.max(np.abs(
             spectra - np.linalg.eigvalsh(dense)))))
+        mirror = [_reflected(state, ring.n_sites) for state in basis.states]
+        targets = [basis.index_of(state) for state, _ in mirror]
+        signs = np.array([sign for _, sign in mirror], dtype=float)
         for block, matrix in zip(blocks, matrices):
             states = bloch_states(basis, block)
-            # The block must be H in its Bloch basis, not only isospectral.
+            # The block must be H in its basis, not only isospectral.
             worst = max(worst, float(np.max(np.abs(
-                states.conj().T @ dense @ states - matrix))))
+                states.conj().T @ dense @ states - matrix.toarray()))))
+            reflected = np.empty_like(states)
+            reflected[targets] = signs[:, None] * states.conj()
+            worst = max(worst, float(np.max(np.abs(reflected - states))))
             problems.extend(
                 f"{species!r}: a state of block {block.q} has sector {label}"
                 for label in {sector_of_state(v, basis) for v in states.T}
@@ -260,6 +300,32 @@ def check_sector_blocks() -> CheckResult:
         return _result("sector_blocks", np.inf, 1e-10,
                        detail="; ".join(problems))
     return _result("sector_blocks", worst, 1e-10)
+
+
+def check_twist_degeneracy_crossings() -> CheckResult:
+    """Ground crossings pinned by symmetry must be found where they are.
+
+    At omega*K/t = tan(m*pi/N) every bond carries a twist of m*pi/N, where
+    sectors q and m*N_p - q (mod N) are exactly degenerate for any u, so
+    these crossings lie at omega = t*tan(m*pi/N)/K.
+    """
+    ring, tol = make_ring(8), 1e-8
+    worst, problems = 0.0, []
+    for species, windings in ((Bosons(3, u=7.0), (1, 3)),
+                              (Fermions(2, 1, u=-3.0), (1, 2, 3))):
+        found = find_crossings(SweepSpec(
+            ring, species, OmegaGrid(0.0, 8.0, 17), bisection_tol=tol))
+        expected = [ring.t * math.tan(m * math.pi / ring.n_sites)
+                    / ring.k_factor for m in windings]
+        if len(found) != len(expected):
+            problems.append(f"{species!r}: {len(found)} crossings, "
+                            f"expected {len(expected)}")
+            continue
+        worst = max(worst, *(abs(f - e) for f, e in zip(found, expected)))
+    if problems:
+        return _result("twist_degeneracy_crossings", np.inf, tol,
+                       detail="; ".join(problems))
+    return _result("twist_degeneracy_crossings", worst, tol)
 
 
 def check_determinism() -> CheckResult:
@@ -292,6 +358,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_sector_labels,
     check_krylov_vs_dense,
     check_sector_blocks,
+    check_twist_degeneracy_crossings,
     check_determinism,
 )
 

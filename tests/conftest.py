@@ -4,8 +4,15 @@ from pathlib import Path
 import pytest
 
 from ringlat import make_ring
+from ringlat.verify import run_all
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+
+@pytest.fixture(scope="session")
+def verify_results():
+    """One run of the consistency suite, shared by the tests that read it."""
+    return run_all()
 
 
 @pytest.fixture

@@ -100,6 +100,37 @@ def dense_ring_bilinear(basis, n_sites: int, forward_amplitude: complex,
     return matrix
 
 
+def reflection(basis, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """The site reflection R c+_j R^-1 = c+_{-j mod N} as a signed
+    permutation: R|k> = signs[k] |targets[k]>.
+
+    Reads only ``basis.states`` and ``basis.index_of``.  A fermion state
+    is the product of its creation operators in ascending site order, up
+    before down; the reflected operators are bubble-sorted back into that
+    order, one sign flip per swap.
+    """
+    targets, signs = [], []
+    for state in basis.states:
+        if not hasattr(state, "up_mask"):
+            targets.append(basis.index_of(tuple(
+                state[(n_sites - j) % n_sites] for j in range(n_sites))))
+            signs.append(1.0)
+            continue
+        sign, masks = 1.0, []
+        for mask in state:
+            sites = [(n_sites - j) % n_sites for j in range(n_sites)
+                     if (mask >> j) & 1]
+            for end in range(len(sites) - 1, 0, -1):
+                for i in range(end):
+                    if sites[i] > sites[i + 1]:
+                        sites[i], sites[i + 1] = sites[i + 1], sites[i]
+                        sign = -sign
+            masks.append(sum(1 << j for j in sites))
+        targets.append(basis.index_of(type(state)(*masks)))
+        signs.append(sign)
+    return np.array(targets), np.array(signs)
+
+
 def plane_wave(n_sites: int, n: int) -> np.ndarray:
     j = np.arange(n_sites)
     return np.exp(2j * np.pi * n * j / n_sites) / math.sqrt(n_sites)

@@ -44,7 +44,6 @@ from ringlat import (
     run,
     winding_state,
 )
-from ringlat.verify import run_all
 
 SQRT2 = math.sqrt(2.0)
 
@@ -304,9 +303,9 @@ def test_c08_meanfield_argmin_invariance():
            f"argmin moved in {moved} of 20 (omega, u, density) triples")
 
 
-def test_c09_structural_invariants():
+def test_c09_structural_invariants(verify_results):
     """Operator identities and reproducibility, with reported margins."""
-    results = run_all()
+    results = verify_results
     for result in results:
         print(f"  {'ok' if result.passed else 'BAD'} {result.name}: "
               f"{result.max_deviation:.2e} <= {result.tolerance:.1e}")

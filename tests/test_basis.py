@@ -20,7 +20,7 @@ from ringlat import (
     translate,
 )
 
-from oracles import plane_wave
+from oracles import plane_wave, reflection
 
 
 def single_particle_vector(basis, n_sites, winding):
@@ -123,6 +123,46 @@ class TestTranslate:
         for k, state in enumerate(basis.states):
             shifted, sign = translate(state, ring8)
             assert moved[basis.index_of(shifted)] == sign * v[k]
+
+
+_SYMMETRY_SYSTEMS = pytest.mark.parametrize("ring,species", [
+    (make_ring(8), Bosons(3)), (make_ring(7), Fermions(3, 2)),
+    (make_ring(8), Fermions(4, 3)), (make_ring(6), Fermions(2, 0)),
+    (make_ring(9), PolarizedFermions(4)),
+], ids=["bosons-3/8", "fermions-3+2/7", "fermions-4+3/8", "fermions-2+0/6",
+        "polarized-4/9"])
+
+
+class TestSymmetryTables:
+    @_SYMMETRY_SYSTEMS
+    def test_shift_table_matches_statewise_translate(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        for k, state in enumerate(basis.states):
+            shifted, sign = translate(state, ring)
+            assert basis.shift_perm[k] == basis.index_of(shifted)
+            assert basis.shift_sign[k] == sign
+
+    @_SYMMETRY_SYSTEMS
+    def test_reflection_table_matches_oracle(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        targets, signs = reflection(basis, ring.n_sites)
+        assert np.array_equal(basis.reflect_perm, targets)
+        assert np.array_equal(basis.reflect_sign, signs)
+
+    @_SYMMETRY_SYSTEMS
+    def test_reflection_inverts_the_shift(self, ring, species):
+        # R T R = T^-1 as signed permutations, so R T R T = 1.
+        basis = enumerate_basis(ring, species)
+        v = np.random.default_rng(6).standard_normal(basis.dimension)
+
+        def reflect(x):
+            out = np.empty_like(x)
+            out[basis.reflect_perm] = basis.reflect_sign * x
+            return out
+
+        moved = reflect(apply_translation(reflect(apply_translation(
+            v, basis)), basis))
+        assert np.array_equal(moved.real, v)
 
 
 class TestSectorOfState:

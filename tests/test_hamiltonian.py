@@ -28,7 +28,7 @@ from ringlat.hamiltonian import (
 from ringlat.verify import bloch_states
 
 from conftest import omega_for
-from oracles import dense_ring_bilinear
+from oracles import dense_ring_bilinear, reflection
 
 
 def analytic_spectrum(ring):
@@ -252,4 +252,24 @@ class TestSectorBlocks:
             projected = states.conj().T @ dense @ states
             matrix = block.operator(amp, getattr(species, "u", 0.0)).matrix
             assert np.abs(projected - matrix.toarray()).max() < 1e-12
-            assert (matrix != matrix.conj().T).nnz == 0
+            assert matrix.dtype == np.float64
+            assert (matrix != matrix.T).nnz == 0
+
+    @pytest.mark.parametrize("species", [
+        Bosons(3, u=2.0), Fermions(4, 2, u=1.5), Fermions(2, 1, u=-2.5),
+        Fermions(3, 3, u=1.0), PolarizedFermions(3),
+    ], ids=["bosons", "fermions-even", "fermions-odd", "fermions-3+3",
+            "polarized"])
+    def test_block_states_are_fixed_by_reflection_and_conjugation(
+            self, species):
+        # Theta = R*K maps each sector to itself and leaves every block
+        # state fixed, which makes the block real.  k fermions of one spin
+        # off site 0 reflect with the sign (-1)**(k(k-1)/2).
+        ring = make_ring(6, omega=1.3)
+        basis = enumerate_basis(ring, species)
+        targets, signs = reflection(basis, ring.n_sites)
+        for block in sector_blocks(basis):
+            states = bloch_states(basis, block)
+            reflected = np.empty_like(states)
+            reflected[targets] = signs[:, None] * states.conj()
+            assert np.abs(reflected - states).max() < 1e-12

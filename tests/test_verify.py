@@ -8,7 +8,7 @@ from ringlat.verify import (
     check_spectrum_vs_diagonalization,
     check_translation_commutation,
     check_twist_current_identity,
-    run_all,
+    check_twist_degeneracy_crossings,
 )
 
 
@@ -17,15 +17,14 @@ def corrupted_current_operator(ring, species, basis):
     return hopping_operator(basis, 1j * ring.t + ring.omega * ring.k_factor)
 
 
-def test_all_checks_pass():
-    results = run_all()
-    failed = [r for r in results if not r.passed]
+def test_all_checks_pass(verify_results):
+    failed = [r for r in verify_results if not r.passed]
     assert not failed, "\n".join(
         f"{r.name}: {r.max_deviation} > {r.tolerance}" for r in failed)
 
 
-def test_every_check_reports_margin():
-    for result in run_all():
+def test_every_check_reports_margin(verify_results):
+    for result in verify_results:
         assert result.max_deviation <= result.tolerance
         assert result.name
 
@@ -44,6 +43,7 @@ def test_individual_checks_pass():
                   check_translation_commutation,
                   check_sector_labels,
                   check_sector_blocks,
+                  check_twist_degeneracy_crossings,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
