@@ -229,20 +229,23 @@ def resolve_config(args) -> RunConfig:
     else:
         u_grid = None
 
-    windings = None
-    raw_windings = getattr(args, "windings", None)
-    if raw_windings is None:
-        raw_windings = cfg.get("sweep", {}).get("windings")
-    if raw_windings is not None:
-        if isinstance(raw_windings, str):
-            raw_windings = [w for w in raw_windings.split(",") if w.strip()]
+    windings = getattr(args, "windings", None)
+    if windings is not None:
         try:
-            windings = tuple(int(w) for w in raw_windings)
+            windings = tuple(int(w) for w in windings.split(",") if w.strip())
         except ValueError as error:
             raise DomainError(f"windings: {error}") from error
-        for n in windings:
-            if not 0 <= n < ring.n_sites:
-                raise DomainError(f"windings: {n} outside [0, {ring.n_sites})")
+    else:
+        windings = cfg.get("sweep", {}).get("windings")
+        if windings is not None:
+            if not isinstance(windings, list) or any(
+                    type(w) is not int for w in windings):
+                raise DomainError(f"sweep.windings: expected a list of "
+                                  f"integers, got {json.dumps(windings)}")
+            windings = tuple(windings)
+    for n in windings or ():
+        if not 0 <= n < ring.n_sites:
+            raise DomainError(f"windings: {n} outside [0, {ring.n_sites})")
 
     refine = _pick(bool, args.refine, cfg, "sweep.refine", False)
     bisection_tol = _pick(float, args.tol, cfg, "sweep.tol", 1e-6)

@@ -170,45 +170,37 @@ class SectorBlock:
 
     The states are the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives``
-    r (T the forward shift, p the period of the orbit of r), rotated as
-    :func:`reflection_rotation` says.  In them the forward-hop sum is a
-    complex symmetric matrix X.  ``hop_real`` and ``hop_imag`` hold its
-    upper triangle row by row, every diagonal entry included (at
-    ``diagonal``); the full CSR pattern is ``indices``/``indptr``, whose
-    entry k reads upper entry ``source[k]``.  ``interaction`` is each
-    state's contact energy at unit coupling.
+    r (T the forward shift, p the period of the orbit of r), rotated by
+    the W of :func:`reflection_rotation`.  In them the forward-hop sum is
+    a complex symmetric matrix X, held in ``hop`` as one CSR matrix whose
+    mirror entries hold one value and whose every diagonal position is
+    stored (a 0 where X has none), at ``diagonal`` in ``hop.data``.
+    ``interaction`` is each state's contact energy at unit coupling.
     """
 
     q: int
     representatives: np.ndarray
-    hop_real: np.ndarray = field(repr=False)
-    hop_imag: np.ndarray = field(repr=False)
+    hop: sparse.csr_matrix = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
-    source: np.ndarray = field(repr=False)
-    indices: np.ndarray = field(repr=False)
-    indptr: np.ndarray = field(repr=False)
 
     def operator(self, forward_amplitude: complex,
                  u: float = 0.0) -> HermitianOperator:
         """amp * X + h.c. + u * interaction = 2 Re(amp * X) + u * interaction:
-        real, and exactly symmetric since both mirror entries read one
-        stored value."""
-        amp = complex(forward_amplitude)
-        upper = self.hop_real * (2.0 * amp.real)
-        upper -= self.hop_imag * (2.0 * amp.imag)
-        upper[self.diagonal] += u * self.interaction
-        m = len(self.representatives)
-        return HermitianOperator(m, sparse.csr_matrix(
-            (upper[self.source], self.indices, self.indptr), shape=(m, m)))
+        real, and exactly symmetric since both mirror entries hold one
+        value."""
+        data = 2.0 * (complex(forward_amplitude) * self.hop.data).real
+        data[self.diagonal] += u * self.interaction
+        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
+            (data, self.hop.indices, self.hop.indptr), shape=self.hop.shape))
 
 
 def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
-                        q: int, members: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                        q: int, members: np.ndarray) -> sparse.csr_matrix:
     """The unitary W from the Bloch states of ``members`` (sector q) to
     states fixed by Theta = R*K, the site reflection R times complex
-    conjugation.
+    conjugation, as a sparse m x m matrix (row: Bloch state, column:
+    rotated state).
 
     ``orbits`` is :func:`~ringlat.basis.translation_orbits` of the basis.
     Theta commutes with every ring bilinear and maps sector q to itself:
@@ -217,9 +209,6 @@ def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
     with r' = r gives the column sqrt(c_r)|r,q>; a pair r < r' gives the
     columns (|r> + c_r|r'>)/sqrt(2) and i(|r> - c_r|r'>)/sqrt(2), in the
     order of r.  Theta squares to 1, so c_r' = c_r.
-
-    Returns, per Bloch state, the first column of its group and its
-    amplitudes in that column and the next (0 for a state on its own).
     """
     orbit, steps, signs = orbits[:3]
     mirror = basis.reflect_perm[members]
@@ -234,9 +223,12 @@ def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
     half = math.sqrt(0.5)
     first = np.where(alone, np.sqrt(c),
                      np.where(state == lead, half, half * c[lead]))
-    second = np.where(alone, 0.0,
-                      np.where(state == lead, 1j * half, -1j * half * c[lead]))
-    return column, first, second
+    second = np.where(state == lead, 1j * half, -1j * half * c[lead])[~alone]
+    return sparse.csr_matrix(
+        (np.concatenate([first, second]),
+         (np.concatenate([state, state[~alone]]),
+          np.concatenate([column, column[~alone] + 1]))),
+        shape=(len(members),) * 2)
 
 
 def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
@@ -247,8 +239,9 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     into state s of the orbit of r' adds its factor times signs[s] *
     exp(2*pi*i*q*steps[s]/N) * sqrt(p_r/p_r') to the Bloch entry (r', r)
     of the forward-hop sum T_q (Sandvik, arXiv:1101.3281, sec. 4.1).  The
-    block holds T_q in the states of :func:`reflection_rotation`, where
-    every block Hamiltonian is real.
+    block holds X = W^H T_q W for the W of :func:`reflection_rotation`,
+    its upper triangle mirrored, and the contact energies W^H D W, which
+    are diagonal since Theta leaves D invariant.
     """
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, closing = orbits
@@ -259,55 +252,34 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     factors = hops.values[from_rep] * signs[rows] * np.sqrt(
         period[cols] / period[targets])
     reps = np.flatnonzero(orbit == np.arange(basis.dimension))
-    diagonal = interaction_diagonal(basis.species, basis)
+    contact = interaction_diagonal(basis.species, basis)
     blocks = []
     for q in range(n):
         # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
         members = reps[(2 * q * period[reps] + n * (closing[reps] < 0))
                        % (2 * n) == 0]
-        if not len(members):
+        m = len(members)
+        if not m:
             continue
         keep = np.isin(cols, members) & np.isin(targets, members)
-        blocks.append(_sector_block(
-            q, members, reflection_rotation(basis, orbits, q, members),
-            np.searchsorted(members, targets[keep]),
-            np.searchsorted(members, cols[keep]),
-            factors[keep] * np.exp(2j * math.pi * q * steps[rows[keep]] / n),
-            diagonal[members]))
+        bloch = sparse.csr_matrix(
+            (factors[keep] * np.exp(2j * math.pi * q * steps[rows[keep]] / n),
+             (np.searchsorted(members, targets[keep]),
+              np.searchsorted(members, cols[keep]))), shape=(m, m))
+        w = reflection_rotation(basis, orbits, q, members)
+        upper = sparse.triu(w.conj().T @ bloch @ w, format="coo")
+        off = upper.row < upper.col
+        states = np.arange(m)
+        # Mirrored, both entries hold one value, so every block operator is
+        # exactly symmetric; the zeros store every diagonal position.
+        hop = sparse.csr_matrix(
+            (np.concatenate([upper.data, upper.data[off], np.zeros(m)]),
+             (np.concatenate([upper.row, upper.col[off], states]),
+              np.concatenate([upper.col, upper.row[off], states]))),
+            shape=(m, m))
+        blocks.append(SectorBlock(
+            q, members, hop,
+            np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
+                           == hop.indices),
+            abs(w).power(2).T @ contact[members]))
     return tuple(blocks)
-
-
-def _sector_block(q: int, members: np.ndarray,
-                  rotation: tuple[np.ndarray, np.ndarray, np.ndarray],
-                  i: np.ndarray, j: np.ndarray, bloch: np.ndarray,
-                  contact: np.ndarray) -> SectorBlock:
-    """Block q from the Bloch entries bloch[k] at (i[k], j[k]) of T_q: each
-    adds its share of X = W^H T_q W to the upper triangle of X."""
-    m = len(members)
-    column, first, second = rotation
-    paired = second != 0
-    slots = ((first, 0, np.ones(m, dtype=bool)), (second, 1, paired))
-    keys, values = [np.arange(m) * (m + 1)], [np.zeros(m, dtype=complex)]
-    for w_i, d_i, valid_i in slots:
-        for w_j, d_j, valid_j in slots:
-            a, b = column[i] + d_i, column[j] + d_j
-            upper = np.flatnonzero(valid_i[i] & valid_j[j] & (a <= b))
-            keys.append(a[upper] * m + b[upper])
-            values.append(w_i[i[upper]].conj() * bloch[upper] * w_j[j[upper]])
-    keys, where = np.unique(np.concatenate(keys), return_inverse=True)
-    values = np.concatenate(values)
-    hop_real = np.bincount(where, values.real, len(keys))
-    hop_imag = np.bincount(where, values.imag, len(keys))
-    del where, values  # freed before the pattern build, the block's peak
-    # The full pattern: each entry holds 1 + the index of its upper entry.
-    row, col = np.divmod(keys, m)
-    starts = np.searchsorted(row, np.arange(m + 1))
-    upper = sparse.csr_matrix((np.arange(1, len(keys) + 1), col, starts),
-                              shape=(m, m))
-    full = upper + sparse.triu(upper, k=1).T
-    interaction = np.empty(m)
-    interaction[column] = interaction[column + paired] = contact
-    return SectorBlock(
-        q, members, hop_real, hop_imag, np.flatnonzero(row == col),
-        interaction, (full.data - 1).astype(np.int32), full.indices,
-        full.indptr)

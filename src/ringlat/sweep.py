@@ -19,6 +19,7 @@ current along an interaction grid, bracketed and bisected the same way.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,14 @@ class _Grid:
     points: int
 
     def __post_init__(self) -> None:
+        for name, value in (("minimum", self.minimum),
+                            ("maximum", self.maximum)):
+            if not math.isfinite(value):
+                raise DomainError(f"{name}: must be finite, got {value!r}")
+        if (isinstance(self.points, bool)
+                or not isinstance(self.points, numbers.Integral)):
+            raise DomainError(f"points: must be an integer, got "
+                              f"{self.points!r}")
         if not self.minimum < self.maximum:
             raise DomainError(f"maximum: need minimum < maximum, got "
                               f"[{self.minimum}, {self.maximum}]")

@@ -217,7 +217,8 @@ def check_krylov_vs_dense() -> CheckResult:
 def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
     """Fock amplitudes of the block's basis states: the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of its representatives
-    r (p the period of the orbit of r), times the rotation W of
+    r (p the period of the orbit of r), built here from the translation
+    orbits, times the sparse unitary W of
     :func:`~ringlat.hamiltonian.reflection_rotation`."""
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, _ = orbits
@@ -227,14 +228,8 @@ def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
     states[inside, np.searchsorted(members, orbit[inside])] = (
         signs[inside] / np.sqrt(period[inside]) * np.exp(
             -2j * math.pi * block.q * steps[inside] / basis.n_sites))
-    column, first, second = reflection_rotation(basis, orbits, block.q,
-                                                members)
-    rotation = np.zeros((len(members),) * 2, dtype=complex)
-    state = np.arange(len(members))
-    rotation[state, column] = first
-    paired = second != 0
-    rotation[state[paired], column[paired] + 1] = second[paired]
-    return states @ rotation
+    return states @ reflection_rotation(basis, orbits, block.q,
+                                        members).toarray()
 
 
 def _reflected(state: FockState, n_sites: int) -> tuple[FockState, int]:

@@ -178,6 +178,16 @@ class TestConfigHandling:
         _, _, body = read_csv(out_dir / "spectrum.csv")
         assert len(body) == 3 * 4  # file's grid and sites both honored
 
+    def test_config_file_windings_list(self, tmp_path):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {"ring": {"sites": 4}, "sweep": {"omega_points": 3,
+                                             "windings": [0, 2]}}))
+        assert main(["spectrum", "--config", str(config_path), "--out",
+                     str(tmp_path)]) == 0
+        _, _, body = read_csv(tmp_path / "spectrum.csv")
+        assert len(body) == 3 * 2
+
     def test_invalid_json_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -194,6 +204,9 @@ class TestConfigHandling:
         ({"output": {"svg": "false"}}, "output.svg"),
         ({"ring": {"sites": 8.9}}, "ring.sites"),
         ({"solver": {"workers": True}}, "solver.workers"),
+        ({"sweep": {"windings": 3}}, "sweep.windings"),
+        ({"sweep": {"windings": [1.7]}}, "sweep.windings"),
+        ({"sweep": {"windings": [True, 2]}}, "sweep.windings"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, config,
                                          key):

@@ -40,6 +40,18 @@ class TestControls:
         with pytest.raises(DomainError, match="points"):
             OmegaGrid(0.0, 1.0, 1)
 
+    @pytest.mark.parametrize("points", [3.0, True, "3"])
+    def test_grid_needs_integer_points(self, points):
+        with pytest.raises(DomainError, match="points"):
+            OmegaGrid(0.0, 1.0, points)
+
+    @pytest.mark.parametrize("minimum,maximum,field", [
+        (0.0, math.inf, "maximum"), (-math.inf, 1.0, "minimum"),
+        (math.nan, 1.0, "minimum")])
+    def test_grid_needs_finite_ends(self, minimum, maximum, field):
+        with pytest.raises(DomainError, match=f"^{field}:"):
+            InteractionGrid(minimum, maximum, 3, omega=1.0)
+
     def test_bisection_tol_positive(self):
         with pytest.raises(DomainError, match="bisection_tol"):
             SweepSpec(ring=make_ring(8), species=Bosons(1),
