@@ -10,16 +10,26 @@ recorded in their row instead of aborting the scan, and rows always come
 back ordered by the control value, so a sweep with the same spec is
 reproducible bit for bit.
 
-Ground-state level crossings are located by watching the sector of the
-lowest block level change between neighboring grid points and bisecting
-each bracket.  Fast-mode boundaries are zero crossings of the per-particle
-current along an interaction grid, bracketed and bisected the same way.
+Ground-state level crossings are bracketed by watching the sector of the
+lowest block level change between neighboring grid points.  A bracket
+from sector Q1 to Q2 holds a root of the smooth function E_Q1 - E_Q2 of
+the two blocks' lowest levels, which Brent's method finds to a quarter of
+``bisection_tol`` while solving only those two blocks at each step.
+Fast-mode boundaries are sign changes of the per-particle current along
+an interaction grid: a bracket whose ends lie in different sectors is
+such a level crossing, and one inside a single sector is a root of that
+block's current, again refined by Brent's method on one or two blocks.
+Each refined root is checked against every block (no third sector in the
+ground there and, for boundaries, the right current signs on each side);
+a bracket that fails the check, a bracket with a degenerate end and
+polarized fermions fall back to bisecting the full ground-state label.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -281,47 +291,124 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                    options: SolverOptions = DEFAULT_OPTIONS) -> tuple[float, ...]:
     """Drive frequencies where the ground state changes symmetry sector.
 
-    Labels each grid point by the sector of its lowest block level,
-    brackets every label change and bisects it down to
-    ``spec.bisection_tol``.  A grid point whose ground multiplet spans
-    several blocks sits on an exact crossing and is no bracket end.
+    Labels each grid point by the sector of its lowest block level and
+    brackets every label change.  A grid point whose ground multiplet
+    spans several blocks sits on an exact crossing and is no bracket end.
+    A bracket from sector Q1 to Q2 is refined by Brent's method on
+    E_Q1 - E_Q2, the difference of the two blocks' lowest levels, to
+    within ``spec.bisection_tol / 4``.  If every block solved at that root
+    puts a third sector in the ground multiplet, the bracket is bisected
+    on the full ground-state label down to ``spec.bisection_tol`` instead,
+    which finds its first label change.  Polarized fermions (closed forms,
+    no blocks) are always bisected.
     """
     if not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
                           "frequency; use an OmegaGrid")
     blocks = _sector_blocks(spec, workers)
+    by_q = {block.q: block for block in blocks or ()}
+    u = getattr(spec.species, "u", 0.0)
+
+    def ground_at(omega: float, among=blocks):
+        return _ground(among, spec.ring.with_omega(float(omega)), u,
+                       degeneracy_tol, tol, options)
 
     def label_at(omega: float) -> tuple[int, bool]:
         """Sector of the lowest level, and whether the ground ties blocks."""
-        ring = spec.ring.with_omega(float(omega))
         if blocks is None:
+            ring = spec.ring.with_omega(float(omega))
             left, _, _ = analytic.polarized_occupation_limits(
                 spec.species.n_particles, ring)
             return sum(s.n for s in left) % ring.n_sites, False
-        _, members = _ground(blocks, ring, getattr(spec.species, "u", 0.0),
-                             degeneracy_tol, tol, options)
+        _, members = ground_at(omega)
         sectors = {block.q for block, _ in members}
         return members[0][0].q, len(sectors) > 1
 
+    def refine(lo: float, hi: float, label_lo: int, label_hi: int) -> float:
+        if blocks is not None:
+            root = _level_crossing(ground_at, lo, hi, by_q[label_lo],
+                                   by_q[label_hi], spec.bisection_tol / 4)
+            if root is not None:
+                return root
+        return _bisect_crossing(lo, hi, label_lo, lambda w: label_at(w)[0],
+                                spec.bisection_tol)
+
     labeled = [(float(w), *label_at(w)) for w in spec.control.values()]
     ends = [(w, label) for w, label, tie in labeled if not tie]
-    return tuple(
-        _bisect_crossing(lo, hi, label_lo, lambda w: label_at(w)[0],
-                         spec.bisection_tol)
-        for (lo, label_lo), (hi, label_hi) in zip(ends, ends[1:])
-        if label_lo != label_hi)
+    return tuple(refine(lo, hi, label_lo, label_hi)
+                 for (lo, label_lo), (hi, label_hi) in zip(ends, ends[1:])
+                 if label_lo != label_hi)
+
+
+def _brent(f, lo: float, hi: float, xtol: float) -> float:
+    """A sign change of f in [lo, hi], given f(lo) and f(hi) of opposite
+    signs, to within xtol + 4*eps*|x|.
+
+    Brent's method in the form of netlib's ``zeroin``: an inverse
+    quadratic or secant step where it shrinks the bracket fast enough, a
+    bisection step otherwise (Brent, *Algorithms for Minimization without
+    Derivatives*, Prentice-Hall 1973, ch. 4).  The eps*|x| term keeps
+    every step at least one ulp long, so any xtol > 0 terminates.
+    """
+    a, fa, b, fb = lo, f(lo), hi, f(hi)
+    c, fc, d, e = a, fa, b - a, b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, fa, b, fb, c, fc = b, fb, c, fc, b, fb
+        slack = 2.0 * sys.float_info.epsilon * abs(b) + 0.5 * xtol
+        half = 0.5 * (c - b)
+        if abs(half) <= slack or fb == 0.0:
+            return float(b)
+        if abs(e) >= slack and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = abs(p), -q if p > 0 else q
+            if 2.0 * p < min(3.0 * half * q - abs(slack * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = half
+        else:
+            d = e = half
+        a, fa = b, fb
+        b += d if abs(d) > slack else math.copysign(slack, half)
+        fb = f(b)
+        if (fb > 0) == (fc > 0):
+            c, fc, d, e = a, fa, b - a, b - a
+
+
+def _level_crossing(ground_at, lo: float, hi: float, lower: SectorBlock,
+                    upper: SectorBlock, xtol: float) -> float | None:
+    """Where the lowest levels of blocks ``lower`` (the ground at lo) and
+    ``upper`` (the ground at hi) cross, by Brent's method on their
+    difference; None when the ground of every block there holds a sector
+    of neither."""
+    def split(x: float) -> float:
+        return ground_at(x, (lower,))[0][0] - ground_at(x, (upper,))[0][0]
+
+    root = _brent(split, lo, hi, xtol)
+    _, members = ground_at(root)
+    if {block.q for block, _ in members} <= {lower.q, upper.q}:
+        return root
+    return None
 
 
 def _bisect_crossing(lo, hi, label_lo, label_at, bisection_tol) -> float:
     # Any label but the low end's moves the high end, so a third sector
-    # inside the bracket is chased to the first change.
-    while hi - lo > bisection_tol:
-        mid = 0.5 * (lo + hi)
+    # inside the bracket is chased to the first change.  A tolerance below
+    # the spacing of floats there stops when no float lies between the ends.
+    mid = 0.5 * (lo + hi)
+    while hi - lo > bisection_tol and lo < mid < hi:
         if label_at(mid) == label_lo:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
@@ -330,8 +417,16 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                        ) -> tuple[BoundaryPoint, ...]:
     """Interactions where the ground-state current changes sign.
 
-    Runs the interaction sweep, brackets every strict sign change of the
-    per-particle current, and bisects each bracket to ``bisection_tol``.
+    Runs the interaction sweep and brackets every strict sign change of
+    the per-particle current.  When both ends of a bracket have a
+    one-state ground, the bracket is refined by Brent's method to within
+    ``spec.bisection_tol / 4``: on E_Q1 - E_Q2 when the ends lie in
+    sectors Q1 and Q2, accepted if the ground at the root holds no other
+    sector and the lowest states of blocks Q1 and Q2 there carry the
+    currents of the low and the high end; on block Q's own current when
+    both ends lie in sector Q, accepted if block Q alone holds the ground
+    at the root.  Any other bracket, or one whose check fails, is bisected
+    on the sign of the full ground-state current to ``bisection_tol``.
     """
     if not isinstance(spec.control, InteractionGrid):
         raise DomainError("control: boundary detection scans the "
@@ -340,16 +435,46 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         raise DomainError(f"species: boundary detection needs Fermions, "
                           f"got {type(spec.species).__name__}")
     blocks = _sector_blocks(spec, workers)
+    by_q = {block.q: block for block in blocks}
+    ring = spec.ring.with_omega(spec.control.omega)
     eps = FAST_CURRENT_EPS * spec.ring.t
+    xtol = spec.bisection_tol / 4
 
-    def sign_at(u: float) -> int:
+    def ground_at(u: float, among=blocks):
+        return _ground(among, ring, float(u), degeneracy_tol, tol, options)
+
+    def row_at(u: float, among=blocks) -> SweepRow:
+        return _block_row(*_point_parameters(spec, u), among, float(u),
+                          degeneracy_tol, tol, options)
+
+    def sign(row: SweepRow) -> int:
         """Sign of the per-particle current, 0 within eps of zero."""
-        current = _block_row(*_point_parameters(spec, u), blocks, float(u),
-                             degeneracy_tol, tol, options).per_particle_current
+        current = row.per_particle_current
         return int(current > eps) - int(current < -eps)
 
-    us = spec.control.values()
-    signs = [sign_at(u) for u in us]
+    def refine(lo: float, hi: float, row_lo: SweepRow,
+               row_hi: SweepRow) -> float:
+        s_lo, s_hi = sign(row_lo), sign(row_hi)
+        if len(row_lo.sectors) == len(row_hi.sectors) == 1:
+            lower, upper = by_q[row_lo.sectors[0]], by_q[row_hi.sectors[0]]
+            if lower is upper:
+                root = _brent(
+                    lambda u: row_at(u, (lower,)).per_particle_current,
+                    lo, hi, xtol)
+                if [block for block, _ in ground_at(root)[1]] == [lower]:
+                    return root
+            else:
+                root = _level_crossing(ground_at, lo, hi, lower, upper, xtol)
+                if (root is not None
+                        and sign(row_at(root, (lower,))) == s_lo
+                        and sign(row_at(root, (upper,))) == s_hi):
+                    return root
+        return _bisect_crossing(lo, hi, s_lo, lambda u: sign(row_at(u)),
+                                spec.bisection_tol)
+
+    us = [float(u) for u in spec.control.values()]
+    rows = [row_at(u) for u in us]
+    signs = [sign(row) for row in rows]
     boundaries = []
     for i in range(len(us) - 1):
         s_lo, s_hi = signs[i], signs[i + 1]
@@ -359,10 +484,9 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
             # Exact zero on the grid: the neighbor beyond tells the side.
             after = next((s for s in signs[i + 1:] if s != 0), -s_lo)
             if after != s_lo:
-                boundaries.append(BoundaryPoint(float(us[i + 1]), s_lo, after))
+                boundaries.append(BoundaryPoint(us[i + 1], s_lo, after))
             continue
         if s_lo != s_hi:
-            u_star = _bisect_crossing(float(us[i]), float(us[i + 1]), s_lo,
-                                      sign_at, spec.bisection_tol)
+            u_star = refine(us[i], us[i + 1], rows[i], rows[i + 1])
             boundaries.append(BoundaryPoint(u_star, s_lo, s_hi))
     return tuple(boundaries)

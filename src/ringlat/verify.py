@@ -10,7 +10,7 @@ confirm that a deliberately corrupted convention is caught.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -109,6 +109,27 @@ def _with_rest_doublet() -> list[tuple[RingSpec, SpeciesSpec]]:
     """The test systems plus 2+2 fermions on 8 sites at rest, whose second
     level is a doublet split across two translation sectors."""
     return _test_systems() + [(make_ring(8), Fermions(2, 2, u=4.0))]
+
+
+def check_scaling_identity() -> CheckResult:
+    """The drive must be exactly a uniform Peierls phase:
+    H(t, omega*K, u) = |tau| * H_flux(chi, u/|tau|), where
+    tau = t + i*omega*K, chi = arg(tau) and H_flux hops with t = 1, no
+    drive and a twist of chi on every bond."""
+    worst = 0.0
+    base = make_ring(6, t=1.3)
+    for species in (Fermions(2, 1, u=-2.5), Bosons(3, u=3.0)):
+        basis = enumerate_basis(base, species)
+        for omega_k_over_t in (0.0, 0.7, -1.9, 6.0):
+            ring = base.with_omega(omega_k_over_t * base.t / base.k_factor)
+            drive = ring.omega * ring.k_factor
+            tau, chi = math.hypot(ring.t, drive), math.atan2(drive, ring.t)
+            flux = RingSpec(ring.n_sites, 1.0, ring.k_factor, 0.0)
+            driven = build_operator(ring, species, basis).matrix
+            twisted = build_operator(flux, replace(species, u=species.u / tau),
+                                     basis, twist=chi).matrix
+            worst = max(worst, float(abs(driven - tau * twisted).max()))
+    return _result("scaling_identity", worst, 1e-12)
 
 
 def check_twist_current_identity(
@@ -347,6 +368,7 @@ def check_determinism() -> CheckResult:
 ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_spectrum_vs_diagonalization,
     check_ground_current_vs_formula,
+    check_scaling_identity,
     check_twist_current_identity,
     check_hermiticity,
     check_translation_commutation,

@@ -22,7 +22,7 @@ from ringlat import (
     polarized_current,
     run,
 )
-
+from ringlat import sweep
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -270,6 +270,56 @@ class TestFindCrossings:
         for got, want in zip(crossings, expected):
             assert abs(got - want) <= spec.bisection_tol
 
+    @pytest.mark.parametrize("tol", [1e-8, 1e-300])
+    def test_third_sector_at_the_root_falls_back_to_bisection(self, ring8,
+                                                              tol):
+        # The two grid points lie in sectors 0 and 2.  E_0 - E_2 vanishes at
+        # omega*K/t = 1, where sector 1 lies lower, so the search bisects
+        # the label and finds the first change, 0 -> 1 at tan(pi/8).  At
+        # 1e-300 the bisection stops where no float lies between its ends.
+        spec = SweepSpec(ring=ring8, species=Bosons(1),
+                         control=OmegaGrid(0.0, omega_for(ring8, 3.0), 2),
+                         bisection_tol=tol)
+        want = ring8.t * math.tan(math.pi / 8) / ring8.k_factor
+        (got,) = find_crossings(spec)
+        assert abs(got - want) <= max(tol, 8 * math.ulp(want))
+
+    def test_tolerance_below_float_spacing_terminates(self, ring8):
+        spec = SweepSpec(ring=ring8, species=Bosons(1),
+                         control=OmegaGrid(0.0, omega_for(ring8, 3.0), 13),
+                         bisection_tol=1e-300)
+        crossings = find_crossings(spec)
+        want = ring8.t * math.tan(math.pi / 8) / ring8.k_factor
+        assert len(crossings) == 2
+        assert abs(crossings[0] - want) <= 8 * math.ulp(want)
+
+    def test_refinement_solves_two_blocks_per_step(self, monkeypatch):
+        solves = []
+        lowest_levels = sweep._lowest_levels
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return lowest_levels(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_lowest_levels", counted)
+        spec = SweepSpec(ring=make_ring(8), species=Bosons(4, u=1.0),
+                         control=OmegaGrid(0.0, 8.0, 41), bisection_tol=1e-7)
+        crossings = find_crossings(spec)
+        assert len(crossings) == 2
+        # The grid solves all 8 blocks at 41 points.  Each crossing then
+        # solves all blocks once at its root and two blocks at each of at
+        # most 8 Brent steps; bisection took 21 steps of 8 blocks.
+        assert len(solves) <= 41 * 8 + 2 * (8 + 2 * 8)
+
+    @pytest.mark.parametrize("species,points", [
+        (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
+        ids=["brent", "fallback", "polarized"])
+    def test_roots_are_python_floats(self, ring8, species, points):
+        crossings = find_crossings(SweepSpec(
+            ring8, species, OmegaGrid(0.0, omega_for(ring8, 3.0), points)))
+        assert crossings
+        assert all(type(w) is float for w in crossings)
+
     def test_polarized_fermi_sea_crossings(self, ring8):
         # The two-fermion sea rearranges where the second-lowest level
         # changes character; detection runs on closed forms, no solver.
@@ -313,3 +363,18 @@ class TestFastModeBoundary:
         point = points[0]
         assert point.sign_below == 1 and point.sign_above == -1
         assert -22.0 < point.u_star < -16.0
+        assert type(point.u_star) is float
+
+    def test_sign_change_inside_one_sector(self):
+        # The ground stays in sector 2 across this window while its
+        # current changes sign, so the root is one of block 2's current.
+        ring = make_ring(5)
+        spec = SweepSpec(ring=ring, species=Fermions(2, 1),
+                         control=InteractionGrid(-20.0, -14.0, 7,
+                                                 omega=omega_for(ring, 1.0)),
+                         bisection_tol=1e-6)
+        assert {row.sectors for row in run(spec).rows} == {(2,)}
+        (point,) = fast_mode_boundary(spec)
+        assert (point.sign_below, point.sign_above) == (-1, 1)
+        assert abs(point.u_star - (-16.4972310)) <= spec.bisection_tol
+        assert type(point.u_star) is float

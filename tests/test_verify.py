@@ -3,6 +3,7 @@ from ringlat.verify import (
     check_determinism,
     check_ground_current_vs_formula,
     check_hermiticity,
+    check_scaling_identity,
     check_sector_blocks,
     check_sector_labels,
     check_spectrum_vs_diagonalization,
@@ -40,6 +41,7 @@ def test_individual_checks_pass():
     for check in (check_spectrum_vs_diagonalization,
                   check_ground_current_vs_formula,
                   check_hermiticity,
+                  check_scaling_identity,
                   check_translation_commutation,
                   check_sector_labels,
                   check_sector_blocks,
