@@ -15,14 +15,16 @@ lowest block level change between neighboring grid points.  A bracket
 from sector Q1 to Q2 holds a root of the smooth function E_Q1 - E_Q2 of
 the two blocks' lowest levels, which Brent's method finds to a quarter of
 ``bisection_tol`` while solving only those two blocks at each step.
-Fast-mode boundaries are sign changes of the per-particle current along
-an interaction grid: a bracket whose ends lie in different sectors is
-such a level crossing, and one inside a single sector is a root of that
-block's current, again refined by Brent's method on one or two blocks.
-Each refined root is checked against every block (no third sector in the
-ground there and, for boundaries, the right current signs on each side);
-a bracket that fails the check, a bracket with a degenerate end and
-polarized fermions fall back to bisecting the full ground-state label.
+The grid has already solved both blocks at the bracket ends, so Brent's
+method starts from those levels.  Fast-mode boundaries are sign changes
+of the per-particle current along an interaction grid; a bracket whose
+ends lie in different sectors is refined as such a level crossing.  Each
+refined root is checked on every block, solved once there: no third
+sector in the ground and, for boundaries, blocks Q1 and Q2 carrying the
+current signs of their ends.  A bracket that fails the check, a boundary
+bracket inside one sector or with a degenerate end, and crossings of
+polarized fermions (closed forms, no blocks) are bisected on the full
+ground-state label instead.
 """
 
 from __future__ import annotations
@@ -164,42 +166,57 @@ def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesS
             replace(spec.species, u=float(value)))
 
 
-def _ground(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
-            degeneracy_tol: float, tol: float, options: SolverOptions
-            ) -> tuple[np.ndarray, list[tuple[SectorBlock, np.ndarray]]]:
-    """Every block's lowest level and next pair, merged by value, and the
-    ground multiplet among them as (block, vector) pairs."""
+def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
+           degeneracy_tol: float, tol: float, options: SolverOptions
+           ) -> dict[int, tuple[SectorBlock, np.ndarray, np.ndarray]]:
+    """Each block's lowest level, its copies and the next level above,
+    with their vectors, keyed by the block's sector."""
     amp = hopping_amplitude(ring)
-    values, pairs = [], []
+    solved = {}
     for block in blocks:
         levels, vectors, _ = _lowest_levels(block.operator(amp, u), 1, tol,
                                             degeneracy_tol, options)
-        values.append(levels)
-        pairs.extend((block, vector) for vector in vectors.T)
-    values = np.concatenate(values)
+        solved[block.q] = (block, levels, vectors)
+    return solved
+
+
+def _lowest(solved: dict) -> dict[int, float]:
+    """Each solved block's lowest level."""
+    return {q: levels[0] for q, (_, levels, _) in solved.items()}
+
+
+def _ground(solved: dict, degeneracy_tol: float
+            ) -> tuple[np.ndarray, list[tuple[SectorBlock, np.ndarray]]]:
+    """The solved blocks' levels merged by value, and the ground multiplet
+    among them as (block, vector) pairs."""
+    values = np.concatenate([levels for _, levels, _ in solved.values()])
+    pairs = [(block, vector) for block, _, vectors in solved.values()
+             for vector in vectors.T]
     order = np.argsort(values, kind="stable")
     members = order[:_level_end(values[order], 1, degeneracy_tol)]
     return values[order], [pairs[i] for i in members]
 
 
-def _block_row(ring: RingSpec, species: SpeciesSpec,
-               blocks: tuple[SectorBlock, ...], control_value: float,
-               degeneracy_tol: float, tol: float,
-               options: SolverOptions) -> SweepRow:
-    u = getattr(species, "u", 0.0)
-    values, members = _ground(blocks, ring, u, degeneracy_tol, tol, options)
+def _mean_current(ring: RingSpec, members: list) -> float:
+    """Total current of a multiplet given as (block, vector) pairs."""
     # The multiplet's current is a trace over its span, so any orthonormal
     # basis of it gives the same mean.
     amp = forward_hop_amplitude(ring)
-    total = float(np.mean([block.operator(amp).expectation(vector)
-                           for block, vector in members]))
+    return float(np.mean([block.operator(amp).expectation(vector)
+                          for block, vector in members]))
+
+
+def _block_row(ring: RingSpec, species: SpeciesSpec, solved: dict,
+               control_value: float, degeneracy_tol: float) -> SweepRow:
+    values, members = _ground(solved, degeneracy_tol)
+    total = _mean_current(ring, members)
     labels = tuple(sorted(block.q for block, _ in members))
     n_particles = particle_count(species)
     target = (n_particles * (ring.n_sites // 4)) % ring.n_sites
     return SweepRow(
         control_value=control_value,
         omega=ring.omega,
-        u=u,
+        u=getattr(species, "u", 0.0),
         ground_energy=float(values[0]),
         gap=float(values[1] - values[0]) if len(values) > 1 else math.nan,
         total_current=total,
@@ -266,8 +283,10 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         try:
             if blocks is None:
                 return _polarized_row(ring, species, float(value))
-            return _block_row(ring, species, blocks, float(value),
-                              degeneracy_tol, tol, options)
+            solved = _solve(blocks, ring, getattr(species, "u", 0.0),
+                            degeneracy_tol, tol, options)
+            return _block_row(ring, species, solved, float(value),
+                              degeneracy_tol)
         except ConvergenceError as error:
             return _failed_row(ring, species, value, error)
 
@@ -309,40 +328,44 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     by_q = {block.q: block for block in blocks or ()}
     u = getattr(spec.species, "u", 0.0)
 
-    def ground_at(omega: float, among=blocks):
-        return _ground(among, spec.ring.with_omega(float(omega)), u,
-                       degeneracy_tol, tol, options)
+    def solve_at(omega: float, among=blocks) -> dict:
+        return _solve(among, spec.ring.with_omega(float(omega)), u,
+                      degeneracy_tol, tol, options)
 
-    def label_at(omega: float) -> tuple[int, bool]:
-        """Sector of the lowest level, and whether the ground ties blocks."""
+    def label_at(omega: float) -> tuple[int, bool, dict | None]:
+        """Sector of the lowest level, whether the ground ties blocks, and
+        each block's lowest level."""
         if blocks is None:
             ring = spec.ring.with_omega(float(omega))
             left, _, _ = analytic.polarized_occupation_limits(
                 spec.species.n_particles, ring)
-            return sum(s.n for s in left) % ring.n_sites, False
-        _, members = ground_at(omega)
+            return sum(s.n for s in left) % ring.n_sites, False, None
+        solved = solve_at(omega)
+        _, members = _ground(solved, degeneracy_tol)
         sectors = {block.q for block, _ in members}
-        return members[0][0].q, len(sectors) > 1
+        return members[0][0].q, len(sectors) > 1, _lowest(solved)
 
-    def refine(lo: float, hi: float, label_lo: int, label_hi: int) -> float:
+    def refine(lo: tuple, hi: tuple) -> float:
+        (w_lo, label_lo, _, lowest_lo), (w_hi, label_hi, _, lowest_hi) = lo, hi
         if blocks is not None:
-            root = _level_crossing(ground_at, lo, hi, by_q[label_lo],
-                                   by_q[label_hi], spec.bisection_tol / 4)
-            if root is not None:
-                return root
-        return _bisect_crossing(lo, hi, label_lo, lambda w: label_at(w)[0],
-                                spec.bisection_tol)
+            found = _level_crossing(solve_at, w_lo, w_hi, by_q[label_lo],
+                                    by_q[label_hi], (lowest_lo, lowest_hi),
+                                    spec.bisection_tol / 4, degeneracy_tol)
+            if found is not None:
+                return found[0]
+        return _bisect_crossing(w_lo, w_hi, label_lo,
+                                lambda w: label_at(w)[0], spec.bisection_tol)
 
     labeled = [(float(w), *label_at(w)) for w in spec.control.values()]
-    ends = [(w, label) for w, label, tie in labeled if not tie]
-    return tuple(refine(lo, hi, label_lo, label_hi)
-                 for (lo, label_lo), (hi, label_hi) in zip(ends, ends[1:])
-                 if label_lo != label_hi)
+    ends = [point for point in labeled if not point[2]]
+    return tuple(refine(lo, hi) for lo, hi in zip(ends, ends[1:])
+                 if lo[1] != hi[1])
 
 
-def _brent(f, lo: float, hi: float, xtol: float) -> float:
-    """A sign change of f in [lo, hi], given f(lo) and f(hi) of opposite
-    signs, to within xtol + 4*eps*|x|.
+def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
+           xtol: float) -> float:
+    """A sign change of f in [lo, hi], given f_lo = f(lo) and f_hi = f(hi)
+    of opposite signs, to within xtol + 4*eps*|x|.
 
     Brent's method in the form of netlib's ``zeroin``: an inverse
     quadratic or secant step where it shrinks the bracket fast enough, a
@@ -350,7 +373,7 @@ def _brent(f, lo: float, hi: float, xtol: float) -> float:
     Derivatives*, Prentice-Hall 1973, ch. 4).  The eps*|x| term keeps
     every step at least one ulp long, so any xtol > 0 terminates.
     """
-    a, fa, b, fb = lo, f(lo), hi, f(hi)
+    a, fa, b, fb = lo, f_lo, hi, f_hi
     c, fc, d, e = a, fa, b - a, b - a
     while True:
         if abs(fc) < abs(fb):
@@ -381,19 +404,24 @@ def _brent(f, lo: float, hi: float, xtol: float) -> float:
             c, fc, d, e = a, fa, b - a, b - a
 
 
-def _level_crossing(ground_at, lo: float, hi: float, lower: SectorBlock,
-                    upper: SectorBlock, xtol: float) -> float | None:
+def _level_crossing(solve_at, lo: float, hi: float, lower: SectorBlock,
+                    upper: SectorBlock, ends: tuple[dict, dict],
+                    xtol: float, degeneracy_tol: float
+                    ) -> tuple[float, dict] | None:
     """Where the lowest levels of blocks ``lower`` (the ground at lo) and
     ``upper`` (the ground at hi) cross, by Brent's method on their
-    difference; None when the ground of every block there holds a sector
-    of neither."""
-    def split(x: float) -> float:
-        return ground_at(x, (lower,))[0][0] - ground_at(x, (upper,))[0][0]
+    difference, and every block solved there; None when the ground there
+    holds a sector of neither.  ``ends`` are each block's lowest level at
+    lo and at hi, which the grid has already solved."""
+    def split(lowest: dict) -> float:
+        return lowest[lower.q] - lowest[upper.q]
 
-    root = _brent(split, lo, hi, xtol)
-    _, members = ground_at(root)
+    root = _brent(lambda x: split(_lowest(solve_at(x, (lower, upper)))),
+                  lo, hi, split(ends[0]), split(ends[1]), xtol)
+    solved = solve_at(root)
+    _, members = _ground(solved, degeneracy_tol)
     if {block.q for block, _ in members} <= {lower.q, upper.q}:
-        return root
+        return root, solved
     return None
 
 
@@ -418,15 +446,15 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     """Interactions where the ground-state current changes sign.
 
     Runs the interaction sweep and brackets every strict sign change of
-    the per-particle current.  When both ends of a bracket have a
-    one-state ground, the bracket is refined by Brent's method to within
-    ``spec.bisection_tol / 4``: on E_Q1 - E_Q2 when the ends lie in
-    sectors Q1 and Q2, accepted if the ground at the root holds no other
-    sector and the lowest states of blocks Q1 and Q2 there carry the
-    currents of the low and the high end; on block Q's own current when
-    both ends lie in sector Q, accepted if block Q alone holds the ground
-    at the root.  Any other bracket, or one whose check fails, is bisected
-    on the sign of the full ground-state current to ``bisection_tol``.
+    the per-particle current.  When the ends of a bracket have one-state
+    grounds in different sectors Q1 and Q2, the bracket is refined by
+    Brent's method on E_Q1 - E_Q2 to within ``spec.bisection_tol / 4``,
+    and the root is accepted if the ground there holds no other sector
+    and the lowest states of blocks Q1 and Q2 there carry the current
+    signs of the low and the high end.  Any other bracket (both ends in
+    one sector, or a degenerate end), or one whose check fails, is
+    bisected on the sign of the full ground-state current to
+    ``bisection_tol``.
     """
     if not isinstance(spec.control, InteractionGrid):
         raise DomainError("control: boundary detection scans the "
@@ -438,43 +466,51 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     by_q = {block.q: block for block in blocks}
     ring = spec.ring.with_omega(spec.control.omega)
     eps = FAST_CURRENT_EPS * spec.ring.t
-    xtol = spec.bisection_tol / 4
+    n_particles = particle_count(spec.species)
 
-    def ground_at(u: float, among=blocks):
-        return _ground(among, ring, float(u), degeneracy_tol, tol, options)
+    def solve_at(u: float, among=blocks) -> dict:
+        return _solve(among, ring, float(u), degeneracy_tol, tol, options)
 
-    def row_at(u: float, among=blocks) -> SweepRow:
-        return _block_row(*_point_parameters(spec, u), among, float(u),
-                          degeneracy_tol, tol, options)
+    def row_at(u: float, solved: dict) -> SweepRow:
+        return _block_row(*_point_parameters(spec, u), solved, float(u),
+                          degeneracy_tol)
 
-    def sign(row: SweepRow) -> int:
-        """Sign of the per-particle current, 0 within eps of zero."""
-        current = row.per_particle_current
-        return int(current > eps) - int(current < -eps)
+    def sign(per_particle_current: float) -> int:
+        """Sign of a per-particle current, 0 within eps of zero."""
+        return (int(per_particle_current > eps)
+                - int(per_particle_current < -eps))
 
-    def refine(lo: float, hi: float, row_lo: SweepRow,
-               row_hi: SweepRow) -> float:
-        s_lo, s_hi = sign(row_lo), sign(row_hi)
-        if len(row_lo.sectors) == len(row_hi.sectors) == 1:
-            lower, upper = by_q[row_lo.sectors[0]], by_q[row_hi.sectors[0]]
-            if lower is upper:
-                root = _brent(
-                    lambda u: row_at(u, (lower,)).per_particle_current,
-                    lo, hi, xtol)
-                if [block for block, _ in ground_at(root)[1]] == [lower]:
+    def block_sign(solved: dict, q: int) -> int:
+        """Sign of the current of block q's lowest level."""
+        _, members = _ground({q: solved[q]}, degeneracy_tol)
+        return sign(_mean_current(ring, members) / n_particles)
+
+    def refine(i: int) -> float:
+        lo, hi, s_lo = us[i], us[i + 1], signs[i]
+        sectors_lo, sectors_hi = rows[i].sectors, rows[i + 1].sectors
+        if (len(sectors_lo) == len(sectors_hi) == 1
+                and sectors_lo != sectors_hi):
+            found = _level_crossing(
+                solve_at, lo, hi, by_q[sectors_lo[0]], by_q[sectors_hi[0]],
+                (lowest[i], lowest[i + 1]), spec.bisection_tol / 4,
+                degeneracy_tol)
+            if found is not None:
+                root, solved = found
+                if (block_sign(solved, sectors_lo[0]) == s_lo
+                        and block_sign(solved, sectors_hi[0]) == signs[i + 1]):
                     return root
-            else:
-                root = _level_crossing(ground_at, lo, hi, lower, upper, xtol)
-                if (root is not None
-                        and sign(row_at(root, (lower,))) == s_lo
-                        and sign(row_at(root, (upper,))) == s_hi):
-                    return root
-        return _bisect_crossing(lo, hi, s_lo, lambda u: sign(row_at(u)),
-                                spec.bisection_tol)
+        return _bisect_crossing(
+            lo, hi, s_lo,
+            lambda u: sign(row_at(u, solve_at(u)).per_particle_current),
+            spec.bisection_tol)
 
     us = [float(u) for u in spec.control.values()]
-    rows = [row_at(u) for u in us]
-    signs = [sign(row) for row in rows]
+    rows, lowest = [], []
+    for u in us:
+        solved = solve_at(u)
+        rows.append(row_at(u, solved))
+        lowest.append(_lowest(solved))
+    signs = [sign(row.per_particle_current) for row in rows]
     boundaries = []
     for i in range(len(us) - 1):
         s_lo, s_hi = signs[i], signs[i + 1]
@@ -487,6 +523,5 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                 boundaries.append(BoundaryPoint(us[i + 1], s_lo, after))
             continue
         if s_lo != s_hi:
-            u_star = refine(us[i], us[i + 1], rows[i], rows[i + 1])
-            boundaries.append(BoundaryPoint(u_star, s_lo, s_hi))
+            boundaries.append(BoundaryPoint(refine(i), s_lo, s_hi))
     return tuple(boundaries)

@@ -210,6 +210,19 @@ class TestBlockRows:
                 assert getattr(row, flag) == want[flag], flag
 
 
+def _record_solves(monkeypatch) -> list:
+    """(omega, u, number of blocks) of every block solve in sweep."""
+    calls = []
+    solve = sweep._solve
+
+    def recorded(blocks, ring, u, *args):
+        calls.append((ring.omega, u, len(blocks)))
+        return solve(blocks, ring, u, *args)
+
+    monkeypatch.setattr(sweep, "_solve", recorded)
+    return calls
+
+
 class TestFindCrossings:
     def test_eight_site_single_particle(self, ring8):
         spec = SweepSpec(ring=ring8, species=Bosons(1),
@@ -302,6 +315,7 @@ class TestFindCrossings:
             return lowest_levels(*args, **kwargs)
 
         monkeypatch.setattr(sweep, "_lowest_levels", counted)
+        calls = _record_solves(monkeypatch)
         spec = SweepSpec(ring=make_ring(8), species=Bosons(4, u=1.0),
                          control=OmegaGrid(0.0, 8.0, 41), bisection_tol=1e-7)
         crossings = find_crossings(spec)
@@ -310,6 +324,14 @@ class TestFindCrossings:
         # solves all blocks once at its root and two blocks at each of at
         # most 8 Brent steps; bisection took 21 steps of 8 blocks.
         assert len(solves) <= 41 * 8 + 2 * (8 + 2 * 8)
+        # Brent starts from the levels the grid has solved, so each grid
+        # point and each root is solved on every block once, and every
+        # other solve is of the two crossing blocks.
+        grid = [float(omega) for omega in spec.control.values()]
+        full = sorted(omega for omega, _, n in calls if n == 8)
+        assert full == sorted([*grid, *crossings])
+        assert all(n == 2 for _, _, n in calls if n != 8)
+        assert not {omega for omega, _, n in calls if n == 2} & set(grid)
 
     @pytest.mark.parametrize("species,points", [
         (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
@@ -367,7 +389,7 @@ class TestFastModeBoundary:
 
     def test_sign_change_inside_one_sector(self):
         # The ground stays in sector 2 across this window while its
-        # current changes sign, so the root is one of block 2's current.
+        # current changes sign, so the bracket is bisected.
         ring = make_ring(5)
         spec = SweepSpec(ring=ring, species=Fermions(2, 1),
                          control=InteractionGrid(-20.0, -14.0, 7,
@@ -378,3 +400,50 @@ class TestFastModeBoundary:
         assert (point.sign_below, point.sign_above) == (-1, 1)
         assert abs(point.u_star - (-16.4972310)) <= spec.bisection_tol
         assert type(point.u_star) is float
+
+    @pytest.mark.parametrize("drive,window,inside", [
+        (0.75, (-58.0, -48.0), (-57.0, -54.0)),
+        (0.5, (-50.0, -5.0), (-13.0, -11.0))],
+        ids=["low-end-block", "high-end-block"])
+    def test_sign_change_beside_a_crossing_falls_back_to_bisection(
+            self, drive, window, inside):
+        # 2+1 fermions on 5 sites.  Each window runs from sector 2 to 1 or
+        # 1 to 2, but the current changes sign inside sector 1, away from
+        # the level crossing.  At drive 0.75 block 1 (the low end's) turns
+        # negative at u = -55.8, before it meets block 2 at -50.7; at 0.5
+        # block 1 (the high end's) turns negative at -11.9, after it meets
+        # block 2 at -44.1.  At the crossing one block's current has the
+        # wrong sign, so the search bisects and finds the same root as a
+        # window inside sector 1.
+        ring = make_ring(5)
+
+        def spec(lo, hi):
+            return SweepSpec(ring=ring, species=Fermions(2, 1),
+                             control=InteractionGrid(
+                                 lo, hi, 2, omega=omega_for(ring, drive)),
+                             bisection_tol=1e-6)
+
+        rows = run(spec(*window)).rows
+        assert {rows[0].sectors, rows[1].sectors} == {(1,), (2,)}
+        assert {row.sectors for row in run(spec(*inside)).rows} == {(1,)}
+        (point,) = fast_mode_boundary(spec(*window))
+        (want,) = fast_mode_boundary(spec(*inside))
+        assert (point.sign_below, point.sign_above) == (1, -1)
+        assert (want.sign_below, want.sign_above) == (1, -1)
+        assert abs(point.u_star - want.u_star) <= 1e-6
+
+    def test_grid_points_and_roots_are_solved_once(self, ring8,
+                                                   monkeypatch):
+        # The sign check at a root reads blocks Q1 and Q2 from the solve of
+        # every block there, and Brent starts from the grid's levels.
+        calls = _record_solves(monkeypatch)
+        spec = SweepSpec(ring=ring8, species=Fermions(2, 2),
+                         control=InteractionGrid(-23.0, -15.0, 3,
+                                                 omega=omega_for(ring8, 10.0)),
+                         bisection_tol=0.02)
+        (point,) = fast_mode_boundary(spec)
+        grid = [float(u) for u in spec.control.values()]
+        full = sorted(u for _, u, n in calls if n == 8)
+        assert full == sorted([*grid, point.u_star])
+        assert all(n == 2 for _, _, n in calls if n != 8)
+        assert not {u for _, u, n in calls if n == 2} & set(grid)
