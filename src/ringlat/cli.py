@@ -216,6 +216,9 @@ def resolve_config(args) -> RunConfig:
                       4.0 * ring.t / ring.k_factor)
     omega_points = _pick(int, args.omega_points, cfg, "sweep.omega_points",
                          201)
+    if omega_points < 1:
+        raise DomainError(f"omega_points: must be at least 1, got "
+                          f"{omega_points}")
     omega_fixed = _pick(float, args.omega, cfg, "sweep.omega", 0.0)
 
     u_min = _pick(float, args.u_min, cfg, "sweep.u_min", None)

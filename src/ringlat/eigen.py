@@ -14,6 +14,7 @@ bit-for-bit reproducible at a fixed thread count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -109,8 +110,11 @@ def _lowest_levels(op: HermitianOperator, k: int, tol: float,
     copy of the k-th level, and the next pair above it (if there is one)."""
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
-    if not tol > 0:
-        raise DomainError(f"tol: must be > 0, got {tol!r}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol: must be finite and > 0, got {tol!r}")
+    if not 0 <= degeneracy_tol < math.inf:
+        raise DomainError(f"degeneracy_tol: must be finite and >= 0, "
+                          f"got {degeneracy_tol!r}")
 
     # ARPACK needs k < n - 1 and k + 1 < ncv <= n.
     krylov = op.dimension > options.dense_threshold and k + 2 <= op.dimension

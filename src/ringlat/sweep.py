@@ -10,25 +10,23 @@ recorded in their row instead of aborting the scan, and rows always come
 back ordered by the control value, so a sweep with the same spec is
 reproducible bit for bit.
 
-Ground-state level crossings are bracketed by watching the sector of the
-lowest block level change between neighboring grid points.  A bracket
-from sector Q1 to Q2 holds a root of the smooth function E_Q1 - E_Q2 of
-the two blocks' lowest levels, which Brent's method finds to a quarter of
-``bisection_tol`` while solving only those two blocks at each step.
-The grid has already solved both blocks at the bracket ends, so Brent's
-method starts from those levels.  Fast-mode boundaries are sign changes
-of the per-particle current along an interaction grid; a bracket whose
-ends lie in different sectors is refined as such a level crossing.  Each
-refined root is checked on every block, solved once there: no third
-sector in the ground and, for boundaries, blocks Q1 and Q2 carrying the
-current signs of their ends.  A bracket that fails the check, a boundary
-bracket inside one sector or with a degenerate end, and crossings of
-polarized fermions (closed forms, no blocks) are bisected on the full
-ground-state label instead.
+Both searches bracket a change of a grid-point label between neighboring
+grid points: the sector of the lowest block level for a level crossing,
+the sign of the per-particle current for a fast-mode boundary.  One
+refiner serves both, under one rule.  When each end's ground lies in one
+block and the two blocks Q1 and Q2 differ, the bracket holds a root of
+the smooth function E_Q1 - E_Q2 of the two blocks' lowest levels, which
+Brent's method finds to a quarter of ``bisection_tol`` while solving only
+those two blocks at each step, starting from the levels the grid solved
+at the ends.  The root is solved once on every block and kept if the
+ground there holds no third sector and each end's block alone carries
+that end's label.  Every other bracket, and every crossing of polarized
+fermions (closed forms, no blocks), is bisected on the full label.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -109,8 +107,8 @@ class SweepSpec:
     bisection_tol: float = 1e-6
 
     def __post_init__(self) -> None:
-        if not self.bisection_tol > 0:
-            raise DomainError(f"bisection_tol: must be > 0, "
+        if not 0 < self.bisection_tol < math.inf:
+            raise DomainError(f"bisection_tol: must be finite and > 0, "
                               f"got {self.bisection_tol}")
 
 
@@ -155,6 +153,9 @@ def _sector_blocks(spec: SweepSpec,
         raise DomainError(f"workers: must be at least 1, got {workers}")
     validate_species(spec.species, spec.ring)
     if isinstance(spec.species, PolarizedFermions):
+        if isinstance(spec.control, InteractionGrid):
+            raise DomainError("control: polarized fermions carry no "
+                              "interaction to scan")
         return None
     return sector_blocks(enumerate_basis(spec.ring, spec.species))
 
@@ -180,11 +181,6 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     return solved
 
 
-def _lowest(solved: dict) -> dict[int, float]:
-    """Each solved block's lowest level."""
-    return {q: levels[0] for q, (_, levels, _) in solved.items()}
-
-
 def _ground(solved: dict, degeneracy_tol: float
             ) -> tuple[np.ndarray, list[tuple[SectorBlock, np.ndarray]]]:
     """The solved blocks' levels merged by value, and the ground multiplet
@@ -195,6 +191,11 @@ def _ground(solved: dict, degeneracy_tol: float
     order = np.argsort(values, kind="stable")
     members = order[:_level_end(values[order], 1, degeneracy_tol)]
     return values[order], [pairs[i] for i in members]
+
+
+def _ground_sectors(solved: dict, degeneracy_tol: float) -> set[int]:
+    """Sectors of the solved blocks' ground multiplet."""
+    return {block.q for block, _ in _ground(solved, degeneracy_tol)[1]}
 
 
 def _mean_current(ring: RingSpec, members: list) -> float:
@@ -269,28 +270,46 @@ def _failed_row(ring: RingSpec, species: SpeciesSpec, value: float,
                     failed=True, error=f"{type(error).__name__}: {error}")
 
 
+def _grid_point(spec: SweepSpec, workers: int, tol: float,
+                degeneracy_tol: float, options: SolverOptions):
+    """The grid-point path of one scan, as two functions.
+
+    ``solve(value, among)`` solves the sector blocks ``among`` (every
+    block by default) at a control value and returns them keyed by
+    sector, or None for polarized fermions; ``row(value, solved)`` builds
+    the point's :class:`SweepRow` from that.
+    """
+    blocks = _sector_blocks(spec, workers)
+
+    def solve(value: float, among=blocks) -> dict | None:
+        if blocks is None:
+            return None
+        ring, species = _point_parameters(spec, value)
+        return _solve(among, ring, getattr(species, "u", 0.0),
+                      degeneracy_tol, tol, options)
+
+    def row(value: float, solved: dict | None) -> SweepRow:
+        ring, species = _point_parameters(spec, value)
+        if solved is None:
+            return _polarized_row(ring, species, float(value))
+        return _block_row(ring, species, solved, float(value), degeneracy_tol)
+
+    return solve, row
+
+
 def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         degeneracy_tol: float = DEGENERACY_TOL,
         options: SolverOptions = DEFAULT_OPTIONS) -> SweepResult:
     """Solve the ground state and measure currents on every grid point."""
-    blocks = _sector_blocks(spec, workers)
-    if blocks is None and isinstance(spec.control, InteractionGrid):
-        raise DomainError("control: polarized fermions carry no interaction "
-                          "to scan")
+    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
 
-    def solve(value: float) -> SweepRow:
-        ring, species = _point_parameters(spec, value)
+    def point(value: float) -> SweepRow:
         try:
-            if blocks is None:
-                return _polarized_row(ring, species, float(value))
-            solved = _solve(blocks, ring, getattr(species, "u", 0.0),
-                            degeneracy_tol, tol, options)
-            return _block_row(ring, species, solved, float(value),
-                              degeneracy_tol)
+            return row(value, solve(value))
         except ConvergenceError as error:
-            return _failed_row(ring, species, value, error)
+            return _failed_row(*_point_parameters(spec, value), value, error)
 
-    rows = tuple(solve(v) for v in spec.control.values())
+    rows = tuple(point(v) for v in spec.control.values())
 
     provenance = {
         "ring": {"n_sites": spec.ring.n_sites, "t": spec.ring.t,
@@ -313,53 +332,69 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     Labels each grid point by the sector of its lowest block level and
     brackets every label change.  A grid point whose ground multiplet
     spans several blocks sits on an exact crossing and is no bracket end.
-    A bracket from sector Q1 to Q2 is refined by Brent's method on
-    E_Q1 - E_Q2, the difference of the two blocks' lowest levels, to
-    within ``spec.bisection_tol / 4``.  If every block solved at that root
-    puts a third sector in the ground multiplet, the bracket is bisected
-    on the full ground-state label down to ``spec.bisection_tol`` instead,
-    which finds its first label change.  Polarized fermions (closed forms,
-    no blocks) are always bisected.
+    Each bracket is refined as the module docstring describes, to within
+    ``spec.bisection_tol`` of the label change.  Polarized fermions are
+    labelled by the sector of the lowest Fermi sea: grid points take
+    levels within 1e-9 of each other as tied, like the sweep rows, but
+    bisection steps order the levels exactly.
     """
     if not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
                           "frequency; use an OmegaGrid")
-    blocks = _sector_blocks(spec, workers)
-    by_q = {block.q: block for block in blocks or ()}
-    u = getattr(spec.species, "u", 0.0)
+    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
 
-    def solve_at(omega: float, among=blocks) -> dict:
-        return _solve(among, spec.ring.with_omega(float(omega)), u,
-                      degeneracy_tol, tol, options)
+    def label(omega: float, solved: dict | None) -> int:
+        if solved is not None:
+            return min(solved, key=lambda q: solved[q][1][0])
+        ring = spec.ring.with_omega(omega)
+        left, _, _ = analytic.polarized_occupation_limits(
+            spec.species.n_particles, ring, tol=0.0)
+        return sum(s.n for s in left) % ring.n_sites
 
-    def label_at(omega: float) -> tuple[int, bool, dict | None]:
-        """Sector of the lowest level, whether the ground ties blocks, and
-        each block's lowest level."""
-        if blocks is None:
-            ring = spec.ring.with_omega(float(omega))
-            left, _, _ = analytic.polarized_occupation_limits(
-                spec.species.n_particles, ring)
-            return sum(s.n for s in left) % ring.n_sites, False, None
-        solved = solve_at(omega)
-        _, members = _ground(solved, degeneracy_tol)
-        sectors = {block.q for block, _ in members}
-        return members[0][0].q, len(sectors) > 1, _lowest(solved)
+    def ends():
+        for omega in map(float, spec.control.values()):
+            solved = solve(omega)
+            if solved is None:
+                # The row's tie window keeps the grid's labels where two
+                # Fermi levels differ by a few ulps, as at omega = 0.
+                yield omega, None, row(omega, None).sectors[0]
+            elif len(_ground_sectors(solved, degeneracy_tol)) == 1:
+                yield omega, solved, label(omega, solved)
 
-    def refine(lo: tuple, hi: tuple) -> float:
-        (w_lo, label_lo, _, lowest_lo), (w_hi, label_hi, _, lowest_hi) = lo, hi
-        if blocks is not None:
-            found = _level_crossing(solve_at, w_lo, w_hi, by_q[label_lo],
-                                    by_q[label_hi], (lowest_lo, lowest_hi),
-                                    spec.bisection_tol / 4, degeneracy_tol)
-            if found is not None:
-                return found[0]
-        return _bisect_crossing(w_lo, w_hi, label_lo,
-                                lambda w: label_at(w)[0], spec.bisection_tol)
+    return tuple(_refine(lo, hi, label, solve, degeneracy_tol,
+                         spec.bisection_tol)
+                 for lo, hi in itertools.pairwise(ends()) if lo[2] != hi[2])
 
-    labeled = [(float(w), *label_at(w)) for w in spec.control.values()]
-    ends = [point for point in labeled if not point[2]]
-    return tuple(refine(lo, hi) for lo, hi in zip(ends, ends[1:])
-                 if lo[1] != hi[1])
+
+def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
+            bisection_tol: float) -> float:
+    """Where ``label(value, solved)`` changes between the grid points lo
+    and hi, each a (value, solved, label) triple, by the rule of the
+    module docstring: Brent's method on two blocks to ``bisection_tol / 4``
+    if its root passes the check, else bisection to ``bisection_tol``,
+    which finds the bracket's first label change.
+    """
+    (x_lo, solved_lo, label_lo), (x_hi, solved_hi, label_hi) = lo, hi
+    if solved_lo is not None:
+        ground_lo = _ground_sectors(solved_lo, degeneracy_tol)
+        ground_hi = _ground_sectors(solved_hi, degeneracy_tol)
+        if len(ground_lo) == len(ground_hi) == 1 and ground_lo != ground_hi:
+            (q_lo,), (q_hi,) = ground_lo, ground_hi
+
+            def split(solved: dict) -> float:
+                return solved[q_lo][1][0] - solved[q_hi][1][0]
+
+            pair = (solved_lo[q_lo][0], solved_lo[q_hi][0])
+            root = _brent(lambda x: split(solve(x, pair)), x_lo, x_hi,
+                          split(solved_lo), split(solved_hi),
+                          bisection_tol / 4)
+            solved = solve(root)
+            if (_ground_sectors(solved, degeneracy_tol) <= {q_lo, q_hi}
+                    and label(root, {q_lo: solved[q_lo]}) == label_lo
+                    and label(root, {q_hi: solved[q_hi]}) == label_hi):
+                return root
+    return _bisect_crossing(x_lo, x_hi, label_lo,
+                            lambda x: label(x, solve(x)), bisection_tol)
 
 
 def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
@@ -404,27 +439,6 @@ def _brent(f, lo: float, hi: float, f_lo: float, f_hi: float,
             c, fc, d, e = a, fa, b - a, b - a
 
 
-def _level_crossing(solve_at, lo: float, hi: float, lower: SectorBlock,
-                    upper: SectorBlock, ends: tuple[dict, dict],
-                    xtol: float, degeneracy_tol: float
-                    ) -> tuple[float, dict] | None:
-    """Where the lowest levels of blocks ``lower`` (the ground at lo) and
-    ``upper`` (the ground at hi) cross, by Brent's method on their
-    difference, and every block solved there; None when the ground there
-    holds a sector of neither.  ``ends`` are each block's lowest level at
-    lo and at hi, which the grid has already solved."""
-    def split(lowest: dict) -> float:
-        return lowest[lower.q] - lowest[upper.q]
-
-    root = _brent(lambda x: split(_lowest(solve_at(x, (lower, upper)))),
-                  lo, hi, split(ends[0]), split(ends[1]), xtol)
-    solved = solve_at(root)
-    _, members = _ground(solved, degeneracy_tol)
-    if {block.q for block, _ in members} <= {lower.q, upper.q}:
-        return root, solved
-    return None
-
-
 def _bisect_crossing(lo, hi, label_lo, label_at, bisection_tol) -> float:
     # Any label but the low end's moves the high end, so a third sector
     # inside the bracket is chased to the first change.  A tolerance below
@@ -445,16 +459,15 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                        ) -> tuple[BoundaryPoint, ...]:
     """Interactions where the ground-state current changes sign.
 
-    Runs the interaction sweep and brackets every strict sign change of
-    the per-particle current.  When the ends of a bracket have one-state
-    grounds in different sectors Q1 and Q2, the bracket is refined by
-    Brent's method on E_Q1 - E_Q2 to within ``spec.bisection_tol / 4``,
-    and the root is accepted if the ground there holds no other sector
-    and the lowest states of blocks Q1 and Q2 there carry the current
-    signs of the low and the high end.  Any other bracket (both ends in
-    one sector, or a degenerate end), or one whose check fails, is
-    bisected on the sign of the full ground-state current to
-    ``bisection_tol``.
+    Labels each point of the interaction grid by the sign of its
+    per-particle current and brackets every strict sign change, refined
+    as the module docstring describes to within ``spec.bisection_tol``:
+    by Brent's method when the ends have grounds in one block each, in
+    different sectors, and the lowest states of those two blocks at the
+    root carry the signs of their ends; by bisection otherwise.  A run of
+    zero currents on the grid is a boundary at its first point when the
+    sign after it differs from the sign before, or when it reaches the
+    end of the grid.
     """
     if not isinstance(spec.control, InteractionGrid):
         raise DomainError("control: boundary detection scans the "
@@ -462,66 +475,34 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     if not isinstance(spec.species, Fermions):
         raise DomainError(f"species: boundary detection needs Fermions, "
                           f"got {type(spec.species).__name__}")
-    blocks = _sector_blocks(spec, workers)
-    by_q = {block.q: block for block in blocks}
-    ring = spec.ring.with_omega(spec.control.omega)
+    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
     eps = FAST_CURRENT_EPS * spec.ring.t
-    n_particles = particle_count(spec.species)
 
-    def solve_at(u: float, among=blocks) -> dict:
-        return _solve(among, ring, float(u), degeneracy_tol, tol, options)
+    def label(u: float, solved: dict) -> int:
+        """Sign of the per-particle current, 0 within eps of zero."""
+        current = row(u, solved).per_particle_current
+        return int(current > eps) - int(current < -eps)
 
-    def row_at(u: float, solved: dict) -> SweepRow:
-        return _block_row(*_point_parameters(spec, u), solved, float(u),
-                          degeneracy_tol)
+    def points():
+        for u in map(float, spec.control.values()):
+            solved = solve(u)
+            yield u, solved, label(u, solved)
 
-    def sign(per_particle_current: float) -> int:
-        """Sign of a per-particle current, 0 within eps of zero."""
-        return (int(per_particle_current > eps)
-                - int(per_particle_current < -eps))
-
-    def block_sign(solved: dict, q: int) -> int:
-        """Sign of the current of block q's lowest level."""
-        _, members = _ground({q: solved[q]}, degeneracy_tol)
-        return sign(_mean_current(ring, members) / n_particles)
-
-    def refine(i: int) -> float:
-        lo, hi, s_lo = us[i], us[i + 1], signs[i]
-        sectors_lo, sectors_hi = rows[i].sectors, rows[i + 1].sectors
-        if (len(sectors_lo) == len(sectors_hi) == 1
-                and sectors_lo != sectors_hi):
-            found = _level_crossing(
-                solve_at, lo, hi, by_q[sectors_lo[0]], by_q[sectors_hi[0]],
-                (lowest[i], lowest[i + 1]), spec.bisection_tol / 4,
-                degeneracy_tol)
-            if found is not None:
-                root, solved = found
-                if (block_sign(solved, sectors_lo[0]) == s_lo
-                        and block_sign(solved, sectors_hi[0]) == signs[i + 1]):
-                    return root
-        return _bisect_crossing(
-            lo, hi, s_lo,
-            lambda u: sign(row_at(u, solve_at(u)).per_particle_current),
-            spec.bisection_tol)
-
-    us = [float(u) for u in spec.control.values()]
-    rows, lowest = [], []
-    for u in us:
-        solved = solve_at(u)
-        rows.append(row_at(u, solved))
-        lowest.append(_lowest(solved))
-    signs = [sign(row.per_particle_current) for row in rows]
-    boundaries = []
-    for i in range(len(us) - 1):
-        s_lo, s_hi = signs[i], signs[i + 1]
-        if s_lo == 0:
-            continue
-        if s_hi == 0:
-            # Exact zero on the grid: the neighbor beyond tells the side.
-            after = next((s for s in signs[i + 1:] if s != 0), -s_lo)
-            if after != s_lo:
-                boundaries.append(BoundaryPoint(us[i + 1], s_lo, after))
-            continue
-        if s_lo != s_hi:
-            boundaries.append(BoundaryPoint(refine(i), s_lo, s_hi))
+    # zeros: the first point of a run of zero currents and the sign before.
+    boundaries, zeros = [], None
+    for lo, hi in itertools.pairwise(points()):
+        s_lo, s_hi = lo[2], hi[2]
+        if s_lo != 0 and s_hi == 0:
+            zeros = (hi[0], s_lo)
+        elif s_lo == 0 and s_hi != 0 and zeros:
+            if s_hi != zeros[1]:
+                boundaries.append(BoundaryPoint(*zeros, s_hi))
+            zeros = None
+        elif s_lo * s_hi < 0:
+            root = _refine(lo, hi, label, solve, degeneracy_tol,
+                           spec.bisection_tol)
+            boundaries.append(BoundaryPoint(root, s_lo, s_hi))
+    if zeros:
+        # Zeros up to the end of the grid count as a sign change.
+        boundaries.append(BoundaryPoint(*zeros, -zeros[1]))
     return tuple(boundaries)

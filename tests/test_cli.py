@@ -1,9 +1,14 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ringlat
 from ringlat.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -207,6 +212,10 @@ class TestConfigHandling:
         ({"sweep": {"windings": 3}}, "sweep.windings"),
         ({"sweep": {"windings": [1.7]}}, "sweep.windings"),
         ({"sweep": {"windings": [True, 2]}}, "sweep.windings"),
+        # Non-finite tolerances, which used to run and exit 0.
+        ({"solver": {"degeneracy_tol": math.nan}}, "degeneracy_tol"),
+        ({"solver": {"tol": math.inf}}, "tol"),
+        ({"sweep": {"tol": math.inf}}, "bisection_tol"),
     ])
     def test_bad_setting_is_config_error(self, tmp_path, capsys, config,
                                          key):
@@ -217,6 +226,15 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: " + key)
 
+    @pytest.mark.parametrize("command", ["spectrum", "currents"])
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_omega_points_below_one_is_config_error(self, tmp_path, capsys,
+                                                    command, points):
+        assert main([command, "--omega-points", points,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: omega_points")
+
     def test_bad_sites_is_config_error(self, tmp_path):
         assert main(["spectrum", "--sites", "2", "--out", str(tmp_path)]) == 1
 
@@ -224,3 +242,15 @@ class TestConfigHandling:
         blocker = tmp_path / "blocked"
         blocker.write_text("a plain file")
         assert main(["spectrum", "--out", str(blocker)]) == 3
+
+
+def test_import_leaves_scipy_optimize_out():
+    # Importing scipy.optimize adds about 0.24 s to every start.
+    code = ("import sys, ringlat, ringlat.cli; "
+            "print('scipy.optimize' in sys.modules)")
+    src = str(Path(ringlat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True,
+                            timeout=120)
+    assert result.stdout.strip() == "False"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -95,6 +97,17 @@ class TestLowestKDense:
             lowest_k(op, 0)
         with pytest.raises(DomainError):
             lowest_k(op, 3)
+
+    @pytest.mark.parametrize("name,value", [
+        ("tol", math.inf), ("tol", math.nan), ("degeneracy_tol", math.inf),
+        ("degeneracy_tol", math.nan), ("degeneracy_tol", -1e-9)])
+    def test_tolerances_must_be_finite(self, name, value):
+        # An infinite tol used to accept Krylov energies off by 9.4e-8, and
+        # a NaN or infinite degeneracy_tol put every level in the ground.
+        _, _, _, op = ring_operator(x=2.0, species=Fermions(1, 1, u=3.0))
+        with pytest.raises(DomainError, match=f"^{name}:"):
+            lowest_k(op, 1, options=SolverOptions(dense_threshold=20),
+                     **{name: value})
 
     def test_residual_bound_honored(self):
         _, _, _, op = ring_operator(x=2.0, species=Fermions(1, 1, u=3.0))

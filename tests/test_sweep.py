@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,12 @@ class TestControls:
         with pytest.raises(DomainError, match="bisection_tol"):
             SweepSpec(ring=make_ring(8), species=Bosons(1),
                       control=OmegaGrid(0.0, 1.0, 5), bisection_tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_bisection_tol_finite(self, tol):
+        with pytest.raises(DomainError, match="^bisection_tol:"):
+            SweepSpec(ring=make_ring(8), species=Bosons(1),
+                      control=OmegaGrid(0.0, 1.0, 5), bisection_tol=tol)
 
 
 class TestRun:
@@ -129,6 +136,17 @@ class TestRun:
                            (fast_mode_boundary, interactions)):
             with pytest.raises(DomainError, match="workers"):
                 call(spec, workers=workers)
+
+    @pytest.mark.parametrize("name,value", [
+        ("tol", math.inf), ("degeneracy_tol", math.nan),
+        ("degeneracy_tol", math.inf)])
+    def test_non_finite_tolerance_rejected(self, ring8, name, value):
+        # A NaN or infinite degeneracy_tol used to put all 784 levels of
+        # 2+2 fermions on 8 sites into the ground multiplet.
+        spec = SweepSpec(ring=ring8, species=Fermions(2, 2, u=4.0),
+                         control=OmegaGrid(0.0, 4.0, 3))
+        with pytest.raises(DomainError, match=f"^{name}:"):
+            run(spec, **{name: value})
 
     def test_failed_points_are_recorded_not_fatal(self, ring8):
         spec = SweepSpec(ring=ring8, species=Fermions(1, 1, u=1.0),
@@ -343,13 +361,22 @@ class TestFindCrossings:
         assert all(type(w) is float for w in crossings)
 
     def test_polarized_fermi_sea_crossings(self, ring8):
-        # The two-fermion sea rearranges where the second-lowest level
-        # changes character; detection runs on closed forms, no solver.
-        spec = SweepSpec(ring=ring8, species=PolarizedFermions(2),
-                         control=OmegaGrid(0.0, omega_for(ring8, 3.0), 61),
-                         bisection_tol=1e-7)
-        crossings = find_crossings(spec)
-        assert crossings, "Fermi-sea rearrangement not detected"
+        # The Fermi sea rearranges where a twist of m*pi/N makes two
+        # windings degenerate; detection runs on closed forms, no solver.
+        # The roots lie within tol of that twist, even at a tol below the
+        # closed forms' 1e-9 tie window.
+        for n, omega_max, points, tol, windings in [
+                (2, 3.0, 61, 1e-7, (0, 2)), (3, 6.0, 25, 1e-9, (1, 3))]:
+            spec = SweepSpec(ring=ring8, species=PolarizedFermions(n),
+                             control=OmegaGrid(0.0, omega_for(ring8, omega_max),
+                                               points),
+                             bisection_tol=tol)
+            crossings = find_crossings(spec)
+            expected = [ring8.t * math.tan(m * math.pi / 8) / ring8.k_factor
+                        for m in windings]
+            assert len(crossings) == len(expected)
+            for got, want in zip(crossings, expected):
+                assert abs(got - want) <= tol
 
 
 class TestFastModeBoundary:
@@ -431,6 +458,29 @@ class TestFastModeBoundary:
         assert (point.sign_below, point.sign_above) == (1, -1)
         assert (want.sign_below, want.sign_above) == (1, -1)
         assert abs(point.u_star - want.u_star) <= 1e-6
+
+    @pytest.mark.parametrize("currents,want", [
+        ((1.0, 0.0, 0.0, -1.0, -1.0), [(1.0, 1, -1)]),
+        ((0.0, 1.0, 0.0, 1.0, 0.0), [(4.0, 1, -1)])],
+        ids=["sign-changes-beyond", "zeros-to-the-end"])
+    def test_zero_current_on_the_grid(self, ring4, monkeypatch, currents,
+                                      want):
+        # A grid point with zero current is a boundary when the first
+        # nonzero sign beyond it differs from the one before, or when the
+        # zeros run to the end of the grid.
+        block_row = sweep._block_row
+
+        def pinned(ring, species, solved, value, degeneracy_tol):
+            row = block_row(ring, species, solved, value, degeneracy_tol)
+            return dataclasses.replace(
+                row, per_particle_current=currents[int(value)])
+
+        monkeypatch.setattr(sweep, "_block_row", pinned)
+        spec = SweepSpec(ring=ring4, species=Fermions(1, 1),
+                         control=InteractionGrid(0.0, 4.0, 5, omega=1.0))
+        points = fast_mode_boundary(spec)
+        assert [(p.u_star, p.sign_below, p.sign_above)
+                for p in points] == want
 
     def test_grid_points_and_roots_are_solved_once(self, ring8,
                                                    monkeypatch):
