@@ -20,12 +20,6 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
-from scipy.sparse.linalg import (
-    ArpackNoConvergence,
-    LinearOperator,
-    eigs,
-    eigsh,
-)
 
 from .hamiltonian import HermitianOperator
 from .model import DomainError
@@ -103,6 +97,14 @@ def _level_end(values: np.ndarray, k: int, tol: float) -> int:
     return next(group[-1] for group in groups if group[-1] >= k - 1) + 1
 
 
+def _check_tolerances(tol: float, degeneracy_tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol: must be finite and > 0, got {tol!r}")
+    if not 0 <= degeneracy_tol < math.inf:
+        raise DomainError(f"degeneracy_tol: must be finite and >= 0, "
+                          f"got {degeneracy_tol!r}")
+
+
 def _lowest_levels(op: HermitianOperator, k: int, tol: float,
                    degeneracy_tol: float, options: SolverOptions
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,11 +112,7 @@ def _lowest_levels(op: HermitianOperator, k: int, tol: float,
     copy of the k-th level, and the next pair above it (if there is one)."""
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol: must be finite and > 0, got {tol!r}")
-    if not 0 <= degeneracy_tol < math.inf:
-        raise DomainError(f"degeneracy_tol: must be finite and >= 0, "
-                          f"got {degeneracy_tol!r}")
+    _check_tolerances(tol, degeneracy_tol)
 
     # ARPACK needs k < n - 1 and k + 1 < ncv <= n.
     krylov = op.dimension > options.dense_threshold and k + 2 <= op.dimension
@@ -162,6 +160,10 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
     generator, so those call ``eigs`` directly to keep the restart vectors
     seeded.
     """
+    # Imported here, not at module level: only the Krylov path needs ARPACK,
+    # and the import costs every start of the package.
+    from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
+
     n = matrix.shape[0]
     ncv = min(n, max(options.max_krylov, 2 * k + 1))
     if np.dtype(matrix.dtype).kind == "f":
@@ -198,6 +200,8 @@ def _rayleigh_ritz(op: HermitianOperator,
 def _krylov_lowest(op: HermitianOperator, k: int, tol: float,
                    degeneracy_tol: float,
                    options: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.sparse.linalg import LinearOperator
+
     rng = np.random.default_rng(options.seed)
     values, vectors = _rayleigh_ritz(
         op, _arpack_lowest(op.matrix, k, tol, options, rng))

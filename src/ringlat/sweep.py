@@ -2,10 +2,15 @@
 boundary refinement.
 
 Each call splits one basis into translation-sector blocks
-(:func:`ringlat.hamiltonian.sector_blocks`); every grid point solves each
-block for its lowest level, so each ground-state member carries its
-block's exact sector.  Points run serially, and the ``workers`` argument
-is accepted and recorded only for compatibility.  Failed points are
+(:func:`ringlat.hamiltonian.sector_blocks`), so each ground-state member
+carries its block's exact sector.  A grid point solves only the blocks
+that can reach the ground: each block is affine in the control, so by
+Weyl's inequality its lowest level moves by at most |dx| * ||dH/dx||
+between two points, and a block whose bound from the call's earlier
+solves lies above the ground multiplet and the second level is skipped
+(see :func:`_grid_point`).  Rows and labels are those of a solve of
+every block.  Points run serially, and the ``workers`` argument is
+accepted and recorded only for compatibility.  Failed points are
 recorded in their row instead of aborting the scan, and rows always come
 back ordered by the control value, so a sweep with the same spec is
 reproducible bit for bit.
@@ -18,10 +23,12 @@ block and the two blocks Q1 and Q2 differ, the bracket holds a root of
 the smooth function E_Q1 - E_Q2 of the two blocks' lowest levels, which
 Brent's method finds to a quarter of ``bisection_tol`` while solving only
 those two blocks at each step, starting from the levels the grid solved
-at the ends.  The root is solved once on every block and kept if the
-ground there holds no third sector and each end's block alone carries
-that end's label.  Every other bracket, and every crossing of polarized
-fermions (closed forms, no blocks), is bisected on the full label.
+at the ends (an end where the screen skipped Q1 or Q2 solves it then).
+The root is solved once, screened but always with Q1 and Q2, and kept
+if the ground there holds no third sector and each end's block alone
+carries that end's label.  Every other bracket, and every crossing of
+polarized fermions (closed forms, no blocks), is bisected on the full
+label.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ import itertools
 import math
 import numbers
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +49,7 @@ from .eigen import (
     DEGENERACY_TOL,
     ConvergenceError,
     SolverOptions,
+    _check_tolerances,
     _level_end,
     _lowest_levels,
 )
@@ -167,18 +176,60 @@ def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesS
             replace(spec.species, u=float(value)))
 
 
+def _drive_slope(ring: RingSpec, species: SpeciesSpec) -> float:
+    """A bound on ||dH/d omega|| over the species' Fock space.
+
+    dH/d omega = -2K sum_k sin(2*pi*k/N) n_k is diagonal in the plane
+    waves, so its largest magnitude fills the largest |sin| values: the
+    n_up and the n_down largest for fermions, N_p times the largest for
+    bosons.  Every sector block is a compression of H, so its lowest level
+    moves by at most this times |d omega| (Weyl).  The factor 1 + 8 eps
+    covers the rounding of the sines and their sum.
+    """
+    sines = np.sort(np.abs(np.sin(
+        2 * math.pi * np.arange(ring.n_sites) / ring.n_sites)))[::-1]
+    if isinstance(species, Fermions):
+        filled = sines[:species.n_up].sum() + sines[:species.n_down].sum()
+    else:
+        filled = species.n_particles * sines[0]
+    return (2 * abs(ring.k_factor) * float(filled)
+            * (1 + 8 * sys.float_info.epsilon))
+
+
 def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
-           degeneracy_tol: float, tol: float, options: SolverOptions
+           degeneracy_tol: float, tol: float, options: SolverOptions,
+           floors: dict[int, float], record: Callable[[int, float], None]
            ) -> dict[int, tuple[SectorBlock, np.ndarray, np.ndarray]]:
     """Each block's lowest level, its copies and the next level above,
-    with their vectors, keyed by the block's sector."""
+    with their vectors, keyed by the block's sector in block order.
+
+    ``floors`` holds a proven lower bound on each block's lowest level,
+    or -inf where none is known.  Blocks are solved in ascending floor,
+    and once two levels are known a block is skipped if its floor lies
+    above both the second level and the top of the ground multiplet by
+    more than ``degeneracy_tol`` plus the accuracy ``tol * max(1, |E|)``
+    of an accepted solve: no level of a skipped block could join the
+    ground multiplet or be the second level.  Since the floors ascend,
+    every block after the first skipped one is skipped too.
+    ``record(q, bound)`` receives each solved block's lowest level minus
+    its residual, and each skipped block's floor.
+    """
     amp = hopping_amplitude(ring)
-    solved = {}
-    for block in blocks:
-        levels, vectors, _ = _lowest_levels(block.operator(amp, u), 1, tol,
-                                            degeneracy_tol, options)
+    solved, values = {}, np.empty(0)
+    for block in sorted(blocks, key=lambda block: floors[block.q]):
+        if len(values) > 1:
+            limit = max(values[1],
+                        values[_level_end(values, 1, degeneracy_tol) - 1])
+            if floors[block.q] > (limit + degeneracy_tol
+                                  + tol * max(1.0, abs(limit))):
+                record(block.q, floors[block.q])
+                continue
+        levels, vectors, residuals = _lowest_levels(
+            block.operator(amp, u), 1, tol, degeneracy_tol, options)
+        record(block.q, float(levels[0] - residuals[0]))
         solved[block.q] = (block, levels, vectors)
-    return solved
+        values = np.sort(np.concatenate([values, levels]))
+    return {block.q: solved[block.q] for block in blocks if block.q in solved}
 
 
 def _ground(solved: dict, degeneracy_tol: float
@@ -274,19 +325,60 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
                 degeneracy_tol: float, options: SolverOptions):
     """The grid-point path of one scan, as two functions.
 
-    ``solve(value, among)`` solves the sector blocks ``among`` (every
-    block by default) at a control value and returns them keyed by
-    sector, or None for polarized fermions; ``row(value, solved)`` builds
-    the point's :class:`SweepRow` from that.
+    ``solve(value, among)`` solves the sector blocks of the sectors
+    ``among`` at a control value and returns them keyed by sector, or
+    None for polarized fermions; ``row(value, solved)`` builds the
+    point's :class:`SweepRow` from that.
+
+    With ``among`` left out, ``solve`` screens every block against a
+    ledger of proven bounds kept for the call: sector -> (x0, l), where l
+    bounds the block's lowest level at the control value x0 from below.
+    Each block is affine in the control, so at x its lowest level is at
+    least l - |x - x0| * L_omega in the drive (see :func:`_drive_slope`),
+    and at least l - max(0, u0 - u) * max D in the interaction, since the
+    contact energies D >= 0.  :func:`_solve` then skips every block that
+    cannot reach the ground multiplet or the second level, so the rows
+    and labels are those of a solve of every block.  Each solve or skip
+    records its bound in the ledger; a block whose solve raises
+    :class:`~ringlat.eigen.ConvergenceError` keeps its entry.
     """
     blocks = _sector_blocks(spec, workers)
+    _check_tolerances(tol, degeneracy_tol)
+    ledger: dict[int, tuple[float, float]] = {}
+    if blocks is None:
+        slopes = {}
+    elif isinstance(spec.control, OmegaGrid):
+        slope = _drive_slope(spec.ring, spec.species)
+        slopes = {block.q: (slope, slope) for block in blocks}
+    else:
+        # Falling u lowers a level by at most max D per unit; rising u
+        # never lowers it.
+        slopes = {block.q: (float(block.interaction.max()), 0.0)
+                  for block in blocks}
 
-    def solve(value: float, among=blocks) -> dict | None:
+    def floor(q: int, value: float) -> float:
+        if q not in ledger:
+            return -math.inf
+        x0, low = ledger[q]
+        down, up = slopes[q]
+        return low - max(x0 - value, 0.0) * down - max(value - x0, 0.0) * up
+
+    def solve(value: float, among=None) -> dict | None:
         if blocks is None:
             return None
         ring, species = _point_parameters(spec, value)
-        return _solve(among, ring, getattr(species, "u", 0.0),
-                      degeneracy_tol, tol, options)
+        if among is None:
+            chosen = blocks
+            floors = {block.q: floor(block.q, value) for block in blocks}
+        else:
+            chosen = tuple(block for block in blocks if block.q in among)
+            floors = dict.fromkeys(among, -math.inf)
+
+        def record(q: int, low: float) -> None:
+            ledger[q] = (value, low)
+
+        return _solve(chosen, ring, getattr(species, "u", 0.0),
+                      degeneracy_tol, tol, options, floors, record)
 
     def row(value: float, solved: dict | None) -> SweepRow:
         ring, species = _point_parameters(spec, value)
@@ -380,15 +472,22 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
         ground_hi = _ground_sectors(solved_hi, degeneracy_tol)
         if len(ground_lo) == len(ground_hi) == 1 and ground_lo != ground_hi:
             (q_lo,), (q_hi,) = ground_lo, ground_hi
+            pair = (q_lo, q_hi)
+
+            def with_pair(x: float, solved: dict) -> dict:
+                """``solved`` at x, with any of the two blocks that the
+                screen skipped there solved now."""
+                missing = [q for q in pair if q not in solved]
+                return {**solved, **solve(x, missing)} if missing else solved
 
             def split(solved: dict) -> float:
                 return solved[q_lo][1][0] - solved[q_hi][1][0]
 
-            pair = (solved_lo[q_lo][0], solved_lo[q_hi][0])
             root = _brent(lambda x: split(solve(x, pair)), x_lo, x_hi,
-                          split(solved_lo), split(solved_hi),
+                          split(with_pair(x_lo, solved_lo)),
+                          split(with_pair(x_hi, solved_hi)),
                           bisection_tol / 4)
-            solved = solve(root)
+            solved = with_pair(root, solve(root))
             if (_ground_sectors(solved, degeneracy_tol) <= {q_lo, q_hi}
                     and label(root, {q_lo: solved[q_lo]}) == label_lo
                     and label(root, {q_hi: solved[q_hi]}) == label_hi):

@@ -34,7 +34,13 @@ from .hamiltonian import (
     sector_blocks,
 )
 from .model import Bosons, Fermions, RingSpec, SpeciesSpec, make_ring
-from .sweep import OmegaGrid, SweepSpec, find_crossings, run as run_sweep
+from .sweep import (
+    OmegaGrid,
+    SweepSpec,
+    _drive_slope,
+    find_crossings,
+    run as run_sweep,
+)
 
 _TWIST_STEP = 1e-6
 
@@ -344,6 +350,46 @@ def check_twist_degeneracy_crossings() -> CheckResult:
     return _result("twist_degeneracy_crossings", worst, tol)
 
 
+def check_screening_bounds() -> CheckResult:
+    """The bounds that let a sweep skip a sector block must hold.
+
+    At seeded random pairs of controls, every block's lowest level
+    theta_1 (dense eigh) must obey the Weyl step in the drive,
+    theta_1(w) >= theta_1(w0) - |w - w0| * L_omega, with L_omega from
+    :func:`~ringlat.sweep._drive_slope`, and the step in the interaction,
+    theta_1(u) >= theta_1(u0) - max(0, u0 - u) * max D.  Drives up to
+    omega*K/t = 20 put lowest levels on slopes near L_omega.  The
+    deviation is minus the smallest slack, so the margin is that slack.
+    """
+    rng = np.random.default_rng(14)
+
+    def lowest(blocks, ring, u):
+        amp = hopping_amplitude(ring)
+        return np.array([
+            np.linalg.eigvalsh(block.operator(amp, u).to_dense())[0]
+            for block in blocks])
+
+    slack = math.inf
+    for ring, species in _test_systems():
+        blocks = sector_blocks(enumerate_basis(ring, species))
+        u = getattr(species, "u", 0.0)
+        slope = _drive_slope(ring, species)
+        for low, high in ((-3.0, 3.0), (10.0, 20.0), (-20.0, -10.0)):
+            w0, w = rng.uniform(low, high, 2) * ring.t / ring.k_factor
+            before = lowest(blocks, ring.with_omega(w0), u)
+            after = lowest(blocks, ring.with_omega(w), u)
+            slack = min(slack, float(np.min(
+                after - (before - abs(w - w0) * slope))))
+        reach = np.array([block.interaction.max() for block in blocks])
+        for _ in range(3):
+            u0, u1 = rng.uniform(-10.0, 10.0, 2)
+            before, after = lowest(blocks, ring, u0), lowest(blocks, ring, u1)
+            slack = min(slack, float(np.min(
+                after - (before - max(0.0, u0 - u1) * reach))))
+    return _result("screening_bounds", -slack, 1e-10,
+                   detail=f"smallest slack {slack:.3e}")
+
+
 def check_determinism() -> CheckResult:
     """The same sweep spec must reproduce identical rows on both solver
     paths when run twice."""
@@ -376,6 +422,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_krylov_vs_dense,
     check_sector_blocks,
     check_twist_degeneracy_crossings,
+    check_screening_bounds,
     check_determinism,
 )
 

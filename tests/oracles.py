@@ -2,9 +2,11 @@
 
 Everything here is built directly from first principles (dense matrices,
 finite differences, golden-section searches) without touching the package
-internals, so agreement between the two is meaningful.  The one exception
-is ``real_space_row``, which reads a sweep row off the package's public
-real-space operators, the reference for the sector-block sweep path.
+internals, so agreement between the two is meaningful.  The exceptions
+are ``real_space_row``, which reads a sweep row off the package's public
+real-space operators, the reference for the sector-block sweep path, and
+``unscreened_rows``, which solves every sector block at every point, the
+reference for the screened sweep path.
 """
 
 import math
@@ -15,10 +17,14 @@ from ringlat import (
     apply_translation,
     build_operator,
     current_operator,
+    enumerate_basis,
     evaluate,
     ground_state,
     particle_count,
+    sweep,
 )
+from ringlat.eigen import DEFAULT_OPTIONS, _lowest_levels
+from ringlat.hamiltonian import hopping_amplitude, sector_blocks
 from ringlat.observables import FAST_CURRENT_EPS
 
 
@@ -206,3 +212,25 @@ def real_space_row(ring, species, basis, degeneracy_tol: float = 1e-8):
             "degenerate": gs.degenerate,
             "is_fast_current": total > FAST_CURRENT_EPS * ring.t,
             "is_max_winding": all(q == target for q in sectors)}
+
+
+def unscreened_rows(spec, tol: float = 1e-10, degeneracy_tol: float = 1e-8,
+                    options=DEFAULT_OPTIONS) -> tuple:
+    """The rows of ``run(spec)`` with every sector block solved at every
+    point, in block order, and merged by ``sweep._ground`` (through
+    ``sweep._block_row``): the rows the sweep gave before it skipped
+    blocks."""
+    blocks = sector_blocks(enumerate_basis(spec.ring, spec.species))
+    rows = []
+    for value in spec.control.values():
+        ring, species = sweep._point_parameters(spec, value)
+        amp = hopping_amplitude(ring)
+        solved = {}
+        for block in blocks:
+            levels, vectors, _ = _lowest_levels(
+                block.operator(amp, species.u), 1, tol, degeneracy_tol,
+                options)
+            solved[block.q] = (block, levels, vectors)
+        rows.append(sweep._block_row(ring, species, solved, float(value),
+                                     degeneracy_tol))
+    return tuple(rows)

@@ -226,6 +226,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: " + key)
 
+    @pytest.mark.parametrize("command", ["sweep", "crossings"])
+    def test_polarized_bad_tolerances_are_config_errors(self, tmp_path,
+                                                        capsys, command):
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {"solver": {"degeneracy_tol": math.nan, "tol": math.inf}}))
+        assert main([command, "--species", "polarized", "--n", "2",
+                     "--config", str(config_path), "--omega-points", "3",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: tol")
+
     @pytest.mark.parametrize("command", ["spectrum", "currents"])
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_omega_points_below_one_is_config_error(self, tmp_path, capsys,
@@ -244,13 +255,24 @@ class TestConfigHandling:
         assert main(["spectrum", "--out", str(blocker)]) == 3
 
 
-def test_import_leaves_scipy_optimize_out():
-    # Importing scipy.optimize adds about 0.24 s to every start.
+def _imported_after_start(module: str) -> bool:
+    """Whether ``import ringlat, ringlat.cli`` imports ``module``."""
     code = ("import sys, ringlat, ringlat.cli; "
-            "print('scipy.optimize' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     src = str(Path(ringlat.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True,
                             timeout=120)
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip() == "True"
+
+
+def test_import_leaves_scipy_optimize_out():
+    # Importing scipy.optimize adds about 0.24 s to every start.
+    assert not _imported_after_start("scipy.optimize")
+
+
+def test_import_leaves_arpack_out():
+    # scipy.sparse.linalg (ARPACK) serves only the Krylov path; importing
+    # it adds about 27 ms and 2 MB to every start.
+    assert not _imported_after_start("scipy.sparse.linalg")

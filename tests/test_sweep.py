@@ -24,10 +24,12 @@ from ringlat import (
     run,
 )
 from ringlat import sweep
+from ringlat.eigen import ConvergenceError
+from ringlat.hamiltonian import SectorBlock
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
-from oracles import real_space_row
+from oracles import real_space_row, unscreened_rows
 
 SQRT2 = math.sqrt(2.0)
 
@@ -148,6 +150,17 @@ class TestRun:
         with pytest.raises(DomainError, match=f"^{name}:"):
             run(spec, **{name: value})
 
+    @pytest.mark.parametrize("call", [run, find_crossings])
+    @pytest.mark.parametrize("name,value", [
+        ("tol", math.inf), ("degeneracy_tol", math.nan)])
+    def test_polarized_tolerances_rejected(self, ring8, call, name, value):
+        # Polarized fermions use closed forms and never reach the solver,
+        # which used to leave these values unchecked.
+        spec = SweepSpec(ring=ring8, species=PolarizedFermions(2),
+                         control=OmegaGrid(0.0, 4.0, 3))
+        with pytest.raises(DomainError, match=f"^{name}:"):
+            call(spec, **{name: value})
+
     def test_failed_points_are_recorded_not_fatal(self, ring8):
         spec = SweepSpec(ring=ring8, species=Fermions(1, 1, u=1.0),
                          control=OmegaGrid(0.0, 4.0, 5))
@@ -228,17 +241,160 @@ class TestBlockRows:
                 assert getattr(row, flag) == want[flag], flag
 
 
+def _screen_cases():
+    ring8 = make_ring(8)
+    return {
+        "2+2/8 drive": SweepSpec(ring8, Fermions(2, 2, u=4.0),
+                                 OmegaGrid(0.0, 40.0, 41)),
+        "2+2/8 interaction": SweepSpec(
+            ring8, Fermions(2, 2, u=4.0),
+            InteractionGrid(-30.0, 60.0, 41, omega=omega_for(ring8, 1.0))),
+        # Blocks of one state each: the second level comes from another
+        # block, so nothing may be skipped before two levels are known.
+        "1boson/8": SweepSpec(ring8, Bosons(1),
+                              OmegaGrid(0.0, omega_for(ring8, 3.0), 61)),
+        "4bosons/8": SweepSpec(ring8, Bosons(4, u=1.0),
+                               OmegaGrid(0.0, 8.0, 41)),
+        "3+3/10": SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
+                            OmegaGrid(3.0, 3.5, 2)),
+    }
+
+
+def _unscreened(monkeypatch) -> None:
+    """Make sweep._solve solve every block it is given."""
+    solve = sweep._solve
+
+    def unscreened(*args):
+        *rest, floors, record = args
+        return solve(*rest, dict.fromkeys(floors, -math.inf), record)
+
+    monkeypatch.setattr(sweep, "_solve", unscreened)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("name", list(_screen_cases()))
+    def test_rows_match_every_block_solved(self, name, monkeypatch):
+        spec = _screen_cases()[name]
+        calls = _record_solves(monkeypatch)
+        rows = run(spec).rows
+        assert repr(rows) == repr(unscreened_rows(spec))
+        # The screen skipped blocks, so the comparison tests it.
+        assert (sum(len(solved) for *_, solved in calls)
+                < sum(len(passed) for _, _, passed, _ in calls))
+
+    @pytest.mark.parametrize("name", ["2+2/8 drive", "2+2/8 interaction",
+                                      "4bosons/8"])
+    def test_descending_walk_matches_every_block_solved(self, name):
+        # A grid runs upward; refinement steps also move down, where a
+        # falling u lowers levels.
+        spec = _screen_cases()[name]
+        solve, row = sweep._grid_point(spec, 1, 1e-10, 1e-8,
+                                       sweep.DEFAULT_OPTIONS)
+        values = spec.control.values()[::-1]
+        rows = tuple(row(value, solve(value)) for value in values)
+        assert repr(rows) == repr(unscreened_rows(spec)[::-1])
+
+    @pytest.mark.parametrize("search,spec", [
+        (find_crossings, SweepSpec(make_ring(8), Bosons(4, u=1.0),
+                                   OmegaGrid(0.0, 8.0, 41), 1e-7)),
+        (find_crossings, SweepSpec(make_ring(8), Fermions(2, 1, u=-3.0),
+                                   OmegaGrid(0.0, 8.0, 17), 1e-8)),
+        (fast_mode_boundary, SweepSpec(
+            make_ring(8), Fermions(2, 2),
+            InteractionGrid(-23.0, -15.0, 3,
+                            omega=omega_for(make_ring(8), 10.0)), 0.02)),
+        (fast_mode_boundary, SweepSpec(
+            make_ring(8), Fermions(2, 2),
+            InteractionGrid(50.0, 60.0, 2,
+                            omega=omega_for(make_ring(8), 10.0)), 0.02)),
+    ], ids=["4bosons/8", "2+1/8", "2+2/8 attractive", "2+2/8 repulsive"])
+    def test_roots_match_every_block_solved(self, search, spec,
+                                            monkeypatch):
+        screened = search(spec)
+        _unscreened(monkeypatch)
+        assert repr(screened) == repr(search(spec))
+
+    def test_skipped_bracket_block_is_solved_at_its_end(self, monkeypatch):
+        # At one end of this bracket the screen skips the other end's
+        # block, which Brent's first step needs: it is solved there alone.
+        spec = SweepSpec(make_ring(6), Bosons(2, u=1.0),
+                         OmegaGrid(0.0, 8.0, 13))
+        calls = _record_solves(monkeypatch)
+        screened = find_crossings(spec)
+        grid = {float(omega) for omega in spec.control.values()}
+        assert [len(passed) for omega, _, passed, _ in calls
+                if omega in grid and len(passed) != 6] == [1]
+        _unscreened(monkeypatch)
+        assert repr(screened) == repr(find_crossings(spec))
+
+    def test_failure_in_a_skipped_block_gives_a_row(self, monkeypatch):
+        # Sector 3 fails to solve at every other grid point.  Solving every
+        # block, each of those points failed; the screen skips sector 3 at
+        # most of them, and those give the rows of a solve of every block.
+        spec = _screen_cases()["2+2/8 drive"]
+        want = unscreened_rows(spec)
+        failing = set(spec.control.values()[1::2])
+        sectors, omegas = [], []
+        solve, operator = sweep._solve, SectorBlock.operator
+        lowest_levels = sweep._lowest_levels
+
+        def solve_at(blocks, ring, *args):
+            omegas.append(ring.omega)
+            return solve(blocks, ring, *args)
+
+        def tagged(block, *args):
+            sectors.append(block.q)
+            return operator(block, *args)
+
+        def lowest(*args):
+            if sectors[-1] == 3 and omegas[-1] in failing:
+                raise ConvergenceError("sector 3 fails")
+            return lowest_levels(*args)
+
+        monkeypatch.setattr(sweep, "_solve", solve_at)
+        monkeypatch.setattr(SectorBlock, "operator", tagged)
+        monkeypatch.setattr(sweep, "_lowest_levels", lowest)
+        rows = run(spec).rows
+        failed = {row.control_value for row in rows if row.failed}
+        assert failed < failing and len(failed) <= len(failing) // 2
+        assert all(row.error == "ConvergenceError: sector 3 fails"
+                   for row in rows if row.failed)
+        assert ([repr(row) for row in rows if not row.failed]
+                == [repr(w) for row, w in zip(rows, want) if not row.failed])
+
+
 def _record_solves(monkeypatch) -> list:
-    """(omega, u, number of blocks) of every block solve in sweep."""
+    """(omega, u, sectors passed, sectors solved) of every call of
+    sweep._solve."""
     calls = []
     solve = sweep._solve
 
     def recorded(blocks, ring, u, *args):
-        calls.append((ring.omega, u, len(blocks)))
-        return solve(blocks, ring, u, *args)
+        solved = solve(blocks, ring, u, *args)
+        calls.append((ring.omega, u, tuple(block.q for block in blocks),
+                      tuple(solved)))
+        return solved
 
     monkeypatch.setattr(sweep, "_solve", recorded)
     return calls
+
+
+def _check_solve_pattern(calls, grid, roots, n_blocks):
+    """Given (control value, sectors passed, sectors solved) of every
+    call: the first grid point solves every block, each grid point and
+    each root takes one screened call over every block, and every other
+    call is a Brent step that solves two blocks between the grid points."""
+    assert len(calls[0][1]) == len(calls[0][2]) == n_blocks
+    screened = [call for call in calls if len(call[1]) == n_blocks]
+    assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
+    steps = [call for call in calls if len(call[1]) != n_blocks]
+    assert all(len(passed) == len(solved) == 2 for _, passed, solved in steps)
+    assert not {x for x, _, _ in steps} & set(grid)
+    for root in roots:
+        # The root's screened solve holds the sectors of its last step.
+        (pair,) = {passed for x, passed, _ in steps if x == root}
+        (solved,) = [solved for x, _, solved in screened if x == root]
+        assert set(pair) <= set(solved)
 
 
 class TestFindCrossings:
@@ -325,31 +481,20 @@ class TestFindCrossings:
         assert abs(crossings[0] - want) <= 8 * math.ulp(want)
 
     def test_refinement_solves_two_blocks_per_step(self, monkeypatch):
-        solves = []
-        lowest_levels = sweep._lowest_levels
-
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return lowest_levels(*args, **kwargs)
-
-        monkeypatch.setattr(sweep, "_lowest_levels", counted)
         calls = _record_solves(monkeypatch)
         spec = SweepSpec(ring=make_ring(8), species=Bosons(4, u=1.0),
                          control=OmegaGrid(0.0, 8.0, 41), bisection_tol=1e-7)
         crossings = find_crossings(spec)
         assert len(crossings) == 2
-        # The grid solves all 8 blocks at 41 points.  Each crossing then
-        # solves all blocks once at its root and two blocks at each of at
-        # most 8 Brent steps; bisection took 21 steps of 8 blocks.
-        assert len(solves) <= 41 * 8 + 2 * (8 + 2 * 8)
-        # Brent starts from the levels the grid has solved, so each grid
-        # point and each root is solved on every block once, and every
-        # other solve is of the two crossing blocks.
         grid = [float(omega) for omega in spec.control.values()]
-        full = sorted(omega for omega, _, n in calls if n == 8)
-        assert full == sorted([*grid, *crossings])
-        assert all(n == 2 for _, _, n in calls if n != 8)
-        assert not {omega for omega, _, n in calls if n == 2} & set(grid)
+        _check_solve_pattern([(omega, *rest) for omega, _, *rest in calls],
+                             grid, crossings, 8)
+        # Solving every block took 41 * 8 = 328 solves on the grid and 28
+        # more at the roots and Brent steps; the screen solves 141 and 21.
+        solves = [len(solved) for omega, _, _, solved in calls
+                  if omega in grid]
+        assert sum(solves) <= 141
+        assert sum(len(solved) for *_, solved in calls) <= 141 + 21
 
     @pytest.mark.parametrize("species,points", [
         (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
@@ -484,8 +629,8 @@ class TestFastModeBoundary:
 
     def test_grid_points_and_roots_are_solved_once(self, ring8,
                                                    monkeypatch):
-        # The sign check at a root reads blocks Q1 and Q2 from the solve of
-        # every block there, and Brent starts from the grid's levels.
+        # The sign check at a root reads blocks Q1 and Q2 from the screened
+        # solve there, and Brent starts from the grid's levels.
         calls = _record_solves(monkeypatch)
         spec = SweepSpec(ring=ring8, species=Fermions(2, 2),
                          control=InteractionGrid(-23.0, -15.0, 3,
@@ -493,7 +638,7 @@ class TestFastModeBoundary:
                          bisection_tol=0.02)
         (point,) = fast_mode_boundary(spec)
         grid = [float(u) for u in spec.control.values()]
-        full = sorted(u for _, u, n in calls if n == 8)
-        assert full == sorted([*grid, point.u_star])
-        assert all(n == 2 for _, _, n in calls if n != 8)
-        assert not {u for _, u, n in calls if n == 2} & set(grid)
+        _check_solve_pattern([(u, *rest) for _, u, *rest in calls], grid,
+                             [point.u_star], 8)
+        # Solving every block took 4 * 8 + 3 * 2 = 38 solves.
+        assert sum(len(solved) for *_, solved in calls) <= 24

@@ -1,9 +1,11 @@
+from ringlat import verify
 from ringlat.hamiltonian import hopping_operator
 from ringlat.verify import (
     check_determinism,
     check_ground_current_vs_formula,
     check_hermiticity,
     check_scaling_identity,
+    check_screening_bounds,
     check_sector_blocks,
     check_sector_labels,
     check_spectrum_vs_diagonalization,
@@ -46,6 +48,18 @@ def test_individual_checks_pass():
                   check_sector_labels,
                   check_sector_blocks,
                   check_twist_degeneracy_crossings,
+                  check_screening_bounds,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
+
+
+def test_halved_drive_slope_is_caught(monkeypatch):
+    # Strong drives put lowest levels on slopes near L_omega, so a bound
+    # half as steep fails.
+    slope = verify._drive_slope
+    monkeypatch.setattr(verify, "_drive_slope",
+                        lambda ring, species: 0.5 * slope(ring, species))
+    result = check_screening_bounds()
+    assert not result.passed
+    assert result.max_deviation > 1.0
