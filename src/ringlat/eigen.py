@@ -3,13 +3,16 @@
 ``lowest_k`` and ``ground_state`` ask one routine for the k lowest pairs,
 every further copy of the k-th level and the next pair above it.  Small
 operators (dimension <= ``dense_threshold``) go through LAPACK's dense
-solver; larger ones through seeded ARPACK and a Rayleigh-Ritz step, then
-through solves on the complement of the locked pairs until its lowest
-pair lies above the k-th level.  Both paths run in the operator's own
-arithmetic: real symmetric matrices (the sector blocks) through the
-real drivers (``dsyevr``, symmetric Lanczos), complex Hermitian ones
-(the real-space operators) through the complex ones.  Repeated runs are
-bit-for-bit reproducible at a fixed thread count.
+solver; larger ones through seeded ARPACK and a Rayleigh-Ritz step
+(stage 1), then through the lock loop (stage 2): solves on the
+complement of the locked pairs until its lowest pair lies above the k-th
+level.  ``_level_stages`` yields after stage 1, so a caller can leave out
+a stage 2 it does not need (see :func:`ringlat.sweep._solve`); run on,
+it gives the result of an uninterrupted solve.  Both paths run in the
+operator's own arithmetic: real symmetric matrices (the sector blocks)
+through the real drivers (``dsyevr``, symmetric Lanczos), complex
+Hermitian ones (the real-space operators) through the complex ones.
+Repeated runs are bit-for-bit reproducible at a fixed thread count.
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def _group_degenerate(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], 
 
 
 def _level_end(values: np.ndarray, k: int, tol: float) -> int:
-    """One past the last copy of the k-th value in ascending ``values``."""
-    groups = _group_degenerate(values, tol)
-    return next(group[-1] for group in groups if group[-1] >= k - 1) + 1
+    """One past the last copy of the k-th value in ascending ``values``:
+    the end of the :func:`_group_degenerate` group that holds index k - 1."""
+    breaks = np.flatnonzero(np.diff(values[k - 1:]) >= tol)
+    return k + int(breaks[0]) if len(breaks) else len(values)
 
 
 def _check_tolerances(tol: float, degeneracy_tol: float) -> None:
@@ -110,6 +114,23 @@ def _lowest_levels(op: HermitianOperator, k: int, tol: float,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Values, vectors and residuals of the k lowest pairs, every further
     copy of the k-th level, and the next pair above it (if there is one)."""
+    *_, (values, vectors, residuals, _) = _level_stages(
+        op, k, tol, degeneracy_tol, options)
+    return values, vectors, residuals
+
+
+def _level_stages(op: HermitianOperator, k: int, tol: float,
+                  degeneracy_tol: float, options: SolverOptions):
+    """The solve of :func:`_lowest_levels` in stages, as a generator of
+    (values, vectors, residuals, final).
+
+    A dense solve yields its result once, final.  A Krylov solve first
+    yields the k Ritz pairs of its main ARPACK run (stage 1); resumed, it
+    runs the lock loop with the same generator state and yields the
+    result of :func:`_lowest_levels` (stage 2, final).  Every Krylov yield
+    has each residual within ``tol * max(1, |value|)``, or raises
+    :class:`ConvergenceError`.
+    """
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
     _check_tolerances(tol, degeneracy_tol)
@@ -117,18 +138,31 @@ def _lowest_levels(op: HermitianOperator, k: int, tol: float,
     # ARPACK needs k < n - 1 and k + 1 < ncv <= n.
     krylov = op.dimension > options.dense_threshold and k + 2 <= op.dimension
     if krylov:
-        values, vectors = _krylov_lowest(op, k, tol, degeneracy_tol, options)
+        rng = np.random.default_rng(options.seed)
+        values, vectors = _rayleigh_ritz(
+            op, _arpack_lowest(op.matrix, k, tol, options, rng))
+        yield values, vectors, _residuals(op, values, vectors, tol), False
+        values, vectors = _lock_loop(op, values, vectors, k, tol,
+                                     degeneracy_tol, options, rng)
     else:
         values, vectors = _dense_lowest(op, k, degeneracy_tol)
     stop = _level_end(values, k, degeneracy_tol) + 1
     values, vectors = values[:stop], vectors[:, :stop]
+    yield (values, vectors,
+           _residuals(op, values, vectors, tol if krylov else None), True)
 
+
+def _residuals(op: HermitianOperator, values: np.ndarray, vectors: np.ndarray,
+               tol: float | None) -> np.ndarray:
+    """||H v - value v|| of each pair; given a ``tol``, each must stay
+    within ``tol * max(1, |value|)``."""
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
-    bounds = tol * np.maximum(1.0, np.abs(values))
-    if krylov and np.any(residuals > bounds):
-        raise ConvergenceError(
-            f"Krylov residuals {residuals} exceed tolerance bounds {bounds}")
-    return values, vectors, residuals
+    if tol is not None:
+        bounds = tol * np.maximum(1.0, np.abs(values))
+        if np.any(residuals > bounds):
+            raise ConvergenceError(
+                f"Krylov residuals {residuals} exceed tolerance bounds {bounds}")
+    return residuals
 
 
 def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
@@ -197,14 +231,14 @@ def _rayleigh_ritz(op: HermitianOperator,
     return values, basis @ rotation
 
 
-def _krylov_lowest(op: HermitianOperator, k: int, tol: float,
-                   degeneracy_tol: float,
-                   options: SolverOptions) -> tuple[np.ndarray, np.ndarray]:
+def _lock_loop(op: HermitianOperator, values: np.ndarray,
+               vectors: np.ndarray, k: int, tol: float, degeneracy_tol: float,
+               options: SolverOptions, rng: np.random.Generator
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """The Ritz pairs of the main run, with every missed copy of the k-th
+    level and the next pair above it added."""
     from scipy.sparse.linalg import LinearOperator
 
-    rng = np.random.default_rng(options.seed)
-    values, vectors = _rayleigh_ritz(
-        op, _arpack_lowest(op.matrix, k, tol, options, rng))
     # ARPACK can skip copies of a degenerate level.  Lock the pairs found by
     # shifting them above the spectrum (H + s*V*V^H; 2*max|row sum| bounds
     # the spread) and add the lowest pair of the rest until it lies above

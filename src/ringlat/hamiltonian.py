@@ -15,6 +15,7 @@ number of doubly occupied sites for spin-1/2 fermions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -118,15 +119,25 @@ def _check_basis(ring: RingSpec, species: SpeciesSpec, basis: FockBasis) -> None
 
 
 def interaction_diagonal(species: SpeciesSpec, basis: FockBasis) -> np.ndarray:
-    """Per-state diagonal interaction energy at unit coupling."""
-    diag = np.zeros(basis.dimension)
+    """Per-state diagonal interaction energy at unit coupling: sum n(n - 1)
+    for bosons, the number of doubly occupied sites for fermions."""
     if isinstance(species, Bosons):
-        for k, occ in enumerate(basis.states):
-            diag[k] = sum(m * (m - 1) for m in occ)
-    elif isinstance(species, Fermions):
-        for k, state in enumerate(basis.states):
-            diag[k] = (state.up_mask & state.down_mask).bit_count()
-    return diag
+        occupations = np.fromiter(
+            itertools.chain.from_iterable(basis.states), dtype=np.int64,
+            count=basis.dimension * basis.n_sites).reshape(basis.dimension, -1)
+        return (occupations * (occupations - 1)).sum(axis=1).astype(float)
+    if isinstance(species, Fermions):
+        # The product basis runs over up masks, and for each over every
+        # down mask.  Masks of more than 64 sites stay Python integers.
+        n_down = math.comb(basis.n_sites, species.n_down)
+        dtype = np.uint64 if basis.n_sites <= 64 else object
+        ups = np.array([state.up_mask for state in basis.states[::n_down]],
+                       dtype=dtype)
+        downs = np.array([state.down_mask for state in basis.states[:n_down]],
+                         dtype=dtype)
+        return np.bitwise_count(
+            np.bitwise_and.outer(ups, downs)).ravel().astype(float)
+    return np.zeros(basis.dimension)
 
 
 def build_boson(ring: RingSpec, species: Bosons, basis: FockBasis,

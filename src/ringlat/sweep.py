@@ -8,7 +8,10 @@ that can reach the ground: each block is affine in the control, so by
 Weyl's inequality its lowest level moves by at most |dx| * ||dH/dx||
 between two points, and a block whose bound from the call's earlier
 solves lies above the ground multiplet and the second level is skipped
-(see :func:`_grid_point`).  Rows and labels are those of a solve of
+(see :func:`_grid_point`).  A Krylov block is solved in two stages,
+its main ARPACK run and then its lock loop, and the second stage is
+screened by the same rule, with the first stage's theta_1 - r_1 as the
+bound (see :func:`_solve`).  Rows and labels are those of a solve of
 every block.  Points run serially, and the ``workers`` argument is
 accepted and recorded only for compatibility.  Failed points are
 recorded in their row instead of aborting the scan, and rows always come
@@ -24,15 +27,16 @@ the smooth function E_Q1 - E_Q2 of the two blocks' lowest levels, which
 Brent's method finds to a quarter of ``bisection_tol`` while solving only
 those two blocks at each step, starting from the levels the grid solved
 at the ends (an end where the screen skipped Q1 or Q2 solves it then).
-The root is solved once, screened but always with Q1 and Q2, and kept
-if the ground there holds no third sector and each end's block alone
-carries that end's label.  Every other bracket, and every crossing of
-polarized fermions (closed forms, no blocks), is bisected on the full
-label.
+The root is solved once, screened, with Q1 and Q2 taken from Brent's
+step there (or solved, at a bracket end), and kept if the ground there
+holds no third sector and each end's block alone carries that end's
+label.  Every other bracket, and every crossing of polarized fermions
+(closed forms, no blocks), is bisected on the full label.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import numbers
@@ -51,7 +55,7 @@ from .eigen import (
     SolverOptions,
     _check_tolerances,
     _level_end,
-    _lowest_levels,
+    _level_stages,
 )
 from .hamiltonian import SectorBlock, hopping_amplitude, sector_blocks
 from .model import (
@@ -198,35 +202,53 @@ def _drive_slope(ring: RingSpec, species: SpeciesSpec) -> float:
 
 def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
            degeneracy_tol: float, tol: float, options: SolverOptions,
-           floors: dict[int, float], record: Callable[[int, float], None]
+           floors: dict[int, float] | None, record: Callable[[int, float], None],
+           known: dict | None = None
            ) -> dict[int, tuple[SectorBlock, np.ndarray, np.ndarray]]:
     """Each block's lowest level, its copies and the next level above,
     with their vectors, keyed by the block's sector in block order.
 
     ``floors`` holds a proven lower bound on each block's lowest level,
-    or -inf where none is known.  Blocks are solved in ascending floor,
-    and once two levels are known a block is skipped if its floor lies
-    above both the second level and the top of the ground multiplet by
-    more than ``degeneracy_tol`` plus the accuracy ``tol * max(1, |E|)``
-    of an accepted solve: no level of a skipped block could join the
-    ground multiplet or be the second level.  Since the floors ascend,
-    every block after the first skipped one is skipped too.
+    or -inf where none is known; None solves every block in full.
+    ``known`` holds blocks already solved at this point, in the form
+    returned, which are taken as they are.  One queue, in ascending
+    bound, holds two kinds of item: a block not yet solved, at its floor,
+    and a Krylov block whose main run gave its lowest level theta_1 with
+    residual r_1 (stage 1 of :func:`~ringlat.eigen._level_stages`), at
+    theta_1 - r_1, waiting for its lock loop (stage 2).  A dense block is
+    solved in one stage.  Once two levels are known, an item is skipped if
+    its bound lies above both the second level and the top of the ground
+    multiplet by more than ``degeneracy_tol`` plus the accuracy
+    ``tol * max(1, |E|)`` of an accepted solve: no level of its block
+    could join the ground multiplet or be the second level.  Since the
+    bounds ascend, every item after the first skipped one is skipped too.
     ``record(q, bound)`` receives each solved block's lowest level minus
-    its residual, and each skipped block's floor.
+    its residual, and each skipped item's bound.
     """
     amp = hopping_amplitude(ring)
-    solved, values = {}, np.empty(0)
-    for block in sorted(blocks, key=lambda block: floors[block.q]):
-        if len(values) > 1:
+    solved = dict(known or {})
+    values = np.sort(np.concatenate(
+        [np.empty(0), *(levels for _, levels, _ in solved.values())]))
+    queue = [(-math.inf if floors is None else floors[block.q], i, block, None)
+             for i, block in enumerate(blocks) if block.q not in solved]
+    heapq.heapify(queue)
+    while queue:
+        bound, i, block, stages = heapq.heappop(queue)
+        if floors is not None and len(values) > 1:
             limit = max(values[1],
                         values[_level_end(values, 1, degeneracy_tol) - 1])
-            if floors[block.q] > (limit + degeneracy_tol
-                                  + tol * max(1.0, abs(limit))):
-                record(block.q, floors[block.q])
+            if bound > limit + degeneracy_tol + tol * max(1.0, abs(limit)):
+                record(block.q, bound)
                 continue
-        levels, vectors, residuals = _lowest_levels(
-            block.operator(amp, u), 1, tol, degeneracy_tol, options)
-        record(block.q, float(levels[0] - residuals[0]))
+        if stages is None:
+            stages = _level_stages(block.operator(amp, u), 1, tol,
+                                   degeneracy_tol, options)
+        levels, vectors, residuals, final = next(stages)
+        low = float(levels[0] - residuals[0])
+        if not final:
+            heapq.heappush(queue, (low, i, block, stages))
+            continue
+        record(block.q, low)
         solved[block.q] = (block, levels, vectors)
         values = np.sort(np.concatenate([values, levels]))
     return {block.q: solved[block.q] for block in blocks if block.q in solved}
@@ -325,10 +347,11 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
                 degeneracy_tol: float, options: SolverOptions):
     """The grid-point path of one scan, as two functions.
 
-    ``solve(value, among)`` solves the sector blocks of the sectors
-    ``among`` at a control value and returns them keyed by sector, or
-    None for polarized fermions; ``row(value, solved)`` builds the
-    point's :class:`SweepRow` from that.
+    ``solve(value, among, known)`` solves the sector blocks of the
+    sectors ``among`` in full at a control value and returns them keyed
+    by sector, or None for polarized fermions; ``known`` passes blocks
+    already solved there (see :func:`_solve`).  ``row(value, solved)``
+    builds the point's :class:`SweepRow` from that.
 
     With ``among`` left out, ``solve`` screens every block against a
     ledger of proven bounds kept for the call: sector -> (x0, l), where l
@@ -336,9 +359,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     Each block is affine in the control, so at x its lowest level is at
     least l - |x - x0| * L_omega in the drive (see :func:`_drive_slope`),
     and at least l - max(0, u0 - u) * max D in the interaction, since the
-    contact energies D >= 0.  :func:`_solve` then skips every block that
-    cannot reach the ground multiplet or the second level, so the rows
-    and labels are those of a solve of every block.  Each solve or skip
+    contact energies D >= 0.  :func:`_solve` then skips every block, and
+    the lock loop of every Krylov block, that cannot reach the ground
+    multiplet or the second level, so the rows and labels are those of a
+    solve of every block.  Each solve or skip
     records its bound in the ledger; a block whose solve raises
     :class:`~ringlat.eigen.ConvergenceError` keeps its entry.
     """
@@ -363,7 +387,7 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
         down, up = slopes[q]
         return low - max(x0 - value, 0.0) * down - max(value - x0, 0.0) * up
 
-    def solve(value: float, among=None) -> dict | None:
+    def solve(value: float, among=None, known=None) -> dict | None:
         if blocks is None:
             return None
         ring, species = _point_parameters(spec, value)
@@ -372,13 +396,14 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
             floors = {block.q: floor(block.q, value) for block in blocks}
         else:
             chosen = tuple(block for block in blocks if block.q in among)
-            floors = dict.fromkeys(among, -math.inf)
+            floors = None
 
         def record(q: int, low: float) -> None:
             ledger[q] = (value, low)
 
         return _solve(chosen, ring, getattr(species, "u", 0.0),
-                      degeneracy_tol, tol, options, floors, record)
+                      degeneracy_tol, tol, options, floors, record,
+                      known=known)
 
     def row(value: float, solved: dict | None) -> SweepRow:
         ring, species = _point_parameters(spec, value)
@@ -483,11 +508,18 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
             def split(solved: dict) -> float:
                 return solved[q_lo][1][0] - solved[q_hi][1][0]
 
-            root = _brent(lambda x: split(solve(x, pair)), x_lo, x_hi,
-                          split(with_pair(x_lo, solved_lo)),
+            steps = {}
+
+            def step(x: float) -> float:
+                steps[x] = solve(x, pair)
+                return split(steps[x])
+
+            root = _brent(step, x_lo, x_hi, split(with_pair(x_lo, solved_lo)),
                           split(with_pair(x_hi, solved_hi)),
                           bisection_tol / 4)
-            solved = with_pair(root, solve(root))
+            # Brent returns one of its steps, or else a bracket end, where
+            # with_pair solves whichever of the two blocks the screen skips.
+            solved = with_pair(root, solve(root, known=steps.get(root)))
             if (_ground_sectors(solved, degeneracy_tol) <= {q_lo, q_hi}
                     and label(root, {q_lo: solved[q_lo]}) == label_lo
                     and label(root, {q_hi: solved[q_hi]}) == label_hi):

@@ -241,6 +241,44 @@ def check_krylov_vs_dense() -> CheckResult:
     return _result("krylov_vs_dense", worst, 1e-10)
 
 
+def check_screened_krylov_sweep() -> CheckResult:
+    """A screened sweep on the Krylov path, where a block's lock loop runs
+    only if its lowest level can reach the ground, must give the rows of
+    the dense path: energies and gaps within 1e-10 t, currents within
+    1e-9 t, and the same sectors, copies included.
+
+    2+2 fermions on 8 sites at u = 0 and at rest have a ground level
+    doubly degenerate inside block 0, whose second copy only the lock
+    loop finds; at u = 4 the second level at rest is a doublet across two
+    blocks.  The deviation is the worst of the energy and gap deviations
+    and a tenth of the current deviation.
+    """
+    dense = SolverOptions(dense_threshold=2**62)
+    krylov = SolverOptions(dense_threshold=1)
+    ring = make_ring(8)
+    worst, degenerate, problems = 0.0, 0.0, []
+    for species, grid in ((Fermions(2, 2, u=0.0), OmegaGrid(0.0, 2.0, 2)),
+                          (Fermions(2, 2, u=4.0), OmegaGrid(0.0, 6.0, 2))):
+        spec = SweepSpec(ring, species, grid)
+        for want, got in zip(run_sweep(spec, options=dense).rows,
+                             run_sweep(spec, options=krylov).rows):
+            deviation = max(abs(got.ground_energy - want.ground_energy),
+                            abs(got.gap - want.gap),
+                            0.1 * abs(got.total_current - want.total_current)
+                            ) / ring.t
+            worst = max(worst, deviation)
+            if len(set(want.sectors)) < len(want.sectors):
+                degenerate = max(degenerate, deviation)
+            if got.sectors != want.sectors:
+                problems.append(f"{species!r} at omega {want.omega}: "
+                                f"sectors {got.sectors} != {want.sectors}")
+    if problems:
+        return _result("screened_krylov_sweep", np.inf, 1e-10,
+                       detail="; ".join(problems))
+    return _result("screened_krylov_sweep", worst, 1e-10,
+                   detail=f"in-block doublet {degenerate:.3e}")
+
+
 def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
     """Fock amplitudes of the block's basis states: the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of its representatives
@@ -420,6 +458,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_translation_commutation,
     check_sector_labels,
     check_krylov_vs_dense,
+    check_screened_krylov_sweep,
     check_sector_blocks,
     check_twist_degeneracy_crossings,
     check_screening_bounds,

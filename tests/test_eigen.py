@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringlat import (
     Bosons,
@@ -199,6 +201,57 @@ class TestDegeneracyGroups:
         _, _, _, op = ring_operator(x=0.0)
         result = lowest_k(op, 3, degeneracy_tol=1e-8)
         assert result.degeneracy_groups == ((0,), (1, 2))
+
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, 1e-9, 2e-9, 0.5, 0.5 + 1e-12, 1.0]),
+               st.floats(-2.0, 2.0)), min_size=1, max_size=12),
+           tol=st.sampled_from([0.0, 1e-8, 0.3, 5.0]), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_level_end_is_end_of_group(self, values, tol, data):
+        values = np.sort(values)
+        k = data.draw(st.integers(1, len(values)))
+        groups = eigen._group_degenerate(values, tol)
+        want = next(group[-1] for group in groups if group[-1] >= k - 1) + 1
+        assert eigen._level_end(values, k, tol) == want
+
+
+def _block_operator(ring, species, q):
+    block, = [block for block in sector_blocks(enumerate_basis(ring, species))
+              if block.q == q]
+    return block.operator(hopping_amplitude(ring), species.u)
+
+
+class TestLevelStages:
+    @pytest.mark.parametrize("op,k", [
+        (ring_operator(species=Fermions(2, 2, u=4.0))[3], 1),
+        (ring_operator(species=Fermions(2, 2, u=4.0))[3], 2),
+        (wide_level_operator(), 1),
+        # Two copies of the ground level inside one real block.
+        (_block_operator(make_ring(8), Fermions(2, 2, u=0.0), 0), 1),
+        (_block_operator(make_ring(8, omega=0.7), Fermions(2, 2, u=4.0), 2),
+         1),
+    ], ids=["rest 2+2/8", "rest 2+2/8 k=2", "wide level", "in-block pair",
+            "driven block"])
+    def test_two_stages_give_lowest_levels(self, op, k):
+        stages = list(eigen._level_stages(op, k, 1e-10, 1e-8, FORCE_KRYLOV))
+        assert [final for *_, final in stages] == [False, True]
+        (first, vectors, residuals, _), (*last, _) = stages
+        assert len(first) == vectors.shape[1] == k
+        assert np.all(residuals <= 1e-10 * np.maximum(1.0, np.abs(first)))
+        for got, want in zip(last, _lowest_levels(op, k, 1e-10, 1e-8,
+                                                  FORCE_KRYLOV)):
+            assert np.array_equal(got, want)
+        # Stage 1's theta_1 - r_1 bounds the lowest level from below.
+        assert first[0] - residuals[0] <= last[0][0]
+
+    def test_dense_solve_is_one_stage(self):
+        _, _, _, op = ring_operator(species=Fermions(1, 1, u=4.0))
+        ((*got, final),) = eigen._level_stages(op, 1, 1e-10, 1e-8,
+                                               FORCE_DENSE)
+        assert final
+        for a, b in zip(got, _lowest_levels(op, 1, 1e-10, 1e-8,
+                                            FORCE_DENSE)):
+            assert np.array_equal(a, b)
 
 
 class TestGroundState:

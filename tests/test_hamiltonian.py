@@ -22,6 +22,7 @@ from ringlat import (
 )
 from ringlat.hamiltonian import (
     hopping_amplitude,
+    interaction_diagonal,
     operator_from_entries,
     sector_blocks,
 )
@@ -77,6 +78,25 @@ class TestInteractions:
         values = np.linalg.eigvalsh(op.to_dense())
         assert np.sum(np.abs(values) < 1e-9) == 56
         assert np.sum(np.abs(values - 5.0) < 1e-9) == 8
+
+    @pytest.mark.parametrize("n_sites, species", [
+        (6, Bosons(3)), (3, Bosons(4)), (5, Fermions(2, 1)),
+        (8, Fermions(2, 2)), (6, Fermions(4, 2)), (4, Fermions(0, 3)),
+        (64, Fermions(1, 1)), (70, Fermions(1, 1)),
+        (7, PolarizedFermions(3))])
+    def test_interaction_diagonal_counts_each_state(self, n_sites, species):
+        # Exact integers, equal to a count over each state's occupations.
+        basis = enumerate_basis(make_ring(n_sites), species)
+        if isinstance(species, Bosons):
+            want = [sum(n * (n - 1) for n in state) for state in basis.states]
+        elif isinstance(species, Fermions):
+            want = [(state.up_mask & state.down_mask).bit_count()
+                    for state in basis.states]
+        else:
+            want = [0] * basis.dimension
+        got = interaction_diagonal(species, basis)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want)
 
     def test_noninteracting_pair_ground_energy(self, ring8):
         species = Fermions(1, 1, u=0.0)

@@ -261,12 +261,13 @@ def _screen_cases():
 
 
 def _unscreened(monkeypatch) -> None:
-    """Make sweep._solve solve every block it is given."""
+    """Make sweep._solve solve every block it is given in full, lock loop
+    included."""
     solve = sweep._solve
 
-    def unscreened(*args):
-        *rest, floors, record = args
-        return solve(*rest, dict.fromkeys(floors, -math.inf), record)
+    def unscreened(*args, **kwargs):
+        *rest, _, record = args
+        return solve(*rest, None, record, **kwargs)
 
     monkeypatch.setattr(sweep, "_solve", unscreened)
 
@@ -336,24 +337,24 @@ class TestScreen:
         failing = set(spec.control.values()[1::2])
         sectors, omegas = [], []
         solve, operator = sweep._solve, SectorBlock.operator
-        lowest_levels = sweep._lowest_levels
+        level_stages = sweep._level_stages
 
-        def solve_at(blocks, ring, *args):
+        def solve_at(blocks, ring, *args, **kwargs):
             omegas.append(ring.omega)
-            return solve(blocks, ring, *args)
+            return solve(blocks, ring, *args, **kwargs)
 
         def tagged(block, *args):
             sectors.append(block.q)
             return operator(block, *args)
 
-        def lowest(*args):
+        def stages(*args):
             if sectors[-1] == 3 and omegas[-1] in failing:
                 raise ConvergenceError("sector 3 fails")
-            return lowest_levels(*args)
+            return level_stages(*args)
 
         monkeypatch.setattr(sweep, "_solve", solve_at)
         monkeypatch.setattr(SectorBlock, "operator", tagged)
-        monkeypatch.setattr(sweep, "_lowest_levels", lowest)
+        monkeypatch.setattr(sweep, "_level_stages", stages)
         rows = run(spec).rows
         failed = {row.control_value for row in rows if row.failed}
         assert failed < failing and len(failed) <= len(failing) // 2
@@ -363,16 +364,136 @@ class TestScreen:
                 == [repr(w) for row, w in zip(rows, want) if not row.failed])
 
 
+FORCE_KRYLOV = SolverOptions(dense_threshold=1)
+
+
+def _record_stages(monkeypatch) -> list:
+    """For each call of sweep._solve: the blocks it returned,
+    theta_1 - r_1 of every Krylov block whose main run (stage 1) ran,
+    keyed by sector, and the sectors whose lock loop (stage 2) ran."""
+    calls, current = [], {}
+    solve, operator = sweep._solve, SectorBlock.operator
+    level_stages = sweep._level_stages
+
+    def tagged(block, *args):
+        current["q"] = block.q
+        return operator(block, *args)
+
+    def staged(*args):
+        q = current["q"]
+
+        def stages():
+            for values, vectors, residuals, final in level_stages(*args):
+                if not final:
+                    current["first"][q] = float(values[0] - residuals[0])
+                elif q in current["first"]:
+                    current["second"].add(q)
+                yield values, vectors, residuals, final
+
+        return stages()
+
+    def recorded(*args, **kwargs):
+        current.update(first={}, second=set())
+        solved = solve(*args, **kwargs)
+        calls.append((solved, current["first"], current["second"]))
+        return solved
+
+    monkeypatch.setattr(SectorBlock, "operator", tagged)
+    monkeypatch.setattr(sweep, "_level_stages", staged)
+    monkeypatch.setattr(sweep, "_solve", recorded)
+    return calls
+
+
+class TestLockLoopScreen:
+    @pytest.mark.parametrize("spec", [
+        SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                  OmegaGrid(0.0, 40.0, 4)),
+        SweepSpec(make_ring(8), Fermions(2, 2, u=0.0),
+                  OmegaGrid(0.0, 2.0, 3)),
+        SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                  InteractionGrid(-30.0, 60.0, 4,
+                                  omega=omega_for(make_ring(8), 1.0))),
+    ], ids=["2+2/8 drive", "2+2/8 u=0", "2+2/8 interaction"])
+    def test_krylov_rows_match_every_block_locked(self, spec, monkeypatch):
+        screened = run(spec, options=FORCE_KRYLOV).rows
+        _unscreened(monkeypatch)
+        assert repr(screened) == repr(run(spec, options=FORCE_KRYLOV).rows)
+
+    @pytest.mark.parametrize("search,spec", [
+        (find_crossings, SweepSpec(make_ring(8), Bosons(4, u=1.0),
+                                   OmegaGrid(0.0, 8.0, 9), 1e-7)),
+        (fast_mode_boundary, SweepSpec(
+            make_ring(8), Fermions(2, 2),
+            InteractionGrid(-23.0, -15.0, 3,
+                            omega=omega_for(make_ring(8), 10.0)), 0.02)),
+    ], ids=["4bosons/8", "2+2/8 attractive"])
+    def test_krylov_roots_match_every_block_locked(self, search, spec,
+                                                   monkeypatch):
+        screened = search(spec, options=FORCE_KRYLOV)
+        _unscreened(monkeypatch)
+        assert repr(screened) == repr(search(spec, options=FORCE_KRYLOV))
+
+    def test_degenerate_ground_inside_a_block_is_locked(self, monkeypatch):
+        # 2+2 fermions on 8 sites at u = 0 and rest: block 0 holds two
+        # copies of the ground level and blocks 2 and 6 one each.  ARPACK
+        # finds one copy in block 0, and its lock loop finds the other.
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=0.0),
+                         OmegaGrid(0.0, 2.0, 2))
+        calls = _record_stages(monkeypatch)
+        row = run(spec, options=FORCE_KRYLOV).rows[0]
+        assert row.sectors == (0, 0, 2, 6)
+        solved, _, second = calls[0]
+        assert {0, 2, 6} <= second
+        assert len(solved[0][1]) == 3
+
+    def test_blocks_asked_for_are_solved_in_full(self):
+        # A Brent step needs both of its blocks, however far apart they
+        # lie: at rest block 4 lies above block 0's second level, and its
+        # lowest level has two copies.
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                         OmegaGrid(0.0, 1.0, 2))
+        solve, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
+        solved = solve(0.0, (0, 4))
+        assert sorted(solved) == [0, 4]
+        assert len(solved[4][1]) == 3
+
+    @pytest.mark.parametrize("spec,options", [
+        (SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
+                   OmegaGrid(3.0, 3.5, 2)), sweep.DEFAULT_OPTIONS),
+        (SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                   OmegaGrid(0.0, 40.0, 9)), FORCE_KRYLOV),
+    ], ids=["3+3/10", "2+2/8 forced"])
+    def test_skipped_lock_loops_were_out_of_reach(self, spec, options,
+                                                  monkeypatch):
+        # Stage 2 is skipped only where theta_1 - r_1 of stage 1 lies above
+        # the second level and the top of the ground multiplet by more
+        # than degeneracy_tol plus tol * max(1, |limit|).
+        calls = _record_stages(monkeypatch)
+        run(spec, options=options)
+        firsts = sum(len(first) for _, first, _ in calls)
+        seconds = sum(len(second) for *_, second in calls)
+        assert 0 < seconds < firsts
+        for solved, first, second in calls:
+            values, _ = sweep._ground(solved, 1e-8)
+            limit = max(values[1],
+                        values[sweep._level_end(values, 1, 1e-8) - 1])
+            for q in first.keys() - second:
+                assert q not in solved
+                assert first[q] > limit + 1e-8 + 1e-10 * max(1.0, abs(limit))
+
+
 def _record_solves(monkeypatch) -> list:
     """(omega, u, sectors passed, sectors solved) of every call of
-    sweep._solve."""
+    sweep._solve; a block returned as it was passed in ``known`` does
+    not count as solved."""
     calls = []
     solve = sweep._solve
 
-    def recorded(blocks, ring, u, *args):
-        solved = solve(blocks, ring, u, *args)
+    def recorded(blocks, ring, u, *args, known=None):
+        solved = solve(blocks, ring, u, *args, known=known)
         calls.append((ring.omega, u, tuple(block.q for block in blocks),
-                      tuple(solved)))
+                      tuple(q for q, entry in solved.items()
+                            if entry is not (known or {}).get(q))))
         return solved
 
     monkeypatch.setattr(sweep, "_solve", recorded)
@@ -383,7 +504,9 @@ def _check_solve_pattern(calls, grid, roots, n_blocks):
     """Given (control value, sectors passed, sectors solved) of every
     call: the first grid point solves every block, each grid point and
     each root takes one screened call over every block, and every other
-    call is a Brent step that solves two blocks between the grid points."""
+    call is a Brent step that solves two blocks between the grid points.
+    The root is one of those steps, and its screened solve takes the
+    step's two blocks as they are instead of solving them again."""
     assert len(calls[0][1]) == len(calls[0][2]) == n_blocks
     screened = [call for call in calls if len(call[1]) == n_blocks]
     assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
@@ -391,10 +514,9 @@ def _check_solve_pattern(calls, grid, roots, n_blocks):
     assert all(len(passed) == len(solved) == 2 for _, passed, solved in steps)
     assert not {x for x, _, _ in steps} & set(grid)
     for root in roots:
-        # The root's screened solve holds the sectors of its last step.
         (pair,) = {passed for x, passed, _ in steps if x == root}
         (solved,) = [solved for x, _, solved in screened if x == root]
-        assert set(pair) <= set(solved)
+        assert not set(pair) & set(solved)
 
 
 class TestFindCrossings:
@@ -490,11 +612,11 @@ class TestFindCrossings:
         _check_solve_pattern([(omega, *rest) for omega, _, *rest in calls],
                              grid, crossings, 8)
         # Solving every block took 41 * 8 = 328 solves on the grid and 28
-        # more at the roots and Brent steps; the screen solves 141 and 21.
+        # more at the roots and Brent steps; the screen solves 141 and 17.
         solves = [len(solved) for omega, _, _, solved in calls
                   if omega in grid]
         assert sum(solves) <= 141
-        assert sum(len(solved) for *_, solved in calls) <= 141 + 21
+        assert sum(len(solved) for *_, solved in calls) <= 141 + 17
 
     @pytest.mark.parametrize("species,points", [
         (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
@@ -641,4 +763,4 @@ class TestFastModeBoundary:
         _check_solve_pattern([(u, *rest) for _, u, *rest in calls], grid,
                              [point.u_star], 8)
         # Solving every block took 4 * 8 + 3 * 2 = 38 solves.
-        assert sum(len(solved) for *_, solved in calls) <= 24
+        assert sum(len(solved) for *_, solved in calls) <= 22

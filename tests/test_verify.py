@@ -5,6 +5,7 @@ from ringlat.verify import (
     check_ground_current_vs_formula,
     check_hermiticity,
     check_scaling_identity,
+    check_screened_krylov_sweep,
     check_screening_bounds,
     check_sector_blocks,
     check_sector_labels,
@@ -49,6 +50,7 @@ def test_individual_checks_pass():
                   check_sector_blocks,
                   check_twist_degeneracy_crossings,
                   check_screening_bounds,
+                  check_screened_krylov_sweep,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
