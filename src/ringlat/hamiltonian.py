@@ -252,7 +252,8 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     of the forward-hop sum T_q (Sandvik, arXiv:1101.3281, sec. 4.1).  The
     block holds X = W^H T_q W for the W of :func:`reflection_rotation`,
     its upper triangle mirrored, and the contact energies W^H D W, which
-    are diagonal since Theta leaves D invariant.
+    are diagonal since Theta leaves D invariant.  Every array of a block
+    is read-only, since a sweep shares its blocks between calls.
     """
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, closing = orbits
@@ -288,9 +289,11 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
              (np.concatenate([upper.row, upper.col[off], states]),
               np.concatenate([upper.col, upper.row[off], states]))),
             shape=(m, m))
-        blocks.append(SectorBlock(
-            q, members, hop,
-            np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
-                           == hop.indices),
-            abs(w).power(2).T @ contact[members]))
+        diagonal = np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
+                                  == hop.indices)
+        interaction = abs(w).power(2).T @ contact[members]
+        for arr in (members, hop.data, hop.indices, hop.indptr, diagonal,
+                    interaction):
+            arr.setflags(write=False)
+        blocks.append(SectorBlock(q, members, hop, diagonal, interaction))
     return tuple(blocks)

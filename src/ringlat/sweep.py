@@ -1,10 +1,14 @@
 """Parameter scans: drive-frequency grids, interaction grids, crossing and
 boundary refinement.
 
-Each call splits one basis into translation-sector blocks
+Each call solves on the translation-sector blocks of one basis
 (:func:`ringlat.hamiltonian.sector_blocks`), so each ground-state member
-carries its block's exact sector.  A grid point solves only the blocks
-that can reach the ground: each block is affine in the control, so by
+carries its block's exact sector.  The blocks do not depend on t, K,
+omega or u, so a process keeps those of the two most recently scanned
+systems, keyed by n_sites, the species type and its particle counts, and
+every call on one of them reuses its blocks (124 MB for 4+4 fermions on
+12 sites).  A grid point solves only the blocks that can reach the
+ground: each block is affine in the control, so by
 Weyl's inequality its lowest level moves by at most |dx| * ||dH/dx||
 between two points, and a block whose bound from the call's earlier
 solves lies above the ground multiplet and the second level is skipped
@@ -36,6 +40,7 @@ label.  Every other bracket, and every crossing of polarized fermions
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -64,6 +69,7 @@ from .model import (
     PolarizedFermions,
     RingSpec,
     SpeciesSpec,
+    make_ring,
     particle_count,
     validate_species,
 )
@@ -161,7 +167,14 @@ class BoundaryPoint:
 
 def _sector_blocks(spec: SweepSpec,
                    workers: int) -> tuple[SectorBlock, ...] | None:
-    """The spec's sector blocks; None for polarized fermions (closed forms)."""
+    """The spec's sector blocks; None for polarized fermions (closed forms).
+
+    A process keeps the blocks of the two most recently scanned systems
+    (:func:`_system_blocks`), keyed by n_sites, the species type and its
+    particle counts; t, K, omega and u do not enter the key, so every scan
+    of one system after the first reuses its blocks.  For 4+4 fermions on
+    12 sites the blocks hold 124 MB.
+    """
     if workers < 1:
         raise DomainError(f"workers: must be at least 1, got {workers}")
     validate_species(spec.species, spec.ring)
@@ -170,7 +183,19 @@ def _sector_blocks(spec: SweepSpec,
             raise DomainError("control: polarized fermions carry no "
                               "interaction to scan")
         return None
-    return sector_blocks(enumerate_basis(spec.ring, spec.species))
+    return _system_blocks(spec.ring.n_sites, replace(spec.species, u=0.0))
+
+
+@functools.lru_cache(maxsize=2)
+def _system_blocks(n_sites: int,
+                   species: SpeciesSpec) -> tuple[SectorBlock, ...]:
+    """The sector blocks of ``species`` (at u = 0) on ``n_sites`` sites.
+
+    The blocks hold the hops at unit amplitude and the contact energies at
+    unit coupling, so they serve every t, K, omega and u; their arrays are
+    read-only.  A failed build raises and is not cached.
+    """
+    return sector_blocks(enumerate_basis(make_ring(n_sites), species))
 
 
 def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesSpec]:

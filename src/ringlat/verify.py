@@ -38,6 +38,7 @@ from .sweep import (
     OmegaGrid,
     SweepSpec,
     _drive_slope,
+    _system_blocks,
     find_crossings,
     run as run_sweep,
 )
@@ -430,7 +431,8 @@ def check_screening_bounds() -> CheckResult:
 
 def check_determinism() -> CheckResult:
     """The same sweep spec must reproduce identical rows on both solver
-    paths when run twice."""
+    paths when run twice: once building its sector blocks, once reusing
+    the blocks that the sweep keeps."""
     specs = (
         (SweepSpec(ring=make_ring(8), species=Fermions(1, 1, u=2.0),
                    control=OmegaGrid(0.0, 6.0, 7)), SolverOptions()),
@@ -441,6 +443,7 @@ def check_determinism() -> CheckResult:
     )
     differing = []
     for spec, options in specs:
+        _system_blocks.cache_clear()
         if (run_sweep(spec, options=options).rows
                 != run_sweep(spec, options=options).rows):
             differing.append(repr(spec.species))

@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -293,3 +294,14 @@ class TestSectorBlocks:
             reflected = np.empty_like(states)
             reflected[targets] = signs[:, None] * states.conj()
             assert np.abs(reflected - states).max() < 1e-12
+
+    @pytest.mark.parametrize("name", [
+        "representatives", "hop.data", "hop.indices", "hop.indptr",
+        "diagonal", "interaction"])
+    def test_block_arrays_are_read_only(self, name):
+        # A sweep shares its blocks between calls, so none may change them.
+        basis = enumerate_basis(make_ring(6), Fermions(2, 1, u=1.0))
+        for block in sector_blocks(basis):
+            array = operator.attrgetter(name)(block)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]

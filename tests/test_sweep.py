@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ringlat import (
+    BasisSizeError,
     Bosons,
     DomainError,
     Fermions,
@@ -23,9 +24,9 @@ from ringlat import (
     polarized_current,
     run,
 )
-from ringlat import sweep
+from ringlat import cli, sweep
 from ringlat.eigen import ConvergenceError
-from ringlat.hamiltonian import SectorBlock
+from ringlat.hamiltonian import SectorBlock, sector_blocks
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -764,3 +765,126 @@ class TestFastModeBoundary:
                              [point.u_star], 8)
         # Solving every block took 4 * 8 + 3 * 2 = 38 solves.
         assert sum(len(solved) for *_, solved in calls) <= 22
+
+
+def _count_builds(monkeypatch) -> list:
+    """Empty the sweep's cache of sector blocks, then record the
+    (n_sites, species) of every sector-block build."""
+    sweep._system_blocks.cache_clear()
+    builds = []
+    build = sweep.sector_blocks
+
+    def counted(basis):
+        builds.append((basis.n_sites, basis.species))
+        return build(basis)
+
+    monkeypatch.setattr(sweep, "sector_blocks", counted)
+    return builds
+
+
+def _two_point_spec(n_sites: int, species) -> SweepSpec:
+    ring = make_ring(n_sites)
+    return SweepSpec(ring=ring, species=species,
+                     control=OmegaGrid(0.0, omega_for(ring, 1.0), 2))
+
+
+class TestSharedBlocks:
+    def test_cli_sweep_and_refinement_build_once(self, tmp_path,
+                                                 monkeypatch):
+        builds = _count_builds(monkeypatch)
+        assert cli.main(["sweep", "--sites", "8", "--species", "fermion",
+                         "--n-up", "2", "--n-down", "2", "--u", "4",
+                         "--omega-min", "0", "--omega-max", "20",
+                         "--omega-points", "11", "--refine",
+                         "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "crossings.csv").is_file()
+        assert builds == [(8, Fermions(2, 2))]
+
+    def test_scans_of_one_system_build_once_with_cold_results(
+            self, monkeypatch):
+        # Other t, K, omega and u than make_ring(8) and other scans: the
+        # blocks serve them all, with the results of freshly built ones.
+        builds = _count_builds(monkeypatch)
+        ring = make_ring(8, t=1.3, beta=0.7)
+        drive = omega_for(ring, 10.0)
+        calls = [
+            (fast_mode_boundary, SweepSpec(
+                ring=ring, species=Fermions(2, 2),
+                control=InteractionGrid(lo, hi, points, omega=drive),
+                bisection_tol=0.02))
+            for lo, hi, points in ((-30.0, -20.0, 3), (65.0, 78.0, 2))]
+        calls.append((lambda spec: run(spec).rows, SweepSpec(
+            ring=ring, species=Fermions(2, 2, u=2.0),
+            control=OmegaGrid(0.0, omega_for(ring, 3.0), 7))))
+        warm = [repr(call(spec)) for call, spec in calls]
+        assert builds == [(8, Fermions(2, 2))]
+        cold = []
+        for call, spec in calls:
+            sweep._system_blocks.cache_clear()
+            cold.append(repr(call(spec)))
+        assert warm == cold
+        assert "BoundaryPoint" in warm[0] and "BoundaryPoint" in warm[1]
+
+    def test_a_third_system_evicts_the_least_recently_used(self,
+                                                           monkeypatch):
+        builds = _count_builds(monkeypatch)
+        a, b, c = (6, Fermions(1, 1)), (6, Bosons(2)), (5, Fermions(1, 1))
+        for system in (a, b, a, c, a, b):
+            run(_two_point_spec(*system))
+        assert builds == [a, b, c, b]
+
+    @pytest.mark.parametrize("first,second", [
+        ((6, Fermions(2, 1)), (6, Fermions(1, 2))),
+        ((6, Fermions(2, 1)), (7, Fermions(2, 1))),
+        ((6, Fermions(2, 0)), (6, Bosons(2))),
+        ((6, Bosons(2)), (6, Bosons(3))),
+    ], ids=["spin-counts", "sites", "species-type", "boson-count"])
+    def test_distinct_systems_never_share_blocks(self, first, second,
+                                                 monkeypatch):
+        builds = _count_builds(monkeypatch)
+
+        def content(blocks):
+            return [(block.q, block.representatives.tolist(),
+                     block.hop.toarray().tolist(), block.interaction.tolist())
+                    for block in blocks]
+
+        for n_sites, species in (first, second, first, second):
+            spec = _two_point_spec(n_sites, species)
+            run(spec)
+            assert content(sweep._sector_blocks(spec, 1)) == content(
+                sector_blocks(enumerate_basis(spec.ring, species)))
+        assert builds == [first, second]
+
+    def test_polarized_fermions_build_nothing(self, ring8, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        spec = SweepSpec(ring=ring8, species=PolarizedFermions(2),
+                         control=OmegaGrid(0.0, omega_for(ring8, 3.0), 13),
+                         bisection_tol=1e-7)
+        run(spec)
+        find_crossings(spec)
+        assert builds == []
+        assert sweep._system_blocks.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("name,value", [("workers", 0), ("tol", math.nan)],
+                             ids=["before-the-build", "after-the-build"])
+    def test_a_rejected_call_then_a_valid_one_builds_once(self, name, value,
+                                                          monkeypatch):
+        builds = _count_builds(monkeypatch)
+        spec = _two_point_spec(6, Fermions(2, 1, u=3.0))
+        with pytest.raises(DomainError, match=f"^{name}:"):
+            run(spec, **{name: value})
+        run(spec)
+        assert builds == [(6, Fermions(2, 1))]
+
+    def test_a_failed_build_is_not_kept(self, monkeypatch):
+        builds = _count_builds(monkeypatch)
+        spec = _two_point_spec(6, Fermions(2, 1, u=3.0))
+        enumerate_all = sweep.enumerate_basis
+        monkeypatch.setattr(sweep, "enumerate_basis",
+                            lambda ring, species: enumerate_all(
+                                ring, species, max_dimension=10))
+        with pytest.raises(BasisSizeError):
+            run(spec)
+        monkeypatch.setattr(sweep, "enumerate_basis", enumerate_all)
+        run(spec)
+        assert builds == [(6, Fermions(2, 1))]
