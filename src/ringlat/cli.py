@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytic
+from . import __version__, analytic, sweep
 from .basis import BasisSizeError
 from .eigen import DEFAULT_OPTIONS, ConvergenceError, SolverOptions
 from .model import (
@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("--svg", action="store_true", default=None,
                      help="write SVG plots next to the CSVs")
     out.add_argument("--refine", action="store_true", default=None,
-                     help="refine crossings/boundaries after the sweep")
+                     help="refine crossings/boundaries from the sweep's own "
+                          "grid points, in the same pass")
     out.add_argument("--tol", type=float,
                      help="bisection tolerance for refinement")
     out.add_argument("--workers", type=int,
@@ -419,11 +420,18 @@ def _sector_cell(sectors: tuple, failed: bool) -> str:
 
 
 def cmd_sweep(config: RunConfig) -> int:
-    """Ground-state scan; optionally refine crossings or boundaries."""
+    """Ground-state scan; optionally refine crossings or boundaries from
+    the scan's own grid points, in the same pass."""
     spec = _sweep_spec(config)
-    result = run_sweep(spec, workers=config.workers, tol=config.solver_tol,
-                       degeneracy_tol=config.degeneracy_tol,
-                       options=config.solver)
+    solving = (config.workers, config.solver_tol, config.degeneracy_tol,
+               config.solver)
+    search, write = ((sweep._boundaries, _write_boundary)
+                     if config.u_grid is not None
+                     else (sweep._crossings, _write_crossings))
+    if config.refine:
+        result, found = sweep._scan(spec, *solving, search)
+    else:
+        result = run_sweep(spec, *solving)
     t = config.ring.t
     rows = []
     for row in result.rows:
@@ -453,10 +461,9 @@ def cmd_sweep(config: RunConfig) -> int:
                         x_label=x_label, y_label="units of t", series=series)
 
     if config.refine:
-        if config.u_grid is not None:
-            _write_boundary(config, spec)
-        else:
-            _write_crossings(config, spec)
+        if isinstance(found, ConvergenceError):
+            raise found  # after sweep.csv, with no roots file
+        write(config, found)
 
     if any(row.failed for row in result.rows):
         failures = [row for row in result.rows if row.failed]
@@ -467,11 +474,7 @@ def cmd_sweep(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def _write_crossings(config: RunConfig, spec: SweepSpec) -> None:
-    crossings = find_crossings(spec, workers=config.workers,
-                               tol=config.solver_tol,
-                               degeneracy_tol=config.degeneracy_tol,
-                               options=config.solver)
+def _write_crossings(config: RunConfig, crossings: tuple) -> None:
     rows = [(i, w, w * config.ring.k_factor / config.ring.t)
             for i, w in enumerate(crossings)]
     path = config.out_dir / "crossings.csv"
@@ -479,12 +482,8 @@ def _write_crossings(config: RunConfig, spec: SweepSpec) -> None:
     print(f"wrote {path}")
 
 
-def _write_boundary(config: RunConfig, spec: SweepSpec) -> None:
-    points = fast_mode_boundary(spec, workers=config.workers,
-                                tol=config.solver_tol,
-                                degeneracy_tol=config.degeneracy_tol,
-                                options=config.solver)
-    omega = spec.control.omega
+def _write_boundary(config: RunConfig, points: tuple) -> None:
+    omega = config.omega_fixed
     rows = [(omega, omega * config.ring.k_factor / config.ring.t,
              p.u_star / config.ring.t, p.sign_below, p.sign_above)
             for p in points]
@@ -496,8 +495,9 @@ def _write_boundary(config: RunConfig, spec: SweepSpec) -> None:
 
 
 def cmd_crossings(config: RunConfig) -> int:
-    spec = _sweep_spec(config)
-    _write_crossings(config, spec)
+    _write_crossings(config, find_crossings(
+        _sweep_spec(config), config.workers, config.solver_tol,
+        config.degeneracy_tol, config.solver))
     return EXIT_OK
 
 
@@ -505,8 +505,9 @@ def cmd_boundary(config: RunConfig) -> int:
     if config.u_grid is None:
         raise DomainError("u_grid: the boundary command needs --u-min, "
                           "--u-max and --u-points")
-    spec = _sweep_spec(config)
-    _write_boundary(config, spec)
+    _write_boundary(config, fast_mode_boundary(
+        _sweep_spec(config), config.workers, config.solver_tol,
+        config.degeneracy_tol, config.solver))
     return EXIT_OK
 
 

@@ -16,11 +16,11 @@ solves lies above the ground multiplet and the second level is skipped
 its main ARPACK run and then its lock loop, and the second stage is
 screened by the same rule, with the first stage's theta_1 - r_1 as the
 bound (see :func:`_solve`).  Rows and labels are those of a solve of
-every block.  Points run serially, and the ``workers`` argument is
-accepted and recorded only for compatibility.  Failed points are
-recorded in their row instead of aborting the scan, and rows always come
-back ordered by the control value, so a sweep with the same spec is
-reproducible bit for bit.
+every block.  Points run serially (``workers`` is recorded only for
+compatibility), in order of the control value, so a sweep with the same
+spec is reproducible bit for bit; a failed point is recorded in its row.
+One walk over the grid feeds the rows and a search alike, so
+``ringlat sweep --refine`` solves each grid point once (:func:`_scan`).
 
 Both searches bracket a change of a grid-point label between neighboring
 grid points: the sector of the lowest block level for a level crossing,
@@ -167,14 +167,8 @@ class BoundaryPoint:
 
 def _sector_blocks(spec: SweepSpec,
                    workers: int) -> tuple[SectorBlock, ...] | None:
-    """The spec's sector blocks; None for polarized fermions (closed forms).
-
-    A process keeps the blocks of the two most recently scanned systems
-    (:func:`_system_blocks`), keyed by n_sites, the species type and its
-    particle counts; t, K, omega and u do not enter the key, so every scan
-    of one system after the first reuses its blocks.  For 4+4 fermions on
-    12 sites the blocks hold 124 MB.
-    """
+    """The spec's sector blocks, kept per system (:func:`_system_blocks`);
+    None for polarized fermions (closed forms)."""
     if workers < 1:
         raise DomainError(f"workers: must be at least 1, got {workers}")
     validate_species(spec.species, spec.ring)
@@ -369,14 +363,17 @@ def _failed_row(ring: RingSpec, species: SpeciesSpec, value: float,
 
 
 def _grid_point(spec: SweepSpec, workers: int, tol: float,
-                degeneracy_tol: float, options: SolverOptions):
-    """The grid-point path of one scan, as two functions.
+                degeneracy_tol: float, options: SolverOptions, search=None):
+    """The grid-point path of one scan, as three functions, after the
+    checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
 
     ``solve(value, among, known)`` solves the sector blocks of the
     sectors ``among`` in full at a control value and returns them keyed
     by sector, or None for polarized fermions; ``known`` passes blocks
     already solved there (see :func:`_solve`).  ``row(value, solved)``
-    builds the point's :class:`SweepRow` from that.
+    builds the point's :class:`SweepRow` from that.  ``points()``, the one
+    walk over the grid, solves the grid values in order, lazily, and yields
+    (value, solved, None), or (value, None, error) where the solve raised.
 
     With ``among`` left out, ``solve`` screens every block against a
     ledger of proven bounds kept for the call: sector -> (x0, l), where l
@@ -387,10 +384,18 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     contact energies D >= 0.  :func:`_solve` then skips every block, and
     the lock loop of every Krylov block, that cannot reach the ground
     multiplet or the second level, so the rows and labels are those of a
-    solve of every block.  Each solve or skip
-    records its bound in the ledger; a block whose solve raises
-    :class:`~ringlat.eigen.ConvergenceError` keeps its entry.
+    solve of every block.  Each solve or skip records its bound in the
+    ledger; a block whose solve raises a ConvergenceError keeps its entry.
     """
+    if search is _crossings and not isinstance(spec.control, OmegaGrid):
+        raise DomainError("control: crossing detection scans the drive "
+                          "frequency; use an OmegaGrid")
+    if search is _boundaries and not isinstance(spec.control, InteractionGrid):
+        raise DomainError("control: boundary detection scans the "
+                          "interaction; use an InteractionGrid")
+    if search is _boundaries and not isinstance(spec.species, Fermions):
+        raise DomainError(f"species: boundary detection needs Fermions, "
+                          f"got {type(spec.species).__name__}")
     blocks = _sector_blocks(spec, workers)
     _check_tolerances(tol, degeneracy_tol)
     ledger: dict[int, tuple[float, float]] = {}
@@ -436,22 +441,45 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
             return _polarized_row(ring, species, float(value))
         return _block_row(ring, species, solved, float(value), degeneracy_tol)
 
-    return solve, row
+    def points():
+        for value in map(float, spec.control.values()):
+            try:
+                yield value, solve(value), None
+            except ConvergenceError as error:
+                yield value, None, error
+
+    return solve, row, points
 
 
 def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         degeneracy_tol: float = DEGENERACY_TOL,
         options: SolverOptions = DEFAULT_OPTIONS) -> SweepResult:
     """Solve the ground state and measure currents on every grid point."""
-    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
+    return _scan(spec, workers, tol, degeneracy_tol, options)[0]
 
-    def point(value: float) -> SweepRow:
-        try:
-            return row(value, solve(value))
-        except ConvergenceError as error:
-            return _failed_row(*_point_parameters(spec, value), value, error)
 
-    rows = tuple(point(v) for v in spec.control.values())
+def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
+          options: SolverOptions, search=None) -> tuple[SweepResult, object]:
+    """One pass over the grid: :func:`run`'s result, and what ``search``
+    returns from the same points as they are solved, or the
+    ConvergenceError it raised; the pass then finishes the rows."""
+    _, row, points = grid = _grid_point(spec, workers, tol, degeneracy_tol,
+                                        options, search)
+    rows = []
+
+    def recorded():
+        for value, solved, error in points():
+            rows.append(row(value, solved) if error is None else _failed_row(
+                *_point_parameters(spec, value), value, error))
+            yield value, solved, error
+
+    source = recorded()
+    try:
+        found = search(spec, grid, degeneracy_tol, source) if search else None
+    except ConvergenceError as error:
+        found = error
+    for _ in source:
+        pass
 
     provenance = {
         "ring": {"n_sites": spec.ring.n_sites, "t": spec.ring.t,
@@ -463,7 +491,8 @@ def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
                    "seed": options.seed},
         "workers": workers,
     }
-    return SweepResult(spec=spec, rows=rows, provenance=provenance)
+    return SweepResult(spec=spec, rows=tuple(rows),
+                       provenance=provenance), found
 
 
 def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
@@ -480,10 +509,14 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     levels within 1e-9 of each other as tied, like the sweep rows, but
     bisection steps order the levels exactly.
     """
-    if not isinstance(spec.control, OmegaGrid):
-        raise DomainError("control: crossing detection scans the drive "
-                          "frequency; use an OmegaGrid")
-    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
+    grid = _grid_point(spec, workers, tol, degeneracy_tol, options, _crossings)
+    return _crossings(spec, grid, degeneracy_tol, grid[2]())
+
+
+def _crossings(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
+               points) -> tuple[float, ...]:
+    """:func:`find_crossings` on ``points``; a failed point raises."""
+    solve, row, _ = grid
 
     def label(omega: float, solved: dict | None) -> int:
         if solved is not None:
@@ -494,8 +527,9 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         return sum(s.n for s in left) % ring.n_sites
 
     def ends():
-        for omega in map(float, spec.control.values()):
-            solved = solve(omega)
+        for omega, solved, error in points:
+            if error is not None:
+                raise error
             if solved is None:
                 # The row's tie window keeps the grid's labels where two
                 # Fermi levels differ by a few ulps, as at omega = 0.
@@ -625,13 +659,15 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     sign after it differs from the sign before, or when it reaches the
     end of the grid.
     """
-    if not isinstance(spec.control, InteractionGrid):
-        raise DomainError("control: boundary detection scans the "
-                          "interaction; use an InteractionGrid")
-    if not isinstance(spec.species, Fermions):
-        raise DomainError(f"species: boundary detection needs Fermions, "
-                          f"got {type(spec.species).__name__}")
-    solve, row = _grid_point(spec, workers, tol, degeneracy_tol, options)
+    grid = _grid_point(spec, workers, tol, degeneracy_tol, options,
+                       _boundaries)
+    return _boundaries(spec, grid, degeneracy_tol, grid[2]())
+
+
+def _boundaries(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
+                points) -> tuple[BoundaryPoint, ...]:
+    """:func:`fast_mode_boundary` on ``points``; a failed point raises."""
+    solve, row, _ = grid
     eps = FAST_CURRENT_EPS * spec.ring.t
 
     def label(u: float, solved: dict) -> int:
@@ -639,14 +675,15 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
         current = row(u, solved).per_particle_current
         return int(current > eps) - int(current < -eps)
 
-    def points():
-        for u in map(float, spec.control.values()):
-            solved = solve(u)
+    def labelled():
+        for u, solved, error in points:
+            if error is not None:
+                raise error
             yield u, solved, label(u, solved)
 
     # zeros: the first point of a run of zero currents and the sign before.
     boundaries, zeros = [], None
-    for lo, hi in itertools.pairwise(points()):
+    for lo, hi in itertools.pairwise(labelled()):
         s_lo, s_hi = lo[2], hi[2]
         if s_lo != 0 and s_hi == 0:
             zeros = (hi[0], s_lo)

@@ -144,6 +144,46 @@ class TestSweep:
                 expected, abs=1e-9)
 
 
+class TestRefine:
+    def test_search_checks_run_before_the_sweep(self, tmp_path, capsys,
+                                                monkeypatch):
+        # A boundary search needs fermions: the command stops before it
+        # solves a grid point or writes sweep.csv.
+        solves = []
+        monkeypatch.setattr(ringlat.sweep, "_solve",
+                            lambda *args, **kwargs: solves.append(args))
+        assert main(["sweep", "--sites", "6", "--species", "boson",
+                     "--n", "2", "--u-min", "0", "--u-max", "4",
+                     "--u-points", "3", "--omega", "1", "--refine",
+                     "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "configuration error: species: boundary detection needs Fermions")
+        assert solves == []
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("grid,roots", [
+        (["--omega-min", "0", "--omega-max", "4", "--omega-points", "5"],
+         "crossings.csv"),
+        (["--u-min", "0", "--u-max", "4", "--u-points", "5", "--omega", "1"],
+         "boundary.csv")], ids=["omega", "u"])
+    def test_failed_points_leave_rows_and_no_roots(self, tmp_path, capsys,
+                                                   grid, roots):
+        # No Krylov solve meets a 1e-17 tolerance: every row fails, the
+        # search stops at the first point, and no roots file is written.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps(
+            {"solver": {"dense_threshold": 1, "tol": 1e-17}}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--sites", "6", "--species", "fermion",
+                     "--n-up", "1", "--n-down", "1", *grid, "--refine",
+                     "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("solver failure:")
+        _, _, body = read_csv(out / "sweep.csv")
+        assert len(body) == 5
+        assert all(row["sector"] == "failed" for row in body)
+        assert not (out / roots).exists()
+
+
 class TestCrossings:
     def test_four_site_threshold(self, tmp_path):
         assert main(["crossings", "--sites", "4", "--species", "boson",

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import math
 
@@ -290,8 +291,8 @@ class TestScreen:
         # A grid runs upward; refinement steps also move down, where a
         # falling u lowers levels.
         spec = _screen_cases()[name]
-        solve, row = sweep._grid_point(spec, 1, 1e-10, 1e-8,
-                                       sweep.DEFAULT_OPTIONS)
+        solve, row, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8,
+                                          sweep.DEFAULT_OPTIONS)
         values = spec.control.values()[::-1]
         rows = tuple(row(value, solve(value)) for value in values)
         assert repr(rows) == repr(unscreened_rows(spec)[::-1])
@@ -453,7 +454,7 @@ class TestLockLoopScreen:
         # lowest level has two copies.
         spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
                          OmegaGrid(0.0, 1.0, 2))
-        solve, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
+        solve, _, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
         solved = solve(0.0, (0, 4))
         assert sorted(solved) == [0, 4]
         assert len(solved[4][1]) == 3
@@ -765,6 +766,65 @@ class TestFastModeBoundary:
                              [point.u_star], 8)
         # Solving every block took 4 * 8 + 3 * 2 = 38 solves.
         assert sum(len(solved) for *_, solved in calls) <= 22
+
+
+class TestOneScan:
+    @pytest.mark.parametrize("control,search,window", [
+        (["--u", "4", "--omega-min", "0", "--omega-max", "40",
+          "--omega-points", "41"], find_crossings, OmegaGrid(0.0, 40.0, 41)),
+        (["--u-min", "-23", "--u-max", "-15", "--u-points", "3", "--tol",
+          "0.02", "--omega", repr(omega_for(make_ring(8), 10.0))],
+         fast_mode_boundary, InteractionGrid(
+             -23.0, -15.0, 3, omega=omega_for(make_ring(8), 10.0)))],
+        ids=["omega", "u"])
+    def test_refine_solves_each_grid_point_once(self, tmp_path, monkeypatch,
+                                                control, search, window):
+        # The search reads the grid points the rows came from: each grid
+        # value takes one screened solve, where a second scan made two.
+        screened = []
+        solve = sweep._solve
+
+        def recorded(blocks, ring, u, degeneracy_tol, tol, options, floors,
+                     *args, **kwargs):
+            if floors is not None:
+                screened.append(ring.omega if search is find_crossings
+                                else u)
+            return solve(blocks, ring, u, degeneracy_tol, tol, options,
+                         floors, *args, **kwargs)
+
+        monkeypatch.setattr(sweep, "_solve", recorded)
+        assert cli.main(["sweep", "--sites", "8", "--species", "fermion",
+                         "--n-up", "2", "--n-down", "2", *control,
+                         "--refine", "--out", str(tmp_path)]) == 0
+        grid = [float(value) for value in window.values()]
+        assert sorted(x for x in screened if x in grid) == grid
+        monkeypatch.setattr(sweep, "_solve", solve)
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0), window,
+                         0.02 if search is fast_mode_boundary else 1e-6)
+        rows = _csv_body(tmp_path / "sweep.csv")
+        assert [(float(r["control"]), float(r["ground_energy_over_t"]),
+                 float(r["gap_over_t"]), float(r["current_total_over_t"]),
+                 r["sector"]) for r in rows] == [
+            (row.control_value, row.ground_energy, row.gap,
+             row.total_current, "|".join(map(str, row.sectors)))
+            for row in run(spec).rows]
+        roots = search(spec)
+        assert roots
+        if search is find_crossings:
+            assert [float(r["omega"]) for r in _csv_body(
+                tmp_path / "crossings.csv")] == list(roots)
+        else:
+            assert [(float(r["u_star_over_t"]), int(r["sign_below"]),
+                     int(r["sign_above"])) for r in _csv_body(
+                tmp_path / "boundary.csv")] == [
+                (p.u_star, p.sign_below, p.sign_above) for p in roots]
+
+
+def _csv_body(path) -> list[dict]:
+    """The data rows of a CSV written by the CLI, by column name."""
+    with open(path, encoding="utf-8") as handle:
+        return list(csv.DictReader(
+            line for line in handle if not line.startswith("#")))
 
 
 def _count_builds(monkeypatch) -> list:
