@@ -444,11 +444,12 @@ def cmd_sweep(config: RunConfig) -> int:
             row.degenerate, row.is_fast_current, row.is_max_winding,
         ))
     path = config.out_dir / "sweep.csv"
+    summary = json.dumps(result.provenance["solver_summary"], sort_keys=True)
     _write_csv(path, config.echo, [
         "control", "omega", "omegaK_over_t", "u_over_t",
         "ground_energy_over_t", "gap_over_t", "current_total_over_t",
         "current_per_particle_over_t", "sector", "degenerate",
-        "fast_current", "max_winding"], rows)
+        "fast_current", "max_winding"], rows, [f"# solver-summary: {summary}"])
     print(f"wrote {path}")
 
     if config.svg:

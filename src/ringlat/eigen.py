@@ -127,9 +127,9 @@ def _level_stages(op: HermitianOperator, k: int, tol: float,
     A dense solve yields its result once, final.  A Krylov solve first
     yields the k Ritz pairs of its main ARPACK run (stage 1); resumed, it
     runs the lock loop with the same generator state and yields the
-    result of :func:`_lowest_levels` (stage 2, final).  Every Krylov yield
-    has each residual within ``tol * max(1, |value|)``, or raises
-    :class:`ConvergenceError`.
+    result of :func:`_lowest_levels` (stage 2, final).  Every yield, on
+    either path, has each residual within ``tol * max(1, |value|)``, or
+    raises :class:`ConvergenceError`.
     """
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
@@ -148,20 +148,18 @@ def _level_stages(op: HermitianOperator, k: int, tol: float,
         values, vectors = _dense_lowest(op, k, degeneracy_tol)
     stop = _level_end(values, k, degeneracy_tol) + 1
     values, vectors = values[:stop], vectors[:, :stop]
-    yield (values, vectors,
-           _residuals(op, values, vectors, tol if krylov else None), True)
+    yield values, vectors, _residuals(op, values, vectors, tol), True
 
 
 def _residuals(op: HermitianOperator, values: np.ndarray, vectors: np.ndarray,
-               tol: float | None) -> np.ndarray:
-    """||H v - value v|| of each pair; given a ``tol``, each must stay
-    within ``tol * max(1, |value|)``."""
+               tol: float) -> np.ndarray:
+    """||H v - value v|| of each pair, each of which must stay within
+    ``tol * max(1, |value|)``."""
     residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
-    if tol is not None:
-        bounds = tol * np.maximum(1.0, np.abs(values))
-        if np.any(residuals > bounds):
-            raise ConvergenceError(
-                f"Krylov residuals {residuals} exceed tolerance bounds {bounds}")
+    bounds = tol * np.maximum(1.0, np.abs(values))
+    if np.any(residuals > bounds):
+        raise ConvergenceError(
+            f"residuals {residuals} exceed tolerance bounds {bounds}")
     return residuals
 
 

@@ -118,26 +118,64 @@ def _check_basis(ring: RingSpec, species: SpeciesSpec, basis: FockBasis) -> None
                           f"got species {species!r}")
 
 
+def _boson_occupations(basis: FockBasis) -> np.ndarray:
+    """The occupation tuples of a boson basis as one (dimension, N) array."""
+    return np.fromiter(
+        itertools.chain.from_iterable(basis.states), dtype=np.int64,
+        count=basis.dimension * basis.n_sites).reshape(basis.dimension, -1)
+
+
 def interaction_diagonal(species: SpeciesSpec, basis: FockBasis) -> np.ndarray:
     """Per-state diagonal interaction energy at unit coupling: sum n(n - 1)
     for bosons, the number of doubly occupied sites for fermions."""
     if isinstance(species, Bosons):
-        occupations = np.fromiter(
-            itertools.chain.from_iterable(basis.states), dtype=np.int64,
-            count=basis.dimension * basis.n_sites).reshape(basis.dimension, -1)
+        occupations = _boson_occupations(basis)
         return (occupations * (occupations - 1)).sum(axis=1).astype(float)
     if isinstance(species, Fermions):
-        # The product basis runs over up masks, and for each over every
-        # down mask.  Masks of more than 64 sites stay Python integers.
-        n_down = math.comb(basis.n_sites, species.n_down)
+        # Masks of more than 64 sites stay Python integers.
         dtype = np.uint64 if basis.n_sites <= 64 else object
-        ups = np.array([state.up_mask for state in basis.states[::n_down]],
-                       dtype=dtype)
-        downs = np.array([state.down_mask for state in basis.states[:n_down]],
-                         dtype=dtype)
+        ups, downs = (np.array(masks, dtype=dtype)
+                      for masks in _spin_masks(basis))
         return np.bitwise_count(
             np.bitwise_and.outer(ups, downs)).ravel().astype(float)
     return np.zeros(basis.dimension)
+
+
+def _spin_masks(basis: FockBasis) -> tuple[list[int], list[int]]:
+    """The up masks and the down masks of a fermion basis: the product
+    basis runs over up masks, and for each over every down mask (one
+    empty mask for polarized fermions)."""
+    n_down = math.comb(basis.n_sites, getattr(basis.species, "n_down", 0))
+    return ([state.up_mask for state in basis.states[::n_down]],
+            [state.down_mask for state in basis.states[:n_down]])
+
+
+def plane_wave_lines(basis: FockBasis
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each basis state read as momentum occupations n_k, k < N: the up
+    and down masks for fermions, the occupation tuple for bosons.
+
+    Returns, per state, the plane-wave configuration c's A_c = -2 sum_k
+    n_k cos(phi_k), B_c = -2 sum_k n_k sin(phi_k) and sector sum_k k n_k
+    mod N, with phi_k = 2*pi*k/N.  Without interaction H is diagonal in
+    the plane-wave Fock states, with energy t A_c + omega K B_c, so the
+    configurations of sector q carry that sector's spectrum at u = 0, and
+    dH/d omega, restricted to the sector, has spectrum {K B_c}.
+    """
+    n = basis.n_sites
+    phi = 2 * math.pi * np.arange(n) / n
+    waves = np.column_stack([-2 * np.cos(phi), -2 * np.sin(phi)])
+    momenta = np.arange(n)
+    if isinstance(basis.species, Bosons):
+        occupations = _boson_occupations(basis)
+        lines, sums = occupations @ waves, occupations @ momenta
+    else:
+        up, down = (np.array([[(mask >> k) & 1 for k in range(n)]
+                              for mask in masks])
+                    for masks in _spin_masks(basis))
+        lines = ((up @ waves)[:, None] + (down @ waves)[None]).reshape(-1, 2)
+        sums = np.add.outer(up @ momenta, down @ momenta).ravel()
+    return lines[:, 0], lines[:, 1], sums % n
 
 
 def build_boson(ring: RingSpec, species: Bosons, basis: FockBasis,
@@ -187,6 +225,9 @@ class SectorBlock:
     mirror entries hold one value and whose every diagonal position is
     stored (a 0 where X has none), at ``diagonal`` in ``hop.data``.
     ``interaction`` is each state's contact energy at unit coupling.
+    ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the sector's
+    plane-wave configurations c (:func:`plane_wave_lines`), one per state:
+    at u = 0 the block's levels are exactly t A_c + omega K B_c.
     """
 
     q: int
@@ -194,6 +235,8 @@ class SectorBlock:
     hop: sparse.csr_matrix = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
+    lines_t: np.ndarray = field(repr=False)
+    lines_drive: np.ndarray = field(repr=False)
 
     def operator(self, forward_amplitude: complex,
                  u: float = 0.0) -> HermitianOperator:
@@ -252,8 +295,9 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     of the forward-hop sum T_q (Sandvik, arXiv:1101.3281, sec. 4.1).  The
     block holds X = W^H T_q W for the W of :func:`reflection_rotation`,
     its upper triangle mirrored, and the contact energies W^H D W, which
-    are diagonal since Theta leaves D invariant.  Every array of a block
-    is read-only, since a sweep shares its blocks between calls.
+    are diagonal since Theta leaves D invariant, and the plane-wave lines
+    of :func:`plane_wave_lines` in sector q.  Every array of a block is
+    read-only, since a sweep shares its blocks between calls.
     """
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, closing = orbits
@@ -265,6 +309,7 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
         period[cols] / period[targets])
     reps = np.flatnonzero(orbit == np.arange(basis.dimension))
     contact = interaction_diagonal(basis.species, basis)
+    lines_t, lines_drive, wave_sector = plane_wave_lines(basis)
     blocks = []
     for q in range(n):
         # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
@@ -292,8 +337,11 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
         diagonal = np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
                                   == hop.indices)
         interaction = abs(w).power(2).T @ contact[members]
+        waves = wave_sector == q
+        lines = lines_t[waves], lines_drive[waves]
         for arr in (members, hop.data, hop.indices, hop.indptr, diagonal,
-                    interaction):
+                    interaction, *lines):
             arr.setflags(write=False)
-        blocks.append(SectorBlock(q, members, hop, diagonal, interaction))
+        blocks.append(SectorBlock(q, members, hop, diagonal, interaction,
+                                  *lines))
     return tuple(blocks)

@@ -6,19 +6,21 @@ Each call solves on the translation-sector blocks of one basis
 carries its block's exact sector.  The blocks do not depend on t, K,
 omega or u, so a process keeps those of the two most recently scanned
 systems, keyed by n_sites, the species type and its particle counts, and
-every call on one of them reuses its blocks (124 MB for 4+4 fermions on
+every call on one of them reuses its blocks (128 MB for 4+4 fermions on
 12 sites).  A grid point solves only the blocks that can reach the
-ground: each block is affine in the control, so by
-Weyl's inequality its lowest level moves by at most |dx| * ||dH/dx||
-between two points, and a block whose bound from the call's earlier
-solves lies above the ground multiplet and the second level is skipped
-(see :func:`_grid_point`).  A Krylov block is solved in two stages,
-its main ARPACK run and then its lock loop, and the second stage is
-screened by the same rule, with the first stage's theta_1 - r_1 as the
-bound (see :func:`_solve`).  Rows and labels are those of a solve of
-every block.  Points run serially (``workers`` is recorded only for
-compatibility), in order of the control value, so a sweep with the same
-spec is reproducible bit for bit; a failed point is recorded in its row.
+ground, by Weyl's inequality: each block's lowest level lies above its
+plane-wave floor, the exact u = 0 level from the sector's plane-wave
+lines plus the least contact energy, and moves between two points by at
+most the control step times the sector's slope, so a block whose bound
+lies above the ground multiplet and the second level is skipped, from
+the first point on (see :func:`_grid_point`).  A Krylov block is solved
+in two stages, its main ARPACK run and then its lock loop, and the
+second stage is screened by the same rule, with the first stage's
+theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
+those of a solve of every block.  Points run serially (``workers`` is
+recorded only for compatibility), in order of the control value, so a
+sweep with the same spec is reproducible bit for bit; a failed point is
+recorded in its row.
 One walk over the grid feeds the rows and a search alike, so
 ``ringlat sweep --refine`` solves each grid point once (:func:`_scan`).
 
@@ -46,6 +48,7 @@ import itertools
 import math
 import numbers
 import sys
+from collections import Counter
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -199,24 +202,62 @@ def _point_parameters(spec: SweepSpec, value: float) -> tuple[RingSpec, SpeciesS
             replace(spec.species, u=float(value)))
 
 
-def _drive_slope(ring: RingSpec, species: SpeciesSpec) -> float:
-    """A bound on ||dH/d omega|| over the species' Fock space.
+# Rounding allowance of the screen's bounds, relative to their scale.
+_SLOPE_PAD = 1 + 8 * sys.float_info.epsilon
+_FLOOR_PAD = 32 * sys.float_info.epsilon
 
-    dH/d omega = -2K sum_k sin(2*pi*k/N) n_k is diagonal in the plane
-    waves, so its largest magnitude fills the largest |sin| values: the
-    n_up and the n_down largest for fermions, N_p times the largest for
-    bosons.  Every sector block is a compression of H, so its lowest level
-    moves by at most this times |d omega| (Weyl).  The factor 1 + 8 eps
-    covers the rounding of the sines and their sum.
+
+def _drive_slopes(blocks: tuple[SectorBlock, ...],
+                  ring: RingSpec) -> dict[int, tuple[float, float]]:
+    """Per sector: how far a falling and a rising omega can lower the
+    block's lowest level, per unit of omega.
+
+    dH/d omega restricted to block q has spectrum exactly {K B_c} over its
+    plane-wave lines (:func:`~ringlat.hamiltonian.plane_wave_lines`), so by
+    Weyl a rising omega lowers the level by at most max(0, -min K B_c) per
+    unit and a falling omega by at most max(0, max K B_c).  The factor
+    1 + 8 eps covers the rounding of the lines.
     """
-    sines = np.sort(np.abs(np.sin(
-        2 * math.pi * np.arange(ring.n_sites) / ring.n_sites)))[::-1]
-    if isinstance(species, Fermions):
-        filled = sines[:species.n_up].sum() + sines[:species.n_down].sum()
-    else:
-        filled = species.n_particles * sines[0]
-    return (2 * abs(ring.k_factor) * float(filled)
-            * (1 + 8 * sys.float_info.epsilon))
+    slopes = {}
+    for block in blocks:
+        ends = (ring.k_factor * float(block.lines_drive.min()),
+                ring.k_factor * float(block.lines_drive.max()))
+        slopes[block.q] = (max(0.0, *ends) * _SLOPE_PAD,
+                           max(0.0, -min(ends)) * _SLOPE_PAD)
+    return slopes
+
+
+def _plane_wave_floors(blocks: tuple[SectorBlock, ...], n_particles: int
+                       ) -> Callable[[RingSpec, float], np.ndarray]:
+    """A function of (ring, u) giving, in block order, each block's
+    plane-wave floor F_q, a lower bound on its lowest level.
+
+    At u = 0 block q's lowest level is exactly min_c (t A_c + omega K B_c)
+    over its plane-wave lines, and its contact energies D_q are diagonal,
+    so by Weyl the level is at least F_q = that minimum + min(u min D_q,
+    u max D_q).  F_q is lowered by 32 eps times 2 N_p (|t| + |omega K|) +
+    |u| max D_q, a bound on the block's norm, which covers the rounding of
+    the lines, of the block's entries and of their sums.  The minimum over
+    the lines depends only on t and omega K, so an interaction grid takes
+    it once per call.
+    """
+    starts = np.cumsum([0] + [len(block.lines_t) for block in blocks[:-1]])
+    lines_t = np.concatenate([block.lines_t for block in blocks])
+    lines_drive = np.concatenate([block.lines_drive for block in blocks])
+    low = np.array([block.interaction.min() for block in blocks])
+    high = np.array([block.interaction.max() for block in blocks])
+
+    @functools.lru_cache(maxsize=1)
+    def minima(t: float, drive: float) -> np.ndarray:
+        return np.minimum.reduceat(t * lines_t + drive * lines_drive, starts)
+
+    def floors(ring: RingSpec, u: float) -> np.ndarray:
+        drive = ring.omega * ring.k_factor
+        reach = 2 * n_particles * (abs(ring.t) + abs(drive)) + abs(u) * high
+        return (minima(ring.t, drive) + np.minimum(u * low, u * high)
+                - _FLOOR_PAD * reach)
+
+    return floors
 
 
 def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
@@ -241,8 +282,10 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     ``tol * max(1, |E|)`` of an accepted solve: no level of its block
     could join the ground multiplet or be the second level.  Since the
     bounds ascend, every item after the first skipped one is skipped too.
-    ``record(q, bound)`` receives each solved block's lowest level minus
-    its residual, and each skipped item's bound.
+    ``record(q, bound, outcome)`` receives each solved block's lowest level
+    minus its residual, with outcome "solved" (one stage) or "locked"
+    (lock loop run), and each skipped item's bound, with outcome "skipped"
+    (block not solved) or "lock skipped" (main run only).
     """
     amp = hopping_amplitude(ring)
     solved = dict(known or {})
@@ -257,8 +300,10 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
             limit = max(values[1],
                         values[_level_end(values, 1, degeneracy_tol) - 1])
             if bound > limit + degeneracy_tol + tol * max(1.0, abs(limit)):
-                record(block.q, bound)
+                record(block.q, bound,
+                       "skipped" if stages is None else "lock skipped")
                 continue
+        locking = stages is not None
         if stages is None:
             stages = _level_stages(block.operator(amp, u), 1, tol,
                                    degeneracy_tol, options)
@@ -267,7 +312,7 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
         if not final:
             heapq.heappush(queue, (low, i, block, stages))
             continue
-        record(block.q, low)
+        record(block.q, low, "locked" if locking else "solved")
         solved[block.q] = (block, levels, vectors)
         values = np.sort(np.concatenate([values, levels]))
     return {block.q: solved[block.q] for block in blocks if block.q in solved}
@@ -363,7 +408,8 @@ def _failed_row(ring: RingSpec, species: SpeciesSpec, value: float,
 
 
 def _grid_point(spec: SweepSpec, workers: int, tol: float,
-                degeneracy_tol: float, options: SolverOptions, search=None):
+                degeneracy_tol: float, options: SolverOptions, search=None,
+                tally: Counter | None = None):
     """The grid-point path of one scan, as three functions, after the
     checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
 
@@ -374,18 +420,24 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     builds the point's :class:`SweepRow` from that.  ``points()``, the one
     walk over the grid, solves the grid values in order, lazily, and yields
     (value, solved, None), or (value, None, error) where the solve raised.
+    ``tally``, if given, counts the outcomes that :func:`_solve` records.
 
-    With ``among`` left out, ``solve`` screens every block against a
-    ledger of proven bounds kept for the call: sector -> (x0, l), where l
-    bounds the block's lowest level at the control value x0 from below.
-    Each block is affine in the control, so at x its lowest level is at
-    least l - |x - x0| * L_omega in the drive (see :func:`_drive_slope`),
-    and at least l - max(0, u0 - u) * max D in the interaction, since the
-    contact energies D >= 0.  :func:`_solve` then skips every block, and
-    the lock loop of every Krylov block, that cannot reach the ground
-    multiplet or the second level, so the rows and labels are those of a
-    solve of every block.  Each solve or skip records its bound in the
-    ledger; a block whose solve raises a ConvergenceError keeps its entry.
+    With ``among`` left out, ``solve`` screens every block, at bound
+    max(ledger bound, F_q).  F_q is the block's plane-wave floor
+    (:func:`_plane_wave_floors`), which holds from the first point on.
+    The ledger, kept for the call, maps sector -> (x0, l), where l bounds
+    the block's lowest level at the control value x0 from below.  Each
+    block is affine in the control, so at x its lowest level is at least
+    l - (x0 - x) * down - (x - x0) * up, where the pair is the sector's
+    slopes: in the drive, (down, up) = (max(0, max K B_c), max(0,
+    -min K B_c)) over its lines (:func:`_drive_slopes`); in the
+    interaction (max D, 0), since the contact energies D >= 0, and only
+    the positive part of each step counts.  :func:`_solve` then skips
+    every block, and the lock loop of every Krylov block, that cannot
+    reach the ground multiplet or the second level, so the rows and
+    labels are those of a solve of every block.  Each solve or skip
+    records its bound in the ledger; a block whose solve raises a
+    ConvergenceError keeps its entry.
     """
     if search is _crossings and not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
@@ -398,17 +450,19 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
                           f"got {type(spec.species).__name__}")
     blocks = _sector_blocks(spec, workers)
     _check_tolerances(tol, degeneracy_tol)
+    tally = Counter() if tally is None else tally
     ledger: dict[int, tuple[float, float]] = {}
     if blocks is None:
         slopes = {}
     elif isinstance(spec.control, OmegaGrid):
-        slope = _drive_slope(spec.ring, spec.species)
-        slopes = {block.q: (slope, slope) for block in blocks}
+        slopes = _drive_slopes(blocks, spec.ring)
     else:
         # Falling u lowers a level by at most max D per unit; rising u
         # never lowers it.
         slopes = {block.q: (float(block.interaction.max()), 0.0)
                   for block in blocks}
+    plane = (None if blocks is None else
+             _plane_wave_floors(blocks, particle_count(spec.species)))
 
     def floor(q: int, value: float) -> float:
         if q not in ledger:
@@ -421,19 +475,21 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
         if blocks is None:
             return None
         ring, species = _point_parameters(spec, value)
+        u = getattr(species, "u", 0.0)
         if among is None:
             chosen = blocks
-            floors = {block.q: floor(block.q, value) for block in blocks}
+            floors = {block.q: max(floor(block.q, value), float(f))
+                      for block, f in zip(blocks, plane(ring, u))}
         else:
             chosen = tuple(block for block in blocks if block.q in among)
             floors = None
 
-        def record(q: int, low: float) -> None:
+        def record(q: int, low: float, outcome: str) -> None:
+            tally[outcome] += 1
             ledger[q] = (value, low)
 
-        return _solve(chosen, ring, getattr(species, "u", 0.0),
-                      degeneracy_tol, tol, options, floors, record,
-                      known=known)
+        return _solve(chosen, ring, u, degeneracy_tol, tol, options, floors,
+                      record, known=known)
 
     def row(value: float, solved: dict | None) -> SweepRow:
         ring, species = _point_parameters(spec, value)
@@ -462,9 +518,13 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
           options: SolverOptions, search=None) -> tuple[SweepResult, object]:
     """One pass over the grid: :func:`run`'s result, and what ``search``
     returns from the same points as they are solved, or the
-    ConvergenceError it raised; the pass then finishes the rows."""
+    ConvergenceError it raised; the pass then finishes the rows.  The
+    provenance's ``solver_summary`` counts the pass's block solves (main
+    runs, a failed one left out), skipped blocks, and lock loops run and
+    skipped."""
+    tally = Counter()
     _, row, points = grid = _grid_point(spec, workers, tol, degeneracy_tol,
-                                        options, search)
+                                        options, search, tally)
     rows = []
 
     def recorded():
@@ -490,6 +550,12 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
                    "dense_threshold": options.dense_threshold,
                    "seed": options.seed},
         "workers": workers,
+        "solver_summary": {
+            "block_solves": tally["solved"] + tally["locked"]
+            + tally["lock skipped"],
+            "blocks_skipped": tally["skipped"],
+            "lock_loops_run": tally["locked"],
+            "lock_loops_skipped": tally["lock skipped"]},
     }
     return SweepResult(spec=spec, rows=tuple(rows),
                        provenance=provenance), found

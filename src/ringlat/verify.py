@@ -33,11 +33,19 @@ from .hamiltonian import (
     reflection_rotation,
     sector_blocks,
 )
-from .model import Bosons, Fermions, RingSpec, SpeciesSpec, make_ring
+from .model import (
+    Bosons,
+    Fermions,
+    RingSpec,
+    SpeciesSpec,
+    make_ring,
+    particle_count,
+)
 from .sweep import (
     OmegaGrid,
     SweepSpec,
-    _drive_slope,
+    _drive_slopes,
+    _plane_wave_floors,
     _system_blocks,
     find_crossings,
     run as run_sweep,
@@ -389,44 +397,78 @@ def check_twist_degeneracy_crossings() -> CheckResult:
     return _result("twist_degeneracy_crossings", worst, tol)
 
 
+def _lowest(blocks, ring: RingSpec, u: float) -> np.ndarray:
+    """Each block's lowest level by dense eigh, in block order."""
+    amp = hopping_amplitude(ring)
+    return np.array([np.linalg.eigvalsh(block.operator(amp, u).to_dense())[0]
+                     for block in blocks])
+
+
 def check_screening_bounds() -> CheckResult:
     """The bounds that let a sweep skip a sector block must hold.
 
     At seeded random pairs of controls, every block's lowest level
-    theta_1 (dense eigh) must obey the Weyl step in the drive,
-    theta_1(w) >= theta_1(w0) - |w - w0| * L_omega, with L_omega from
-    :func:`~ringlat.sweep._drive_slope`, and the step in the interaction,
-    theta_1(u) >= theta_1(u0) - max(0, u0 - u) * max D.  Drives up to
-    omega*K/t = 20 put lowest levels on slopes near L_omega.  The
-    deviation is minus the smallest slack, so the margin is that slack.
+    theta_1 (dense eigh) must lie above its plane-wave floor F_q
+    (:func:`~ringlat.sweep._plane_wave_floors`) at both controls, and obey
+    the Weyl step in the drive, theta_1(w) >= theta_1(w0) - (w0 - w) *
+    down - (w - w0) * up with the sector's slopes from
+    :func:`~ringlat.sweep._drive_slopes` (positive parts only), and the
+    step in the interaction, theta_1(u) >= theta_1(u0) - max(0, u0 - u) *
+    max D.  Drives up to omega*K/t = 20 put lowest levels on slopes near
+    the sector's slopes.  The deviation is minus the smallest slack, so
+    the margin is that slack.
     """
     rng = np.random.default_rng(14)
-
-    def lowest(blocks, ring, u):
-        amp = hopping_amplitude(ring)
-        return np.array([
-            np.linalg.eigvalsh(block.operator(amp, u).to_dense())[0]
-            for block in blocks])
-
     slack = math.inf
     for ring, species in _test_systems():
         blocks = sector_blocks(enumerate_basis(ring, species))
         u = getattr(species, "u", 0.0)
-        slope = _drive_slope(ring, species)
+        floors = _plane_wave_floors(blocks, particle_count(species))
+        slopes = _drive_slopes(blocks, ring)
+        down, up = np.array([slopes[block.q] for block in blocks]).T
         for low, high in ((-3.0, 3.0), (10.0, 20.0), (-20.0, -10.0)):
             w0, w = rng.uniform(low, high, 2) * ring.t / ring.k_factor
-            before = lowest(blocks, ring.with_omega(w0), u)
-            after = lowest(blocks, ring.with_omega(w), u)
-            slack = min(slack, float(np.min(
-                after - (before - abs(w - w0) * slope))))
+            before = _lowest(blocks, ring.with_omega(w0), u)
+            after = _lowest(blocks, ring.with_omega(w), u)
+            step = max(w0 - w, 0.0) * down + max(w - w0, 0.0) * up
+            slack = min(slack, float(np.min(after - (before - step))),
+                        float(np.min(before - floors(ring.with_omega(w0), u))),
+                        float(np.min(after - floors(ring.with_omega(w), u))))
         reach = np.array([block.interaction.max() for block in blocks])
         for _ in range(3):
             u0, u1 = rng.uniform(-10.0, 10.0, 2)
-            before, after = lowest(blocks, ring, u0), lowest(blocks, ring, u1)
-            slack = min(slack, float(np.min(
-                after - (before - max(0.0, u0 - u1) * reach))))
+            before = _lowest(blocks, ring, u0)
+            after = _lowest(blocks, ring, u1)
+            step = max(0.0, u0 - u1) * reach
+            slack = min(slack, float(np.min(after - (before - step))),
+                        float(np.min(before - floors(ring, u0))),
+                        float(np.min(after - floors(ring, u1))))
     return _result("screening_bounds", -slack, 1e-10,
                    detail=f"smallest slack {slack:.3e}")
+
+
+def check_plane_wave_floors() -> CheckResult:
+    """Without interaction each sector block is diagonal in its plane-wave
+    configurations, so its lowest level must equal its plane-wave floor
+    F_q (:func:`~ringlat.sweep._plane_wave_floors`) within 1e-10 t, and
+    each block must carry one plane-wave line per state."""
+    worst, problems = 0.0, []
+    for ring, species in _test_systems():
+        blocks = sector_blocks(enumerate_basis(ring, species))
+        problems.extend(
+            f"{species!r}: block {block.q} has {len(block.lines_t)} lines "
+            f"for {len(block.representatives)} states" for block in blocks
+            if not (len(block.lines_t) == len(block.lines_drive)
+                    == len(block.representatives)))
+        floors = _plane_wave_floors(blocks, particle_count(species))
+        for x in (0.0, 0.7, -2.9, 20.0):
+            free = ring.with_omega(x * ring.t / ring.k_factor)
+            worst = max(worst, float(np.max(np.abs(
+                _lowest(blocks, free, 0.0) - floors(free, 0.0)))) / ring.t)
+    if problems:
+        return _result("plane_wave_floors", np.inf, 1e-10,
+                       detail="; ".join(problems))
+    return _result("plane_wave_floors", worst, 1e-10)
 
 
 def check_determinism() -> CheckResult:
@@ -465,6 +507,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_sector_blocks,
     check_twist_degeneracy_crossings,
     check_screening_bounds,
+    check_plane_wave_floors,
     check_determinism,
 )
 

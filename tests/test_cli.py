@@ -133,6 +133,37 @@ class TestSweep:
                      "--out", str(tmp_path)]) == 1
         assert "configuration error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", [
+        {"tol": 1e-17}, {"dense_threshold": 1, "tol": 1e-17}],
+        ids=["dense", "krylov"])
+    def test_tolerance_below_rounding_fails_on_both_paths(
+            self, tmp_path, capsys, solver):
+        # No solve, dense or Krylov, meets a 1e-17 residual bound.
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"solver": solver}))
+        assert main(["sweep", "--sites", "6", "--species", "fermion",
+                     "--n-up", "1", "--n-down", "1", "--omega-min", "0",
+                     "--omega-max", "4", "--omega-points", "5",
+                     "--config", str(config_path), "--out",
+                     str(tmp_path)]) == 2
+        assert "5 grid points failed" in capsys.readouterr().err
+        _, _, body = read_csv(tmp_path / "sweep.csv")
+        assert len(body) == 5
+        assert all(row["sector"] == "failed" for row in body)
+
+    def test_solver_summary_comment(self, tmp_path):
+        assert main(["sweep", "--sites", "8", "--species", "fermion",
+                     "--n-up", "2", "--n-down", "2", "--u", "4",
+                     "--omega-min", "0", "--omega-max", "40",
+                     "--omega-points", "41", "--out", str(tmp_path)]) == 0
+        comments, _, _ = read_csv(tmp_path / "sweep.csv")
+        (line,) = [c for c in comments if c.startswith("# solver-summary: ")]
+        spec = ringlat.SweepSpec(ringlat.make_ring(8),
+                                 ringlat.Fermions(2, 2, u=4.0),
+                                 ringlat.OmegaGrid(0.0, 40.0, 41))
+        assert (json.loads(line[len("# solver-summary: "):])
+                == ringlat.run(spec).provenance["solver_summary"])
+
     def test_polarized_sweep(self, tmp_path):
         assert main(["sweep", "--species", "polarized", "--n", "3",
                      "--omega-min", "20", "--omega-max", "30",

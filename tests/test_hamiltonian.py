@@ -295,9 +295,25 @@ class TestSectorBlocks:
             reflected[targets] = signs[:, None] * states.conj()
             assert np.abs(reflected - states).max() < 1e-12
 
+    @pytest.mark.parametrize("species", [
+        Bosons(3), Fermions(4, 2), Fermions(2, 1), Fermions(0, 2),
+        PolarizedFermions(2),
+    ], ids=["bosons", "fermions-even", "fermions-odd", "down-only",
+            "polarized"])
+    def test_free_levels_are_the_plane_wave_lines(self, species):
+        # At u = 0 each block is diagonal in its sector's plane-wave
+        # configurations: its levels are t A_c + omega K B_c, one per state.
+        ring = make_ring(6, omega=1.3)
+        amp = hopping_amplitude(ring)
+        for block in sector_blocks(enumerate_basis(ring, species)):
+            lines = (ring.t * block.lines_t
+                     + ring.omega * ring.k_factor * block.lines_drive)
+            levels = np.linalg.eigvalsh(block.operator(amp).to_dense())
+            assert np.abs(levels - np.sort(lines)).max() < 1e-12
+
     @pytest.mark.parametrize("name", [
         "representatives", "hop.data", "hop.indices", "hop.indptr",
-        "diagonal", "interaction"])
+        "diagonal", "interaction", "lines_t", "lines_drive"])
     def test_block_arrays_are_read_only(self, name):
         # A sweep shares its blocks between calls, so none may change them.
         basis = enumerate_basis(make_ring(6), Fermions(2, 1, u=1.0))

@@ -285,6 +285,24 @@ class TestScreen:
         assert (sum(len(solved) for *_, solved in calls)
                 < sum(len(passed) for _, _, passed, _ in calls))
 
+    def test_first_point_skips_by_plane_wave_floors(self, monkeypatch):
+        # Starting at a strong drive, the first grid point skips blocks on
+        # their plane-wave floors alone, before any solve fills the ledger:
+        # each skipped floor lies above the second level.
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                         OmegaGrid(30.0, 40.0, 11))
+        calls = _record_solves(monkeypatch)
+        rows = run(spec).rows
+        assert repr(rows) == repr(unscreened_rows(spec))
+        _, _, passed, solved = calls[0]
+        skipped = set(passed) - set(solved)
+        assert skipped
+        blocks = sweep._system_blocks(8, Fermions(2, 2))
+        floors = dict(zip(passed, sweep._plane_wave_floors(blocks, 4)(
+            spec.ring.with_omega(30.0), 4.0)))
+        assert min(floors[q] for q in skipped) > (rows[0].ground_energy
+                                                 + rows[0].gap)
+
     @pytest.mark.parametrize("name", ["2+2/8 drive", "2+2/8 interaction",
                                       "4bosons/8"])
     def test_descending_walk_matches_every_block_solved(self, name):
@@ -504,12 +522,14 @@ def _record_solves(monkeypatch) -> list:
 
 def _check_solve_pattern(calls, grid, roots, n_blocks):
     """Given (control value, sectors passed, sectors solved) of every
-    call: the first grid point solves every block, each grid point and
-    each root takes one screened call over every block, and every other
-    call is a Brent step that solves two blocks between the grid points.
-    The root is one of those steps, and its screened solve takes the
-    step's two blocks as they are instead of solving them again."""
-    assert len(calls[0][1]) == len(calls[0][2]) == n_blocks
+    call: the first grid point passes every block and solves at least one
+    (with an empty ledger it skips only blocks that their plane-wave
+    floors rule out), each grid point and each root takes one screened
+    call over every block, and every other call is a Brent step that
+    solves two blocks between the grid points.  The root is one of those
+    steps, and its screened solve takes the step's two blocks as they are
+    instead of solving them again."""
+    assert len(calls[0][1]) == n_blocks and calls[0][2]
     screened = [call for call in calls if len(call[1]) == n_blocks]
     assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
     steps = [call for call in calls if len(call[1]) != n_blocks]
@@ -614,11 +634,11 @@ class TestFindCrossings:
         _check_solve_pattern([(omega, *rest) for omega, _, *rest in calls],
                              grid, crossings, 8)
         # Solving every block took 41 * 8 = 328 solves on the grid and 28
-        # more at the roots and Brent steps; the screen solves 141 and 17.
+        # more at the roots and Brent steps; the screen solves 117 and 17.
         solves = [len(solved) for omega, _, _, solved in calls
                   if omega in grid]
-        assert sum(solves) <= 141
-        assert sum(len(solved) for *_, solved in calls) <= 141 + 17
+        assert sum(solves) <= 117
+        assert sum(len(solved) for *_, solved in calls) <= 117 + 17
 
     @pytest.mark.parametrize("species,points", [
         (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
@@ -818,6 +838,39 @@ class TestOneScan:
                      int(r["sign_above"])) for r in _csv_body(
                 tmp_path / "boundary.csv")] == [
                 (p.u_star, p.sign_below, p.sign_above) for p in roots]
+
+
+class TestSolverSummary:
+    def test_counts_match_the_solves_made(self, monkeypatch):
+        # Dense blocks: every block solve is one call of _level_stages and
+        # runs no lock loop.
+        spec = _screen_cases()["2+2/8 drive"]
+        stages = []
+        level_stages = sweep._level_stages
+
+        def counted(*args):
+            stages.append(args)
+            return level_stages(*args)
+
+        monkeypatch.setattr(sweep, "_level_stages", counted)
+        summary = run(spec).provenance["solver_summary"]
+        assert summary == {"block_solves": len(stages),
+                           "blocks_skipped": 41 * 8 - len(stages),
+                           "lock_loops_run": 0, "lock_loops_skipped": 0}
+        assert 0 < len(stages) < 41 * 8
+
+    def test_lock_loop_counts_match_the_stages_run(self, monkeypatch):
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
+                         OmegaGrid(0.0, 40.0, 9))
+        calls = _record_stages(monkeypatch)
+        summary = run(spec, options=FORCE_KRYLOV).provenance["solver_summary"]
+        firsts = sum(len(first) for _, first, _ in calls)
+        seconds = sum(len(second) for *_, second in calls)
+        assert summary == {"block_solves": firsts,
+                           "blocks_skipped": 9 * 8 - firsts,
+                           "lock_loops_run": seconds,
+                           "lock_loops_skipped": firsts - seconds}
+        assert 0 < seconds < firsts
 
 
 def _csv_body(path) -> list[dict]:

@@ -4,6 +4,7 @@ from ringlat.verify import (
     check_determinism,
     check_ground_current_vs_formula,
     check_hermiticity,
+    check_plane_wave_floors,
     check_scaling_identity,
     check_screened_krylov_sweep,
     check_screening_bounds,
@@ -50,6 +51,7 @@ def test_individual_checks_pass():
                   check_sector_blocks,
                   check_twist_degeneracy_crossings,
                   check_screening_bounds,
+                  check_plane_wave_floors,
                   check_screened_krylov_sweep,
                   check_determinism):
         result = check()
@@ -57,11 +59,28 @@ def test_individual_checks_pass():
 
 
 def test_halved_drive_slope_is_caught(monkeypatch):
-    # Strong drives put lowest levels on slopes near L_omega, so a bound
-    # half as steep fails.
-    slope = verify._drive_slope
-    monkeypatch.setattr(verify, "_drive_slope",
-                        lambda ring, species: 0.5 * slope(ring, species))
+    # Strong drives put lowest levels on slopes near their sector's
+    # slopes, so bounds half as steep fail.
+    slopes = verify._drive_slopes
+
+    def halved(blocks, ring):
+        return {q: (0.5 * down, 0.5 * up)
+                for q, (down, up) in slopes(blocks, ring).items()}
+
+    monkeypatch.setattr(verify, "_drive_slopes", halved)
     result = check_screening_bounds()
     assert not result.passed
     assert result.max_deviation > 1.0
+
+
+def test_raised_plane_wave_floor_is_caught(monkeypatch):
+    floors = verify._plane_wave_floors
+
+    def raised(blocks, n_particles):
+        exact = floors(blocks, n_particles)
+        return lambda ring, u: exact(ring, u) + 1e-6
+
+    monkeypatch.setattr(verify, "_plane_wave_floors", raised)
+    result = check_plane_wave_floors()
+    assert not result.passed
+    assert result.max_deviation > 0.9e-6
