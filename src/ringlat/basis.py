@@ -351,6 +351,24 @@ def sector_of_state(vector: np.ndarray, basis: FockBasis,
     return int(q)
 
 
+def spin_flip(basis: FockBasis) -> tuple[np.ndarray, float] | None:
+    """The spin flip F as a signed permutation, (state map, sign), for
+    Fermions with n_up = n_down; None for every other basis.
+
+    F swaps c+_{j,up} and c+_{j,down} on every site, so it swaps the up
+    and down masks, and moving the n_up flipped up operators past the
+    n_down down ones to restore the up-before-down order gives the one
+    sign (-1)**(n_up * n_down).  In the up-major product basis, with M
+    masks per spin, state i*M + j maps to j*M + i.
+    """
+    species = basis.species
+    if not isinstance(species, Fermions) or species.n_up != species.n_down:
+        return None
+    masks = math.comb(basis.n_sites, species.n_up)
+    perm = np.arange(basis.dimension).reshape(masks, masks).T.ravel()
+    return perm, (-1.0) ** (species.n_up * species.n_down)
+
+
 def translation_orbits(basis: FockBasis) -> tuple[np.ndarray, ...]:
     """Orbits of the forward shift T, walked for every state at once.
 

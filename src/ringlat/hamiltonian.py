@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sparse
 
-from .basis import FockBasis, translation_orbits
+from .basis import FockBasis, spin_flip, translation_orbits
 from .model import (
     Bosons,
     DomainError,
@@ -215,28 +215,46 @@ def hopping_amplitude(ring: RingSpec, twist: float = 0.0) -> complex:
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
     """Sector q of the ring Hamiltonians, real symmetric on states that
-    the site reflection times complex conjugation leaves fixed.
+    the site reflection times complex conjugation leaves fixed; for
+    Fermions with n_up = n_down, the half of sector q with spin-flip
+    parity ``parity`` (+1 or -1), else None.
 
     The states are the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives``
     r (T the forward shift, p the period of the orbit of r), rotated by
-    the W of :func:`reflection_rotation`.  In them the forward-hop sum is
+    the W of :func:`reflection_rotation`, or of :func:`spin_flip_rotation`
+    for a half.  In them the forward-hop sum is
     a complex symmetric matrix X, held in ``hop`` as one CSR matrix whose
     mirror entries hold one value and whose every diagonal position is
     stored (a 0 where X has none), at ``diagonal`` in ``hop.data``.
     ``interaction`` is each state's contact energy at unit coupling.
-    ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the sector's
+    ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
-    at u = 0 the block's levels are exactly t A_c + omega K B_c.
+    at u = 0 the block's levels are exactly t A_c + omega K B_c.  ``key``
+    tells the blocks of one basis apart: q, or (q, parity) for a half.
     """
 
     q: int
+    parity: int | None
     representatives: np.ndarray
     hop: sparse.csr_matrix = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
     lines_t: np.ndarray = field(repr=False)
     lines_drive: np.ndarray = field(repr=False)
+
+    def __repr__(self) -> str:
+        parity = "" if self.parity is None else f", parity={self.parity:+d}"
+        return (f"SectorBlock(q={self.q}{parity}, "
+                f"representatives={self.representatives!r})")
+
+    @property
+    def key(self) -> int | tuple[int, int]:
+        return self.q if self.parity is None else (self.q, self.parity)
+
+    @property
+    def dimension(self) -> int:
+        return self.hop.shape[0]
 
     def operator(self, forward_amplitude: complex,
                  u: float = 0.0) -> HermitianOperator:
@@ -247,6 +265,44 @@ class SectorBlock:
         data[self.diagonal] += u * self.interaction
         return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
             (data, self.hop.indices, self.hop.indptr), shape=self.hop.shape))
+
+
+def _fixed_columns(c: np.ndarray, partner: np.ndarray) -> sparse.csr_matrix:
+    """The unitary from m states that Theta maps as Theta|s> = c_s
+    |partner_s> to states that Theta leaves fixed, as a sparse m x m
+    matrix: a state with partner_s = s gives the column sqrt(c_s)|s>, a
+    pair s < s' the columns (|s> + c_s|s'>)/sqrt(2) and
+    i(|s> - c_s|s'>)/sqrt(2), in the order of s.  Theta squares to 1, so
+    c_s' = c_s."""
+    state = np.arange(len(c))
+    lead = np.minimum(state, partner)
+    alone = partner == state
+    width = np.where(alone, 1, 2) * (state == lead)
+    column = (np.cumsum(width) - width)[lead]
+    half = math.sqrt(0.5)
+    first = np.where(alone, np.sqrt(c),
+                     np.where(state == lead, half, half * c[lead]))
+    second = np.where(state == lead, 1j * half, -1j * half * c[lead])[~alone]
+    return sparse.csr_matrix(
+        (np.concatenate([first, second]),
+         (np.concatenate([state, state[~alone]]),
+          np.concatenate([column, column[~alone] + 1]))),
+        shape=(len(c),) * 2)
+
+
+def _bloch_map(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
+               members: np.ndarray, perm: np.ndarray, sign
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """A symmetry S that commutes with T, given on Fock states as the
+    signed permutation (perm, sign), on the Bloch states of ``members``
+    (sector q): S|r,q> = c_r |r',q>, where r' represents the orbit of
+    s = S(r) and c_r = sign[r] * signs[s] * exp(2*pi*i*q*steps[s]/N).
+    Returns c and the position of r' in ``members``."""
+    orbit, steps, signs = orbits[:3]
+    image = perm[members]
+    c = sign * signs[image] * np.exp(
+        2j * math.pi * q * steps[image] / basis.n_sites)
+    return c, np.searchsorted(members, orbit[image])
 
 
 def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
@@ -264,29 +320,58 @@ def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
     columns (|r> + c_r|r'>)/sqrt(2) and i(|r> - c_r|r'>)/sqrt(2), in the
     order of r.  Theta squares to 1, so c_r' = c_r.
     """
-    orbit, steps, signs = orbits[:3]
-    mirror = basis.reflect_perm[members]
-    c = basis.reflect_sign[members] * signs[mirror] * np.exp(
-        2j * math.pi * q * steps[mirror] / basis.n_sites)
+    return _fixed_columns(*_bloch_map(basis, orbits, q, members,
+                                      basis.reflect_perm,
+                                      basis.reflect_sign[members]))
+
+
+def spin_flip_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
+                       q: int, members: np.ndarray, parity: int
+                       ) -> tuple[np.ndarray, sparse.csr_matrix]:
+    """The states of sector q with spin-flip parity ``parity`` that Theta
+    leaves fixed, for Fermions with n_up = n_down: which of ``members``
+    they hold, and the isometry W to them from the Bloch states of
+    ``members``, as a sparse m x m' matrix.
+
+    ``members`` holds, with each representative, that of its flipped
+    orbit.  The spin flip F of :func:`~ringlat.basis.spin_flip` commutes
+    with T, so F|r,q> = d_r |r'',q> as in :func:`reflection_rotation`,
+    and F squares to 1, so d_r'' d_r = 1.  A representative with r'' = r
+    has d_r = +-1 and gives the F-state |r,q> to the half of that
+    parity; a pair r < r'' gives (|r,q> + parity d_r |r'',q>)/sqrt(2).
+    Theta commutes with F, so it maps these F-states to each other up to
+    phases c', and :func:`_fixed_columns` rotates them as it rotates the
+    Bloch states of a whole sector.  A pair's state maps to the F-state
+    that leads with r' = R(r), with c' = c_r, or with R(r''), with c' =
+    parity conj(d_r) c_r''.
+    """
+    perm, sign = spin_flip(basis)
+    d, flipped = _bloch_map(basis, orbits, q, members, perm, sign)
+    c, mirror = _bloch_map(basis, orbits, q, members, basis.reflect_perm,
+                           basis.reflect_sign[members])
     state = np.arange(len(members))
-    partner = np.searchsorted(members, orbit[mirror])
-    lead = np.minimum(state, partner)
-    alone = partner == state
-    width = np.where(alone, 1, 2) * (state == lead)
-    column = (np.cumsum(width) - width)[lead]
+    inside = (flipped != state) | (d.real * parity > 0)
+    leads = np.flatnonzero((state <= flipped) & inside)
+    column = np.searchsorted(leads, np.minimum(state, flipped))
+    pair = flipped[leads] != leads
     half = math.sqrt(0.5)
-    first = np.where(alone, np.sqrt(c),
-                     np.where(state == lead, half, half * c[lead]))
-    second = np.where(state == lead, 1j * half, -1j * half * c[lead])[~alone]
-    return sparse.csr_matrix(
-        (np.concatenate([first, second]),
-         (np.concatenate([state, state[~alone]]),
-          np.concatenate([column, column[~alone] + 1]))),
-        shape=(len(members),) * 2)
+    states = np.arange(len(leads))
+    combine = sparse.csr_matrix(
+        (np.concatenate([np.where(pair, half, 1.0),
+                         (parity * half * d[leads])[pair]]),
+         (np.concatenate([leads, flipped[leads][pair]]),
+          np.concatenate([states, states[pair]]))),
+        shape=(len(members), len(leads)))
+    image = mirror[leads]
+    direct = image <= flipped[image]
+    phase = np.where(direct, c[leads],
+                     parity * d[leads].conj() * c[flipped[leads]])
+    return inside, combine @ _fixed_columns(phase, column[image])
 
 
 def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
-    """The nonempty translation-sector blocks of ring Hamiltonians.
+    """The nonempty translation-sector blocks of ring Hamiltonians, and
+    for Fermions with n_up = n_down their nonempty spin-flip halves.
 
     Block q holds the representatives whose orbit period p and closing
     sign c give exp(2*pi*i*q*p/N) * c = 1.  A hop out of representative r
@@ -296,8 +381,21 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     block holds X = W^H T_q W for the W of :func:`reflection_rotation`,
     its upper triangle mirrored, and the contact energies W^H D W, which
     are diagonal since Theta leaves D invariant, and the plane-wave lines
-    of :func:`plane_wave_lines` in sector q.  Every array of a block is
-    read-only, since a sweep shares its blocks between calls.
+    of :func:`plane_wave_lines` in sector q.
+
+    The spin flip F commutes with H at every t, omega and u, and with T
+    and Theta, so with n_up = n_down sector q splits into the halves F =
+    +1 and F = -1, each built on the W of :func:`spin_flip_rotation`,
+    parity +1 first.  A plane-wave configuration c and its flip f(c)
+    have one (A_c, B_c), and F|c> = (-1)**(n_up n_down) |f(c)>, since F
+    acts on the momentum operators as on the site operators.  So a pair
+    c != f(c) gives the line to each half, through (|c> +- s|f(c)>)/sqrt(2)
+    with s that sign, and a configuration c = f(c), with equal up and
+    down momenta, is an F-state of parity (-1)**(n_up n_down) and gives
+    its line to that half alone.
+
+    Every array of a block is read-only, since a sweep shares its blocks
+    between calls.
     """
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, closing = orbits
@@ -310,6 +408,7 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     reps = np.flatnonzero(orbit == np.arange(basis.dimension))
     contact = interaction_diagonal(basis.species, basis)
     lines_t, lines_drive, wave_sector = plane_wave_lines(basis)
+    flip = spin_flip(basis)
     blocks = []
     for q in range(n):
         # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
@@ -323,25 +422,50 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
             (factors[keep] * np.exp(2j * math.pi * q * steps[rows[keep]] / n),
              (np.searchsorted(members, targets[keep]),
               np.searchsorted(members, cols[keep]))), shape=(m, m))
-        w = reflection_rotation(basis, orbits, q, members)
-        upper = sparse.triu(w.conj().T @ bloch @ w, format="coo")
-        off = upper.row < upper.col
-        states = np.arange(m)
-        # Mirrored, both entries hold one value, so every block operator is
-        # exactly symmetric; the zeros store every diagonal position.
-        hop = sparse.csr_matrix(
-            (np.concatenate([upper.data, upper.data[off], np.zeros(m)]),
-             (np.concatenate([upper.row, upper.col[off], states]),
-              np.concatenate([upper.col, upper.row[off], states]))),
-            shape=(m, m))
-        diagonal = np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
-                                  == hop.indices)
-        interaction = abs(w).power(2).T @ contact[members]
-        waves = wave_sector == q
-        lines = lines_t[waves], lines_drive[waves]
-        for arr in (members, hop.data, hop.indices, hop.indptr, diagonal,
-                    interaction, *lines):
-            arr.setflags(write=False)
-        blocks.append(SectorBlock(q, members, hop, diagonal, interaction,
-                                  *lines))
+        waves = np.flatnonzero(wave_sector == q)
+        if flip is None:
+            halves = [(None, members,
+                       reflection_rotation(basis, orbits, q, members), waves)]
+        else:
+            perm, sign = flip
+            flipped = perm[waves]
+            halves = []
+            for parity in (1, -1):
+                inside, w = spin_flip_rotation(basis, orbits, q, members,
+                                               parity)
+                own = (flipped == waves) & (sign == parity)
+                if w.shape[1]:
+                    halves.append((parity, members[inside], w,
+                                   waves[(flipped > waves) | own]))
+        for parity, representatives, w, lines in halves:
+            blocks.append(_block(q, parity, representatives, w, bloch,
+                                 contact[members],
+                                 lines_t[lines], lines_drive[lines]))
     return tuple(blocks)
+
+
+def _block(q: int, parity: int | None, representatives: np.ndarray,
+           w: sparse.csr_matrix, bloch: sparse.csr_matrix,
+           contact: np.ndarray, *lines: np.ndarray) -> SectorBlock:
+    """The block X = W^H T_q W, mirrored, with its contact energies
+    |W|^2 D, from the Bloch hop matrix T_q and the contact energies D of
+    the sector's representatives."""
+    m = w.shape[1]
+    upper = sparse.triu(w.conj().T @ bloch @ w, format="coo")
+    off = upper.row < upper.col
+    states = np.arange(m)
+    # Mirrored, both entries hold one value, so every block operator is
+    # exactly symmetric; the zeros store every diagonal position.
+    hop = sparse.csr_matrix(
+        (np.concatenate([upper.data, upper.data[off], np.zeros(m)]),
+         (np.concatenate([upper.row, upper.col[off], states]),
+          np.concatenate([upper.col, upper.row[off], states]))),
+        shape=(m, m))
+    diagonal = np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
+                              == hop.indices)
+    interaction = abs(w).power(2).T @ contact
+    for arr in (representatives, hop.data, hop.indices, hop.indptr, diagonal,
+                interaction, *lines):
+        arr.setflags(write=False)
+    return SectorBlock(q, parity, representatives, hop, diagonal,
+                       interaction, *lines)

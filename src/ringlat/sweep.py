@@ -2,16 +2,19 @@
 boundary refinement.
 
 Each call solves on the translation-sector blocks of one basis
-(:func:`ringlat.hamiltonian.sector_blocks`), so each ground-state member
-carries its block's exact sector.  The blocks do not depend on t, K,
+(:func:`ringlat.hamiltonian.sector_blocks`), split into their spin-flip
+halves for fermions with n_up = n_down, so each ground-state member
+carries its block's exact sector.  Blocks are told apart by their
+``key``, (q, parity) for a half and q otherwise; rows and labels name
+only sectors.  The blocks do not depend on t, K,
 omega or u, so a process keeps those of the two most recently scanned
 systems, keyed by n_sites, the species type and its particle counts, and
-every call on one of them reuses its blocks (128 MB for 4+4 fermions on
+every call on one of them reuses its blocks (127 MB for 4+4 fermions on
 12 sites).  A grid point solves only the blocks that can reach the
 ground, by Weyl's inequality: each block's lowest level lies above its
-plane-wave floor, the exact u = 0 level from the sector's plane-wave
+plane-wave floor, the exact u = 0 level from the block's plane-wave
 lines plus the least contact energy, and moves between two points by at
-most the control step times the sector's slope, so a block whose bound
+most the control step times the block's slope, so a block whose bound
 lies above the ground multiplet and the second level is skipped, from
 the first point on (see :func:`_grid_point`).  A Krylov block is solved
 in two stages, its main ARPACK run and then its lock loop, and the
@@ -35,7 +38,7 @@ those two blocks at each step, starting from the levels the grid solved
 at the ends (an end where the screen skipped Q1 or Q2 solves it then).
 The root is solved once, screened, with Q1 and Q2 taken from Brent's
 step there (or solved, at a bracket end), and kept if the ground there
-holds no third sector and each end's block alone carries that end's
+holds no third block and each end's block alone carries that end's
 label.  Every other bracket, and every crossing of polarized fermions
 (closed forms, no blocks), is bisected on the full label.
 """
@@ -208,11 +211,11 @@ _FLOOR_PAD = 32 * sys.float_info.epsilon
 
 
 def _drive_slopes(blocks: tuple[SectorBlock, ...],
-                  ring: RingSpec) -> dict[int, tuple[float, float]]:
-    """Per sector: how far a falling and a rising omega can lower the
+                  ring: RingSpec) -> dict:
+    """Per block key: how far a falling and a rising omega can lower the
     block's lowest level, per unit of omega.
 
-    dH/d omega restricted to block q has spectrum exactly {K B_c} over its
+    dH/d omega restricted to a block has spectrum exactly {K B_c} over its
     plane-wave lines (:func:`~ringlat.hamiltonian.plane_wave_lines`), so by
     Weyl a rising omega lowers the level by at most max(0, -min K B_c) per
     unit and a falling omega by at most max(0, max K B_c).  The factor
@@ -222,7 +225,7 @@ def _drive_slopes(blocks: tuple[SectorBlock, ...],
     for block in blocks:
         ends = (ring.k_factor * float(block.lines_drive.min()),
                 ring.k_factor * float(block.lines_drive.max()))
-        slopes[block.q] = (max(0.0, *ends) * _SLOPE_PAD,
+        slopes[block.key] = (max(0.0, *ends) * _SLOPE_PAD,
                            max(0.0, -min(ends)) * _SLOPE_PAD)
     return slopes
 
@@ -262,11 +265,11 @@ def _plane_wave_floors(blocks: tuple[SectorBlock, ...], n_particles: int
 
 def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
            degeneracy_tol: float, tol: float, options: SolverOptions,
-           floors: dict[int, float] | None, record: Callable[[int, float], None],
+           floors: dict | None, record: Callable[..., None],
            known: dict | None = None
-           ) -> dict[int, tuple[SectorBlock, np.ndarray, np.ndarray]]:
+           ) -> dict[object, tuple[SectorBlock, np.ndarray, np.ndarray]]:
     """Each block's lowest level, its copies and the next level above,
-    with their vectors, keyed by the block's sector in block order.
+    with their vectors, keyed by the block's key in block order.
 
     ``floors`` holds a proven lower bound on each block's lowest level,
     or -inf where none is known; None solves every block in full.
@@ -282,7 +285,7 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     ``tol * max(1, |E|)`` of an accepted solve: no level of its block
     could join the ground multiplet or be the second level.  Since the
     bounds ascend, every item after the first skipped one is skipped too.
-    ``record(q, bound, outcome)`` receives each solved block's lowest level
+    ``record(key, bound, outcome)`` receives each solved block's lowest level
     minus its residual, with outcome "solved" (one stage) or "locked"
     (lock loop run), and each skipped item's bound, with outcome "skipped"
     (block not solved) or "lock skipped" (main run only).
@@ -291,18 +294,17 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     solved = dict(known or {})
     values = np.sort(np.concatenate(
         [np.empty(0), *(levels for _, levels, _ in solved.values())]))
-    queue = [(-math.inf if floors is None else floors[block.q], i, block, None)
-             for i, block in enumerate(blocks) if block.q not in solved]
+    queue = [(-math.inf if floors is None else floors[block.key], i, block,
+              None)
+             for i, block in enumerate(blocks) if block.key not in solved]
     heapq.heapify(queue)
+    reach = _reach(values, degeneracy_tol, tol)
     while queue:
         bound, i, block, stages = heapq.heappop(queue)
-        if floors is not None and len(values) > 1:
-            limit = max(values[1],
-                        values[_level_end(values, 1, degeneracy_tol) - 1])
-            if bound > limit + degeneracy_tol + tol * max(1.0, abs(limit)):
-                record(block.q, bound,
-                       "skipped" if stages is None else "lock skipped")
-                continue
+        if floors is not None and bound > reach:
+            record(block.key, bound,
+                   "skipped" if stages is None else "lock skipped")
+            continue
         locking = stages is not None
         if stages is None:
             stages = _level_stages(block.operator(amp, u), 1, tol,
@@ -312,10 +314,23 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
         if not final:
             heapq.heappush(queue, (low, i, block, stages))
             continue
-        record(block.q, low, "locked" if locking else "solved")
-        solved[block.q] = (block, levels, vectors)
+        record(block.key, low, "locked" if locking else "solved")
+        solved[block.key] = (block, levels, vectors)
         values = np.sort(np.concatenate([values, levels]))
-    return {block.q: solved[block.q] for block in blocks if block.q in solved}
+        reach = _reach(values, degeneracy_tol, tol)
+    return {block.key: solved[block.key] for block in blocks
+            if block.key in solved}
+
+
+def _reach(values: np.ndarray, degeneracy_tol: float, tol: float) -> float:
+    """The bound above which :func:`_solve` skips an item, given the
+    ascending levels known: the larger of the second level and the top of
+    the ground multiplet, plus ``degeneracy_tol`` and ``tol * max(1,
+    |E|)``; inf while fewer than two levels are known."""
+    if len(values) < 2:
+        return math.inf
+    limit = max(values[1], values[_level_end(values, 1, degeneracy_tol) - 1])
+    return limit + degeneracy_tol + tol * max(1.0, abs(limit))
 
 
 def _ground(solved: dict, degeneracy_tol: float
@@ -333,6 +348,11 @@ def _ground(solved: dict, degeneracy_tol: float
 def _ground_sectors(solved: dict, degeneracy_tol: float) -> set[int]:
     """Sectors of the solved blocks' ground multiplet."""
     return {block.q for block, _ in _ground(solved, degeneracy_tol)[1]}
+
+
+def _ground_keys(solved: dict, degeneracy_tol: float) -> set:
+    """Keys of the blocks that hold the solved blocks' ground multiplet."""
+    return {block.key for block, _ in _ground(solved, degeneracy_tol)[1]}
 
 
 def _mean_current(ring: RingSpec, members: list) -> float:
@@ -413,9 +433,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     """The grid-point path of one scan, as three functions, after the
     checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
 
-    ``solve(value, among, known)`` solves the sector blocks of the
-    sectors ``among`` in full at a control value and returns them keyed
-    by sector, or None for polarized fermions; ``known`` passes blocks
+    ``solve(value, among, known)`` solves the blocks whose keys are in
+    ``among`` in full at a control value and returns them keyed by block
+    key (see :class:`~ringlat.hamiltonian.SectorBlock`), or None for
+    polarized fermions; ``known`` passes blocks
     already solved there (see :func:`_solve`).  ``row(value, solved)``
     builds the point's :class:`SweepRow` from that.  ``points()``, the one
     walk over the grid, solves the grid values in order, lazily, and yields
@@ -425,10 +446,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     With ``among`` left out, ``solve`` screens every block, at bound
     max(ledger bound, F_q).  F_q is the block's plane-wave floor
     (:func:`_plane_wave_floors`), which holds from the first point on.
-    The ledger, kept for the call, maps sector -> (x0, l), where l bounds
+    The ledger, kept for the call, maps block key -> (x0, l), where l bounds
     the block's lowest level at the control value x0 from below.  Each
     block is affine in the control, so at x its lowest level is at least
-    l - (x0 - x) * down - (x - x0) * up, where the pair is the sector's
+    l - (x0 - x) * down - (x - x0) * up, where the pair is the block's
     slopes: in the drive, (down, up) = (max(0, max K B_c), max(0,
     -min K B_c)) over its lines (:func:`_drive_slopes`); in the
     interaction (max D, 0), since the contact energies D >= 0, and only
@@ -451,7 +472,7 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     blocks = _sector_blocks(spec, workers)
     _check_tolerances(tol, degeneracy_tol)
     tally = Counter() if tally is None else tally
-    ledger: dict[int, tuple[float, float]] = {}
+    ledger: dict[object, tuple[float, float]] = {}
     if blocks is None:
         slopes = {}
     elif isinstance(spec.control, OmegaGrid):
@@ -459,16 +480,16 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     else:
         # Falling u lowers a level by at most max D per unit; rising u
         # never lowers it.
-        slopes = {block.q: (float(block.interaction.max()), 0.0)
+        slopes = {block.key: (float(block.interaction.max()), 0.0)
                   for block in blocks}
     plane = (None if blocks is None else
              _plane_wave_floors(blocks, particle_count(spec.species)))
 
-    def floor(q: int, value: float) -> float:
-        if q not in ledger:
+    def floor(key, value: float) -> float:
+        if key not in ledger:
             return -math.inf
-        x0, low = ledger[q]
-        down, up = slopes[q]
+        x0, low = ledger[key]
+        down, up = slopes[key]
         return low - max(x0 - value, 0.0) * down - max(value - x0, 0.0) * up
 
     def solve(value: float, among=None, known=None) -> dict | None:
@@ -478,15 +499,15 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
         u = getattr(species, "u", 0.0)
         if among is None:
             chosen = blocks
-            floors = {block.q: max(floor(block.q, value), float(f))
+            floors = {block.key: max(floor(block.key, value), float(f))
                       for block, f in zip(blocks, plane(ring, u))}
         else:
-            chosen = tuple(block for block in blocks if block.q in among)
+            chosen = tuple(block for block in blocks if block.key in among)
             floors = None
 
-        def record(q: int, low: float, outcome: str) -> None:
+        def record(key, low: float, outcome: str) -> None:
             tally[outcome] += 1
-            ledger[q] = (value, low)
+            ledger[key] = (value, low)
 
         return _solve(chosen, ring, u, degeneracy_tol, tol, options, floors,
                       record, known=known)
@@ -568,7 +589,7 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
 
     Labels each grid point by the sector of its lowest block level and
     brackets every label change.  A grid point whose ground multiplet
-    spans several blocks sits on an exact crossing and is no bracket end.
+    spans several sectors sits on an exact crossing and is no bracket end.
     Each bracket is refined as the module docstring describes, to within
     ``spec.bisection_tol`` of the label change.  Polarized fermions are
     labelled by the sector of the lowest Fermi sea: grid points take
@@ -586,7 +607,7 @@ def _crossings(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
 
     def label(omega: float, solved: dict | None) -> int:
         if solved is not None:
-            return min(solved, key=lambda q: solved[q][1][0])
+            return min(solved.values(), key=lambda entry: entry[1][0])[0].q
         ring = spec.ring.with_omega(omega)
         left, _, _ = analytic.polarized_occupation_limits(
             spec.species.n_particles, ring, tol=0.0)
@@ -618,20 +639,20 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
     """
     (x_lo, solved_lo, label_lo), (x_hi, solved_hi, label_hi) = lo, hi
     if solved_lo is not None:
-        ground_lo = _ground_sectors(solved_lo, degeneracy_tol)
-        ground_hi = _ground_sectors(solved_hi, degeneracy_tol)
+        ground_lo = _ground_keys(solved_lo, degeneracy_tol)
+        ground_hi = _ground_keys(solved_hi, degeneracy_tol)
         if len(ground_lo) == len(ground_hi) == 1 and ground_lo != ground_hi:
-            (q_lo,), (q_hi,) = ground_lo, ground_hi
-            pair = (q_lo, q_hi)
+            (key_lo,), (key_hi,) = ground_lo, ground_hi
+            pair = (key_lo, key_hi)
 
             def with_pair(x: float, solved: dict) -> dict:
                 """``solved`` at x, with any of the two blocks that the
                 screen skipped there solved now."""
-                missing = [q for q in pair if q not in solved]
+                missing = [key for key in pair if key not in solved]
                 return {**solved, **solve(x, missing)} if missing else solved
 
             def split(solved: dict) -> float:
-                return solved[q_lo][1][0] - solved[q_hi][1][0]
+                return solved[key_lo][1][0] - solved[key_hi][1][0]
 
             steps = {}
 
@@ -645,9 +666,9 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
             # Brent returns one of its steps, or else a bracket end, where
             # with_pair solves whichever of the two blocks the screen skips.
             solved = with_pair(root, solve(root, known=steps.get(root)))
-            if (_ground_sectors(solved, degeneracy_tol) <= {q_lo, q_hi}
-                    and label(root, {q_lo: solved[q_lo]}) == label_lo
-                    and label(root, {q_hi: solved[q_hi]}) == label_hi):
+            if (_ground_keys(solved, degeneracy_tol) <= {key_lo, key_hi}
+                    and label(root, {key_lo: solved[key_lo]}) == label_lo
+                    and label(root, {key_hi: solved[key_hi]}) == label_hi):
                 return root
     return _bisect_crossing(x_lo, x_hi, label_lo,
                             lambda x: label(x, solve(x)), bisection_tol)
@@ -719,7 +740,7 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     per-particle current and brackets every strict sign change, refined
     as the module docstring describes to within ``spec.bisection_tol``:
     by Brent's method when the ends have grounds in one block each, in
-    different sectors, and the lowest states of those two blocks at the
+    different blocks, and the lowest states of those two blocks at the
     root carry the signs of their ends; by bisection otherwise.  A run of
     zero currents on the grid is a boundary at its first point when the
     sign after it differs from the sign before, or when it reaches the

@@ -32,6 +32,7 @@ from .hamiltonian import (
     hopping_amplitude,
     reflection_rotation,
     sector_blocks,
+    spin_flip_rotation,
 )
 from .model import (
     Bosons,
@@ -289,21 +290,33 @@ def check_screened_krylov_sweep() -> CheckResult:
 
 
 def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
-    """Fock amplitudes of the block's basis states: the Bloch states
-    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of its representatives
-    r (p the period of the orbit of r), built here from the translation
-    orbits, times the sparse unitary W of
-    :func:`~ringlat.hamiltonian.reflection_rotation`."""
+    """Fock amplitudes of the block's basis states: the Bloch states of
+    its representatives (:func:`_bloch_states`) times the sparse W of
+    :func:`~ringlat.hamiltonian.reflection_rotation`, or of
+    :func:`~ringlat.hamiltonian.spin_flip_rotation` for a spin-flip
+    half."""
     orbits = translation_orbits(basis)
-    orbit, steps, signs, period, _ = orbits
     members = block.representatives
+    if block.parity is None:
+        w = reflection_rotation(basis, orbits, block.q, members)
+    else:
+        _, w = spin_flip_rotation(basis, orbits, block.q, members,
+                                  block.parity)
+    return _bloch_states(basis, orbits, block.q, members) @ w.toarray()
+
+
+def _bloch_states(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
+                  members: np.ndarray) -> np.ndarray:
+    """Fock amplitudes of the Bloch states
+    p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``members`` r (p the
+    period of the orbit of r), built here from the translation orbits."""
+    orbit, steps, signs, period, _ = orbits
     inside = np.flatnonzero(np.isin(orbit, members))
     states = np.zeros((basis.dimension, len(members)), dtype=complex)
     states[inside, np.searchsorted(members, orbit[inside])] = (
         signs[inside] / np.sqrt(period[inside]) * np.exp(
-            -2j * math.pi * block.q * steps[inside] / basis.n_sites))
-    return states @ reflection_rotation(basis, orbits, block.q,
-                                        members).toarray()
+            -2j * math.pi * q * steps[inside] / basis.n_sites))
+    return states
 
 
 def _reflected(state: FockState, n_sites: int) -> tuple[FockState, int]:
@@ -338,7 +351,7 @@ def check_sector_blocks() -> CheckResult:
         amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
         matrices = [block.operator(amp, u).matrix for block in blocks]
         problems.extend(
-            f"{species!r}: block {block.q} is not real and exactly symmetric"
+            f"{species!r}: block {block.key} is not real and exactly symmetric"
             for block, matrix in zip(blocks, matrices)
             if matrix.dtype != np.float64 or (matrix != matrix.T).nnz)
         spectra = np.sort(np.concatenate(
@@ -362,13 +375,92 @@ def check_sector_blocks() -> CheckResult:
             reflected[targets] = signs[:, None] * states.conj()
             worst = max(worst, float(np.max(np.abs(reflected - states))))
             problems.extend(
-                f"{species!r}: a state of block {block.q} has sector {label}"
+                f"{species!r}: a state of block {block.key} has sector {label}"
                 for label in {sector_of_state(v, basis) for v in states.T}
                 if label != block.q)
     if problems:
         return _result("sector_blocks", np.inf, 1e-10,
                        detail="; ".join(problems))
     return _result("sector_blocks", worst, 1e-10)
+
+
+def _flipped(state: FermionFockState) -> tuple[FermionFockState, int]:
+    """F|state> for the spin flip, as (state, sign): each creation
+    operator changes spin in place, and the sign is the parity of sorting
+    them back into the order up before down, by ascending site."""
+    up, down = ([j for j in range(mask.bit_length()) if (mask >> j) & 1]
+                for mask in state)
+    # Keys (spin, site) with up = 0: the flipped up operators come first.
+    keys = [(1, j) for j in up] + [(0, j) for j in down]
+    inversions = sum(a > b for k, a in enumerate(keys) for b in keys[k + 1:])
+    return FermionFockState(state.down_mask, state.up_mask), (-1) ** inversions
+
+
+def check_spin_flip() -> CheckResult:
+    """With n_up = n_down each sector comes as two blocks, the halves of
+    spin-flip parity +1 and -1.  On every such test system, [H, F] must
+    vanish on each half's states, for the spin flip F built here from the
+    Fock states; its largest entry is the check's deviation.  Each half's
+    states must also be eigenvectors of F with its parity, each half must
+    carry one plane-wave line per state, and the two halves of a sector
+    must together hold the spectrum of the whole sector, built on its
+    Bloch states in the W of
+    :func:`~ringlat.hamiltonian.reflection_rotation`, each within 1e-10.
+    """
+    tol = 1e-10
+    commutator = parity = spectra = 0.0
+    problems = []
+    for ring, species in _with_rest_doublet():
+        if not (isinstance(species, Fermions)
+                and species.n_up == species.n_down):
+            continue
+        basis = enumerate_basis(ring, species)
+        dense = build_operator(ring, species, basis).to_dense()
+        amp = hopping_amplitude(ring)
+        flips = [_flipped(state) for state in basis.states]
+        targets = [basis.index_of(state) for state, _ in flips]
+        signs = np.array([sign for _, sign in flips], dtype=float)
+
+        def flip(states: np.ndarray) -> np.ndarray:
+            out = np.empty_like(states)
+            out[targets] = signs[:, None] * states
+            return out
+
+        orbits = translation_orbits(basis)
+        halves: dict[int, list[SectorBlock]] = {}
+        for block in sector_blocks(basis):
+            halves.setdefault(block.q, []).append(block)
+            if block.parity is None or len(block.lines_t) != block.dimension:
+                problems.append(f"{species!r}: block {block.key} is no "
+                                f"spin-flip half with a line per state")
+                continue
+            states = bloch_states(basis, block)
+            parity = max(parity, float(np.max(np.abs(
+                flip(states) - block.parity * states))))
+            commutator = max(commutator, float(np.max(np.abs(
+                flip(dense @ states) - dense @ flip(states)))))
+        for q, pair in halves.items():
+            members = np.unique(np.concatenate(
+                [block.representatives for block in pair]))
+            states = _bloch_states(basis, orbits, q, members) @ (
+                reflection_rotation(basis, orbits, q, members).toarray())
+            whole = np.linalg.eigvalsh(states.conj().T @ dense @ states)
+            split = np.sort(np.concatenate([np.linalg.eigvalsh(
+                block.operator(amp, species.u).to_dense()) for block in pair]))
+            if len(split) != len(whole):
+                problems.append(f"{species!r}: the halves of sector {q} hold "
+                                f"{len(split)} of {len(whole)} states")
+                continue
+            spectra = max(spectra, float(np.max(np.abs(split - whole))))
+    if parity > tol:
+        problems.append(f"half states leave their parity by {parity:.3e}")
+    if spectra > tol:
+        problems.append(f"halves miss their sector's spectrum by "
+                        f"{spectra:.3e}")
+    if problems:
+        return _result("spin_flip", np.inf, tol, detail="; ".join(problems))
+    return _result("spin_flip", commutator, tol,
+                   detail=f"parity {parity:.3e}, spectra {spectra:.3e}")
 
 
 def check_twist_degeneracy_crossings() -> CheckResult:
@@ -425,7 +517,7 @@ def check_screening_bounds() -> CheckResult:
         u = getattr(species, "u", 0.0)
         floors = _plane_wave_floors(blocks, particle_count(species))
         slopes = _drive_slopes(blocks, ring)
-        down, up = np.array([slopes[block.q] for block in blocks]).T
+        down, up = np.array([slopes[block.key] for block in blocks]).T
         for low, high in ((-3.0, 3.0), (10.0, 20.0), (-20.0, -10.0)):
             w0, w = rng.uniform(low, high, 2) * ring.t / ring.k_factor
             before = _lowest(blocks, ring.with_omega(w0), u)
@@ -453,13 +545,13 @@ def check_plane_wave_floors() -> CheckResult:
     F_q (:func:`~ringlat.sweep._plane_wave_floors`) within 1e-10 t, and
     each block must carry one plane-wave line per state."""
     worst, problems = 0.0, []
-    for ring, species in _test_systems():
+    for ring, species in _with_rest_doublet():
         blocks = sector_blocks(enumerate_basis(ring, species))
         problems.extend(
-            f"{species!r}: block {block.q} has {len(block.lines_t)} lines "
-            f"for {len(block.representatives)} states" for block in blocks
+            f"{species!r}: block {block.key} has {len(block.lines_t)} lines "
+            f"for {block.dimension} states" for block in blocks
             if not (len(block.lines_t) == len(block.lines_drive)
-                    == len(block.representatives)))
+                    == block.dimension))
         floors = _plane_wave_floors(blocks, particle_count(species))
         for x in (0.0, 0.7, -2.9, 20.0):
             free = ring.with_omega(x * ring.t / ring.k_factor)
@@ -505,6 +597,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_krylov_vs_dense,
     check_screened_krylov_sweep,
     check_sector_blocks,
+    check_spin_flip,
     check_twist_degeneracy_crossings,
     check_screening_bounds,
     check_plane_wave_floors,

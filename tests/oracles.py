@@ -137,6 +137,32 @@ def reflection(basis, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(targets), np.array(signs)
 
 
+def spin_flip_oracle(basis) -> tuple[np.ndarray, np.ndarray]:
+    """The spin flip F c+_{j,up} F^-1 = c+_{j,down} and back, as a signed
+    permutation of a fermion basis: F|k> = signs[k] |targets[k]>.
+
+    Reads only ``basis.states`` and ``basis.index_of``.  The flipped
+    operators, in the state's order, are bubble-sorted back into the
+    order up before down, ascending site, one sign flip per swap.
+    """
+    targets, signs = [], []
+    for state in basis.states:
+        # (spin, site) with up = 0: the state's up operators turn down.
+        sites = range(basis.n_sites)
+        ops = ([(1, j) for j in sites if (state.up_mask >> j) & 1]
+               + [(0, j) for j in sites if (state.down_mask >> j) & 1])
+        sign = 1.0
+        for end in range(len(ops) - 1, 0, -1):
+            for i in range(end):
+                if ops[i] > ops[i + 1]:
+                    ops[i], ops[i + 1] = ops[i + 1], ops[i]
+                    sign = -sign
+        targets.append(basis.index_of(type(state)(state.down_mask,
+                                                  state.up_mask)))
+        signs.append(sign)
+    return np.array(targets), np.array(signs)
+
+
 def plane_wave(n_sites: int, n: int) -> np.ndarray:
     j = np.arange(n_sites)
     return np.exp(2j * np.pi * n * j / n_sites) / math.sqrt(n_sites)
@@ -230,7 +256,7 @@ def unscreened_rows(spec, tol: float = 1e-10, degeneracy_tol: float = 1e-8,
             levels, vectors, _ = _lowest_levels(
                 block.operator(amp, species.u), 1, tol, degeneracy_tol,
                 options)
-            solved[block.q] = (block, levels, vectors)
+            solved[block.key] = (block, levels, vectors)
         rows.append(sweep._block_row(ring, species, solved, float(value),
                                      degeneracy_tol))
     return tuple(rows)

@@ -19,8 +19,9 @@ from ringlat import (
     sector_of_state,
     translate,
 )
+from ringlat.basis import spin_flip
 
-from oracles import plane_wave, reflection
+from oracles import plane_wave, reflection, spin_flip_oracle
 
 
 def single_particle_vector(basis, n_sites, winding):
@@ -163,6 +164,27 @@ class TestSymmetryTables:
         moved = reflect(apply_translation(reflect(apply_translation(
             v, basis)), basis))
         assert np.array_equal(moved.real, v)
+
+
+class TestSpinFlip:
+    @pytest.mark.parametrize("ring,species", [
+        (make_ring(4), Fermions(1, 1)), (make_ring(6), Fermions(2, 2)),
+        (make_ring(6), Fermions(3, 3)), (make_ring(5), Fermions(2, 2)),
+    ], ids=["1+1/4", "2+2/6", "3+3/6", "2+2/5"])
+    def test_table_matches_oracle(self, ring, species):
+        # The sign is (-1)**(n_up * n_down): -1 for odd spin counts.
+        basis = enumerate_basis(ring, species)
+        perm, sign = spin_flip(basis)
+        targets, signs = spin_flip_oracle(basis)
+        assert np.array_equal(perm, targets)
+        assert np.all(signs == sign)
+        assert sign == (-1.0) ** species.n_up
+
+    @pytest.mark.parametrize("species", [
+        Bosons(2), Fermions(2, 1), Fermions(2, 0), PolarizedFermions(2)],
+        ids=["bosons", "2+1", "2+0", "polarized"])
+    def test_only_equal_spin_counts_flip(self, species):
+        assert spin_flip(enumerate_basis(make_ring(5), species)) is None
 
 
 class TestSectorOfState:

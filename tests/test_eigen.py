@@ -215,9 +215,9 @@ class TestDegeneracyGroups:
         assert eigen._level_end(values, k, tol) == want
 
 
-def _block_operator(ring, species, q):
+def _block_operator(ring, species, key):
     block, = [block for block in sector_blocks(enumerate_basis(ring, species))
-              if block.q == q]
+              if block.key == key]
     return block.operator(hopping_amplitude(ring), species.u)
 
 
@@ -226,10 +226,10 @@ class TestLevelStages:
         (ring_operator(species=Fermions(2, 2, u=4.0))[3], 1),
         (ring_operator(species=Fermions(2, 2, u=4.0))[3], 2),
         (wide_level_operator(), 1),
-        # Two copies of the ground level inside one real block.
-        (_block_operator(make_ring(8), Fermions(2, 2, u=0.0), 0), 1),
-        (_block_operator(make_ring(8, omega=0.7), Fermions(2, 2, u=4.0), 2),
-         1),
+        # Two copies of the lowest level inside one real block.
+        (_block_operator(make_ring(8), Fermions(2, 2, u=0.0), (4, 1)), 1),
+        (_block_operator(make_ring(8, omega=0.7), Fermions(2, 2, u=4.0),
+                         (2, 1)), 1),
     ], ids=["rest 2+2/8", "rest 2+2/8 k=2", "wide level", "in-block pair",
             "driven block"])
     def test_two_stages_give_lowest_levels(self, op, k):

@@ -10,8 +10,10 @@ from ringlat import (
     Bosons,
     DomainError,
     Fermions,
+    OmegaGrid,
     PolarizedFermions,
     RingSpec,
+    SweepSpec,
     build_boson,
     build_fermion,
     build_operator,
@@ -19,8 +21,10 @@ from ringlat import (
     energy,
     enumerate_basis,
     make_ring,
+    run,
     winding_state,
 )
+from ringlat.basis import translation_orbits
 from ringlat.hamiltonian import (
     hopping_amplitude,
     interaction_diagonal,
@@ -30,7 +34,12 @@ from ringlat.hamiltonian import (
 from ringlat.verify import bloch_states
 
 from conftest import omega_for
-from oracles import dense_ring_bilinear, reflection
+from oracles import (
+    dense_ring_bilinear,
+    reflection,
+    spin_flip_oracle,
+    unscreened_rows,
+)
 
 
 def analytic_spectrum(ring):
@@ -254,8 +263,9 @@ class TestPolarizedBuild:
 class TestSectorBlocks:
     @pytest.mark.parametrize("species", [
         Bosons(3, u=2.0), Fermions(4, 2, u=1.5), Fermions(2, 1, u=-2.5),
-        PolarizedFermions(2),
-    ], ids=["bosons", "fermions-even", "fermions-odd", "polarized"])
+        PolarizedFermions(2), Fermions(2, 2, u=1.5), Fermions(3, 3, u=-1.0),
+    ], ids=["bosons", "fermions-even", "fermions-odd", "polarized",
+            "fermions-2+2", "fermions-3+3"])
     def test_blocks_are_the_bloch_projections(self, species):
         # On 6 sites, 4+2 fermions and 2 polarized fermions have orbits
         # whose closing sign is -1.
@@ -263,11 +273,11 @@ class TestSectorBlocks:
         basis = enumerate_basis(ring, species)
         dense = build_operator(ring, species, basis).to_dense()
         blocks = sector_blocks(basis)
-        assert sum(len(b.representatives) for b in blocks) == basis.dimension
+        assert sum(b.dimension for b in blocks) == basis.dimension
         amp = hopping_amplitude(ring)
         for block in blocks:
             states = bloch_states(basis, block)
-            size = len(block.representatives)
+            size = block.dimension
             assert np.allclose(states.conj().T @ states, np.eye(size),
                                atol=1e-12)
             projected = states.conj().T @ dense @ states
@@ -297,12 +307,15 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("species", [
         Bosons(3), Fermions(4, 2), Fermions(2, 1), Fermions(0, 2),
-        PolarizedFermions(2),
+        PolarizedFermions(2), Fermions(1, 1), Fermions(2, 2), Fermions(3, 3),
     ], ids=["bosons", "fermions-even", "fermions-odd", "down-only",
-            "polarized"])
+            "polarized", "fermions-1+1", "fermions-2+2", "fermions-3+3"])
     def test_free_levels_are_the_plane_wave_lines(self, species):
         # At u = 0 each block is diagonal in its sector's plane-wave
         # configurations: its levels are t A_c + omega K B_c, one per state.
+        # With n_up = n_down a configuration with equal up and down momenta
+        # lies in the half of parity (-1)**(n_up * n_down) alone: a wrong
+        # sign moves its line to the other half.
         ring = make_ring(6, omega=1.3)
         amp = hopping_amplitude(ring)
         for block in sector_blocks(enumerate_basis(ring, species)):
@@ -321,3 +334,107 @@ class TestSectorBlocks:
             array = operator.attrgetter(name)(block)
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
+
+
+def _sector_sizes(basis) -> dict[int, int]:
+    """Sector q -> number of orbit representatives r whose period p and
+    closing sign c give exp(2*pi*i*q*p/N) * c = 1."""
+    orbit, _, _, period, closing = translation_orbits(basis)
+    reps = np.flatnonzero(orbit == np.arange(basis.dimension))
+    n = basis.n_sites
+    sizes = {q: int(np.sum(np.isclose(
+        np.exp(2j * math.pi * q * period[reps] / n) * closing[reps], 1.0)))
+        for q in range(n)}
+    return {q: size for q, size in sizes.items() if size}
+
+
+class TestSpinFlipHalves:
+    @pytest.mark.parametrize("ring,species", [
+        (make_ring(8), Fermions(1, 1, u=4.0)),
+        (make_ring(8), Fermions(2, 2, u=4.0)),
+        (make_ring(10), Fermions(3, 3, u=4.0)),
+    ], ids=["1+1/8", "2+2/8", "3+3/10"])
+    def test_two_halves_per_sector(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        blocks = sector_blocks(basis)
+        sizes = _sector_sizes(basis)
+        assert [block.key for block in blocks] == [
+            (q, parity) for q in sizes for parity in (1, -1)]
+        for q, size in sizes.items():
+            plus, minus = (block for block in blocks if block.q == q)
+            assert plus.dimension + minus.dimension == size
+            for block in (plus, minus):
+                assert len(block.lines_t) == block.dimension
+                assert repr(block).startswith(
+                    f"SectorBlock(q={q}, parity={block.parity:+d}, ")
+
+    def test_self_flipped_configurations_set_the_sizes(self):
+        # A pair c != f(c) of plane-wave configurations gives one state to
+        # each half, and c = f(c) gives one to the half of parity
+        # (-1)**(n_up * n_down): on q = 0, 53/47 for 2+2/8 and 708/732 for
+        # 3+3/10.
+        for ring, species, want in (
+                (make_ring(8), Fermions(2, 2), (53, 47)),
+                (make_ring(10), Fermions(3, 3), (708, 732))):
+            blocks = sector_blocks(enumerate_basis(ring, species))
+            assert tuple(block.dimension for block in blocks
+                         if block.q == 0) == want
+
+    @pytest.mark.parametrize("n_sites,parity", [(3, -1), (4, 1)])
+    def test_an_empty_half_is_left_out(self, n_sites, parity):
+        # A full ring holds one state, its own flip, of parity
+        # (-1)**(n_up * n_down); the other half of its sector is empty.
+        species = Fermions(n_sites, n_sites, u=1.0)
+        ring = make_ring(n_sites, omega=0.5)
+        (block,) = sector_blocks(enumerate_basis(ring, species))
+        assert block.key == (0, parity) and block.dimension == 1
+        (row,) = run(SweepSpec(ring, species, OmegaGrid(0.5, 1.0, 2))).rows[:1]
+        assert row.sectors == (0,) and row.ground_energy == n_sites
+
+    @pytest.mark.parametrize("species", [
+        Fermions(1, 1, u=2.0), Fermions(2, 2, u=-1.0), Fermions(3, 3, u=1.0)],
+        ids=["1+1", "2+2", "3+3"])
+    def test_half_states_are_spin_flip_eigenvectors(self, species):
+        ring = make_ring(6, omega=0.8)
+        basis = enumerate_basis(ring, species)
+        targets, signs = spin_flip_oracle(basis)
+        for block in sector_blocks(basis):
+            states = bloch_states(basis, block)
+            flipped = np.empty_like(states)
+            flipped[targets] = signs[:, None] * states
+            assert np.abs(flipped - block.parity * states).max() < 1e-12
+
+    @pytest.mark.parametrize("ring,species", [
+        (make_ring(6), Bosons(3, u=2.0)),
+        (make_ring(5), Fermions(2, 1, u=-2.5)),
+        (make_ring(6), PolarizedFermions(2)),
+    ], ids=["bosons", "2+1/5", "polarized"])
+    def test_other_species_keep_one_block_per_sector(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        blocks = sector_blocks(basis)
+        assert [block.key for block in blocks] == list(_sector_sizes(basis))
+        for block in blocks:
+            assert block.parity is None and block.key == block.q
+            assert (len(block.representatives) == block.dimension
+                    == len(block.lines_t))
+            assert repr(block) == (f"SectorBlock(q={block.q}, representatives="
+                                   f"{block.representatives!r})")
+
+    def test_ground_parity_changes_inside_sectors(self):
+        # On 2+2/10 the lower of the two halves of sectors 0, 2, 4 and 6
+        # changes along the drive: an exact level crossing inside a sector,
+        # now between two blocks.
+        spec = SweepSpec(make_ring(10), Fermions(2, 2, u=4.0),
+                         OmegaGrid(0.0, 40.0, 41))
+        blocks = sector_blocks(enumerate_basis(spec.ring, spec.species))
+        lower = {}
+        for omega in spec.control.values():
+            ring = spec.ring.with_omega(omega)
+            amp = hopping_amplitude(ring)
+            lowest = {block.key: np.linalg.eigvalsh(block.operator(
+                amp, 4.0).to_dense())[0] for block in blocks}
+            for q in (0, 2, 4, 6):
+                lower.setdefault(q, set()).add(
+                    1 if lowest[(q, 1)] < lowest[(q, -1)] else -1)
+        assert any(len(lower[q]) == 2 for q in lower)
+        assert repr(run(spec).rows) == repr(unscreened_rows(spec))

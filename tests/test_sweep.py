@@ -349,13 +349,14 @@ class TestScreen:
         assert repr(screened) == repr(find_crossings(spec))
 
     def test_failure_in_a_skipped_block_gives_a_row(self, monkeypatch):
-        # Sector 3 fails to solve at every other grid point.  Solving every
-        # block, each of those points failed; the screen skips sector 3 at
-        # most of them, and those give the rows of a solve of every block.
+        # The spin-flip half (3, -1) fails to solve at every other grid
+        # point.  Solving every block, each of those points failed; the
+        # screen skips that block at most of them, and those give the rows
+        # of a solve of every block.
         spec = _screen_cases()["2+2/8 drive"]
         want = unscreened_rows(spec)
         failing = set(spec.control.values()[1::2])
-        sectors, omegas = [], []
+        keys, omegas = [], []
         solve, operator = sweep._solve, SectorBlock.operator
         level_stages = sweep._level_stages
 
@@ -364,12 +365,12 @@ class TestScreen:
             return solve(blocks, ring, *args, **kwargs)
 
         def tagged(block, *args):
-            sectors.append(block.q)
+            keys.append(block.key)
             return operator(block, *args)
 
         def stages(*args):
-            if sectors[-1] == 3 and omegas[-1] in failing:
-                raise ConvergenceError("sector 3 fails")
+            if keys[-1] == (3, -1) and omegas[-1] in failing:
+                raise ConvergenceError("block (3, -1) fails")
             return level_stages(*args)
 
         monkeypatch.setattr(sweep, "_solve", solve_at)
@@ -378,7 +379,7 @@ class TestScreen:
         rows = run(spec).rows
         failed = {row.control_value for row in rows if row.failed}
         assert failed < failing and len(failed) <= len(failing) // 2
-        assert all(row.error == "ConvergenceError: sector 3 fails"
+        assert all(row.error == "ConvergenceError: block (3, -1) fails"
                    for row in rows if row.failed)
         assert ([repr(row) for row in rows if not row.failed]
                 == [repr(w) for row, w in zip(rows, want) if not row.failed])
@@ -390,24 +391,25 @@ FORCE_KRYLOV = SolverOptions(dense_threshold=1)
 def _record_stages(monkeypatch) -> list:
     """For each call of sweep._solve: the blocks it returned,
     theta_1 - r_1 of every Krylov block whose main run (stage 1) ran,
-    keyed by sector, and the sectors whose lock loop (stage 2) ran."""
+    keyed by block key, and the keys of the blocks whose lock loop
+    (stage 2) ran."""
     calls, current = [], {}
     solve, operator = sweep._solve, SectorBlock.operator
     level_stages = sweep._level_stages
 
     def tagged(block, *args):
-        current["q"] = block.q
+        current["key"] = block.key
         return operator(block, *args)
 
     def staged(*args):
-        q = current["q"]
+        key = current["key"]
 
         def stages():
             for values, vectors, residuals, final in level_stages(*args):
                 if not final:
-                    current["first"][q] = float(values[0] - residuals[0])
-                elif q in current["first"]:
-                    current["second"].add(q)
+                    current["first"][key] = float(values[0] - residuals[0])
+                elif key in current["first"]:
+                    current["second"].add(key)
                 yield values, vectors, residuals, final
 
         return stages()
@@ -454,28 +456,32 @@ class TestLockLoopScreen:
         assert repr(screened) == repr(search(spec, options=FORCE_KRYLOV))
 
     def test_degenerate_ground_inside_a_block_is_locked(self, monkeypatch):
-        # 2+2 fermions on 8 sites at u = 0 and rest: block 0 holds two
-        # copies of the ground level and blocks 2 and 6 one each.  ARPACK
-        # finds one copy in block 0, and its lock loop finds the other.
-        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=0.0),
+        # 4+2 fermions on 6 sites at u = 0 and rest: the up Fermi sea has
+        # momentum 2 or 4 and the down one 1 or 5, so block 3 holds two
+        # copies of the ground level (2 + 1 and 4 + 5) and blocks 1 and 5
+        # one each.  ARPACK finds one copy in block 3, and its lock loop
+        # finds the other.
+        spec = SweepSpec(make_ring(6), Fermions(4, 2, u=0.0),
                          OmegaGrid(0.0, 2.0, 2))
         calls = _record_stages(monkeypatch)
         row = run(spec, options=FORCE_KRYLOV).rows[0]
-        assert row.sectors == (0, 0, 2, 6)
+        assert row.sectors == (1, 3, 3, 5)
         solved, _, second = calls[0]
-        assert {0, 2, 6} <= second
-        assert len(solved[0][1]) == 3
+        assert {1, 3, 5} <= second
+        assert len(solved[3][1]) == 3
 
     def test_blocks_asked_for_are_solved_in_full(self):
         # A Brent step needs both of its blocks, however far apart they
-        # lie: at rest block 4 lies above block 0's second level, and its
-        # lowest level has two copies.
+        # lie: at rest the spin-flip half (4, +1) lies above the second
+        # level of (0, -1), which holds the ground, and its lowest level
+        # has two copies.
         spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
                          OmegaGrid(0.0, 1.0, 2))
         solve, _, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
-        solved = solve(0.0, (0, 4))
-        assert sorted(solved) == [0, 4]
-        assert len(solved[4][1]) == 3
+        solved = solve(0.0, ((0, -1), (4, 1)))
+        assert sorted(solved) == [(0, -1), (4, 1)]
+        assert solved[(4, 1)][1][0] > solved[(0, -1)][1][1]
+        assert len(solved[(4, 1)][1]) == 3
 
     @pytest.mark.parametrize("spec,options", [
         (SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
@@ -497,21 +503,21 @@ class TestLockLoopScreen:
             values, _ = sweep._ground(solved, 1e-8)
             limit = max(values[1],
                         values[sweep._level_end(values, 1, 1e-8) - 1])
-            for q in first.keys() - second:
-                assert q not in solved
-                assert first[q] > limit + 1e-8 + 1e-10 * max(1.0, abs(limit))
+            for key in first.keys() - second:
+                assert key not in solved
+                assert first[key] > limit + 1e-8 + 1e-10 * max(1.0, abs(limit))
 
 
 def _record_solves(monkeypatch) -> list:
-    """(omega, u, sectors passed, sectors solved) of every call of
-    sweep._solve; a block returned as it was passed in ``known`` does
-    not count as solved."""
+    """(omega, u, keys of the blocks passed, keys of the blocks solved) of
+    every call of sweep._solve; a block returned as it was passed in
+    ``known`` does not count as solved."""
     calls = []
     solve = sweep._solve
 
     def recorded(blocks, ring, u, *args, known=None):
         solved = solve(blocks, ring, u, *args, known=known)
-        calls.append((ring.omega, u, tuple(block.q for block in blocks),
+        calls.append((ring.omega, u, tuple(block.key for block in blocks),
                       tuple(q for q, entry in solved.items()
                             if entry is not (known or {}).get(q))))
         return solved
@@ -521,14 +527,14 @@ def _record_solves(monkeypatch) -> list:
 
 
 def _check_solve_pattern(calls, grid, roots, n_blocks):
-    """Given (control value, sectors passed, sectors solved) of every
-    call: the first grid point passes every block and solves at least one
-    (with an empty ledger it skips only blocks that their plane-wave
-    floors rule out), each grid point and each root takes one screened
-    call over every block, and every other call is a Brent step that
-    solves two blocks between the grid points.  The root is one of those
-    steps, and its screened solve takes the step's two blocks as they are
-    instead of solving them again."""
+    """Given (control value, keys of the blocks passed, keys of the blocks
+    solved) of every call: the first grid point passes every block and
+    solves at least one (with an empty ledger it skips only blocks that
+    their plane-wave floors rule out), each grid point and each root
+    takes one screened call over every block, and every other call is a
+    Brent step that solves two blocks between the grid points.  The root
+    is one of those steps, and its screened solve takes the step's two
+    blocks as they are instead of solving them again."""
     assert len(calls[0][1]) == n_blocks and calls[0][2]
     screened = [call for call in calls if len(call[1]) == n_blocks]
     assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
@@ -783,9 +789,10 @@ class TestFastModeBoundary:
         (point,) = fast_mode_boundary(spec)
         grid = [float(u) for u in spec.control.values()]
         _check_solve_pattern([(u, *rest) for _, u, *rest in calls], grid,
-                             [point.u_star], 8)
-        # Solving every block took 4 * 8 + 3 * 2 = 38 solves.
-        assert sum(len(solved) for *_, solved in calls) <= 22
+                             [point.u_star], 16)
+        # Solving every block, two spin-flip halves in each of 8 sectors,
+        # took 4 * 16 + 3 * 2 = 70 solves.
+        assert sum(len(solved) for *_, solved in calls) <= 23
 
 
 class TestOneScan:
@@ -854,10 +861,13 @@ class TestSolverSummary:
 
         monkeypatch.setattr(sweep, "_level_stages", counted)
         summary = run(spec).provenance["solver_summary"]
+        # Two spin-flip halves in each of the 8 sectors.
+        n_blocks = len(sweep._system_blocks(8, Fermions(2, 2)))
+        assert n_blocks == 16
         assert summary == {"block_solves": len(stages),
-                           "blocks_skipped": 41 * 8 - len(stages),
+                           "blocks_skipped": 41 * n_blocks - len(stages),
                            "lock_loops_run": 0, "lock_loops_skipped": 0}
-        assert 0 < len(stages) < 41 * 8
+        assert 0 < len(stages) < 41 * n_blocks
 
     def test_lock_loop_counts_match_the_stages_run(self, monkeypatch):
         spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
@@ -867,7 +877,7 @@ class TestSolverSummary:
         firsts = sum(len(first) for _, first, _ in calls)
         seconds = sum(len(second) for *_, second in calls)
         assert summary == {"block_solves": firsts,
-                           "blocks_skipped": 9 * 8 - firsts,
+                           "blocks_skipped": 9 * 16 - firsts,
                            "lock_loops_run": seconds,
                            "lock_loops_skipped": firsts - seconds}
         assert 0 < seconds < firsts

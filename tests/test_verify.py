@@ -1,4 +1,4 @@
-from ringlat import verify
+from ringlat import hamiltonian, verify
 from ringlat.hamiltonian import hopping_operator
 from ringlat.verify import (
     check_determinism,
@@ -11,6 +11,7 @@ from ringlat.verify import (
     check_sector_blocks,
     check_sector_labels,
     check_spectrum_vs_diagonalization,
+    check_spin_flip,
     check_translation_commutation,
     check_twist_current_identity,
     check_twist_degeneracy_crossings,
@@ -49,6 +50,7 @@ def test_individual_checks_pass():
                   check_translation_commutation,
                   check_sector_labels,
                   check_sector_blocks,
+                  check_spin_flip,
                   check_twist_degeneracy_crossings,
                   check_screening_bounds,
                   check_plane_wave_floors,
@@ -84,3 +86,19 @@ def test_raised_plane_wave_floor_is_caught(monkeypatch):
     result = check_plane_wave_floors()
     assert not result.passed
     assert result.max_deviation > 0.9e-6
+
+
+def test_flipped_parity_sign_is_caught(monkeypatch):
+    # Blocks built with the sign of the spin flip negated label each half
+    # with the other parity: the check's own F finds their states to be
+    # eigenvectors of the opposite parity, while [H, F] still vanishes.
+    spin_flip = hamiltonian.spin_flip
+
+    def negated(basis):
+        perm, sign = spin_flip(basis)
+        return perm, -sign
+
+    monkeypatch.setattr(hamiltonian, "spin_flip", negated)
+    result = check_spin_flip()
+    assert not result.passed
+    assert "leave their parity" in result.detail
