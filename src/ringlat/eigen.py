@@ -12,27 +12,34 @@ it gives the result of an uninterrupted solve.  Both paths run in the
 operator's own arithmetic: real symmetric matrices (the sector blocks)
 through the real drivers (``dsyevr``, symmetric Lanczos), complex
 Hermitian ones (the real-space operators) through the complex ones.
-Repeated runs are bit-for-bit reproducible at a fixed thread count.
+Every dense solve is one call of LAPACK's MRRR routine (``dsyevr`` or
+``zheevr``; Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) on a dense
+array, through :func:`_dense_levels`, which a caller holding the dense
+matrix can call directly.  Repeated runs are bit-for-bit reproducible at a
+fixed thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .hamiltonian import HermitianOperator
 from .model import DomainError
 
-# Ground-state solves cost about the same on both paths near this dimension
-# (2-CPU x86, OpenBLAS, 1+1 fermions): dense eigh wins at 256 and below,
-# ARPACK with its complement solve at 400 and above, and at 324 they are
-# within 10 %.  Real sector blocks cross over nearby: dense wins at 202,
-# the two are within 10 % at 363 and ARPACK wins at 540 (2+2 and 3+2
-# fermions on 10-14 sites).
+# Real sector blocks cost about the same on both paths near this dimension
+# (2-CPU x86, OpenBLAS at 1 and at 2 threads alike, one block of 2+2, 3+1,
+# 4+1, 3+2 and 3+3 fermions and 5 and 6 bosons on 10-14 sites, omega = 3).
+# Against ARPACK with its lock loop, the dense solve takes 0.1-0.3 of the
+# time up to 200 states, 0.5-0.85 at 291-364 and 1.0-1.8 at 495-540.
+# Against the main ARPACK run alone, which is all a screened lock loop
+# leaves, it takes 0.25-0.75 up to 200 and 1.0-1.1 at 220.
 DENSE_THRESHOLD = 300
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
@@ -119,6 +126,12 @@ def _lowest_levels(op: HermitianOperator, k: int, tol: float,
     return values, vectors, residuals
 
 
+def _krylov(dimension: int, k: int, options: SolverOptions) -> bool:
+    """Whether the k lowest pairs of an operator of this dimension are
+    solved by ARPACK, which needs k < n - 1 (else by the dense solver)."""
+    return dimension > options.dense_threshold and k + 2 <= dimension
+
+
 def _level_stages(op: HermitianOperator, k: int, tol: float,
                   degeneracy_tol: float, options: SolverOptions):
     """The solve of :func:`_lowest_levels` in stages, as a generator of
@@ -129,35 +142,59 @@ def _level_stages(op: HermitianOperator, k: int, tol: float,
     runs the lock loop with the same generator state and yields the
     result of :func:`_lowest_levels` (stage 2, final).  Every yield, on
     either path, has each residual within ``tol * max(1, |value|)``, or
-    raises :class:`ConvergenceError`.
+    raises :class:`ConvergenceError`, as does an operator with an entry
+    that is not finite.
     """
     if not 1 <= k <= op.dimension:
         raise DomainError(f"k: need 1 <= k <= {op.dimension}, got {k!r}")
     _check_tolerances(tol, degeneracy_tol)
 
-    # ARPACK needs k < n - 1 and k + 1 < ncv <= n.
-    krylov = op.dimension > options.dense_threshold and k + 2 <= op.dimension
-    if krylov:
-        rng = np.random.default_rng(options.seed)
-        values, vectors = _rayleigh_ritz(
-            op, _arpack_lowest(op.matrix, k, tol, options, rng))
-        yield values, vectors, _residuals(op, values, vectors, tol), False
-        values, vectors = _lock_loop(op, values, vectors, k, tol,
-                                     degeneracy_tol, options, rng)
-    else:
-        values, vectors = _dense_lowest(op, k, degeneracy_tol)
+    if not _krylov(op.dimension, k, options):
+        yield (*_dense_levels(op.to_dense(), k, tol, degeneracy_tol), True)
+        return
+    _check_finite(op.matrix.data)
+    rng = np.random.default_rng(options.seed)
+    values, vectors = _rayleigh_ritz(
+        op, _arpack_lowest(op.matrix, k, tol, options, rng))
+    yield values, vectors, _residuals(op.matrix, values, vectors, tol), False
+    values, vectors = _lock_loop(op, values, vectors, k, tol, degeneracy_tol,
+                                 options, rng)
+    yield (*_through_level(op.matrix, values, vectors, k, tol,
+                           degeneracy_tol), True)
+
+
+def _dense_levels(dense: np.ndarray, k: int, tol: float,
+                  degeneracy_tol: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_lowest_levels` on the dense Hermitian array ``dense``, with
+    the residuals of its own product; the tolerances are not checked."""
+    _check_finite(dense)
+    values, vectors = _dense_lowest(dense, k, degeneracy_tol)
+    return _through_level(dense, values, vectors, k, tol, degeneracy_tol)
+
+
+def _through_level(matrix, values: np.ndarray, vectors: np.ndarray, k: int,
+                   tol: float, degeneracy_tol: float
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ascending pairs up to the last copy of the k-th level and the
+    next one, with their residuals."""
     stop = _level_end(values, k, degeneracy_tol) + 1
     values, vectors = values[:stop], vectors[:, :stop]
-    yield values, vectors, _residuals(op, values, vectors, tol), True
+    return values, vectors, _residuals(matrix, values, vectors, tol)
 
 
-def _residuals(op: HermitianOperator, values: np.ndarray, vectors: np.ndarray,
+def _check_finite(entries: np.ndarray) -> None:
+    if not np.isfinite(entries).all():
+        raise ConvergenceError("operator has entries that are not finite")
+
+
+def _residuals(matrix, values: np.ndarray, vectors: np.ndarray,
                tol: float) -> np.ndarray:
     """||H v - value v|| of each pair, each of which must stay within
-    ``tol * max(1, |value|)``."""
-    residuals = np.linalg.norm(op.matrix @ vectors - vectors * values, axis=0)
+    ``tol * max(1, |value|)``; a NaN fails."""
+    residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
     bounds = tol * np.maximum(1.0, np.abs(values))
-    if np.any(residuals > bounds):
+    if not np.all(residuals <= bounds):
         raise ConvergenceError(
             f"residuals {residuals} exceed tolerance bounds {bounds}")
     return residuals
@@ -173,14 +210,47 @@ def lowest_k(op: HermitianOperator, k: int, tol: float = 1e-10,
                        _group_degenerate(values[:k], degeneracy_tol))
 
 
-def _dense_lowest(op: HermitianOperator, k: int,
+def _dense_lowest(dense: np.ndarray, k: int,
                   degeneracy_tol: float) -> tuple[np.ndarray, np.ndarray]:
-    dense = op.to_dense()
-    if k < op.dimension:
-        values, vectors = sla.eigh(dense, subset_by_index=(0, k), driver="evr")
+    """The k + 1 lowest pairs of ``dense``, or all of them where the
+    (k+1)-th lies within ``degeneracy_tol`` of the k-th."""
+    if k < len(dense):
+        values, vectors = _evr(dense, (1, k + 1))
         if values[k] - values[k - 1] >= degeneracy_tol:
             return values, vectors
-    return sla.eigh(dense)
+    return _evr(dense, None)
+
+
+def _evr(dense: np.ndarray, index: tuple[int, int] | None
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending pairs of the dense Hermitian array ``dense`` from LAPACK's
+    ``?syevr``/``?heevr`` on its lower triangle: those of 1-based indices
+    ``index`` (first, last), or all of them for None.  The arguments are
+    those of ``scipy.linalg.eigh(dense, subset_by_index=..., driver="evr")``,
+    so the results are bit for bit the same, without its checks; an entry
+    that is not finite must be ruled out first."""
+    routine, workspace = _evr_routine(dense.dtype.char, dense.shape[0])
+    bounds = {} if index is None else {"range": "I", "il": index[0],
+                                       "iu": index[1]}
+    values, vectors, found, _, info = routine(dense, lower=1, **bounds,
+                                              **workspace)
+    if info != 0:
+        raise ConvergenceError(f"LAPACK {routine.__name__} failed with "
+                               f"info {info}")
+    return values[:found], vectors[:, :found]
+
+
+@functools.lru_cache(maxsize=64)
+def _evr_routine(dtype: str, n: int) -> tuple:
+    """The LAPACK routine for arrays of dtype character ``dtype`` and its
+    workspace sizes at dimension n, queried once."""
+    prefix = "he" if np.dtype(dtype).kind == "c" else "sy"
+    routine, query = get_lapack_funcs((prefix + "evr", prefix + "evr_lwork"),
+                                      dtype=np.dtype(dtype))
+    sizes = _compute_lwork(query, n=n, lower=1)
+    names = ("lwork", "lrwork", "liwork") if prefix == "he" else (
+        "lwork", "liwork")
+    return routine, dict(zip(names, sizes))
 
 
 def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,

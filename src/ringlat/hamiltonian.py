@@ -261,10 +261,26 @@ class SectorBlock:
         """amp * X + h.c. + u * interaction = 2 Re(amp * X) + u * interaction:
         real, and exactly symmetric since both mirror entries hold one
         value."""
+        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
+            (self._entries(forward_amplitude, u), self.hop.indices,
+             self.hop.indptr), shape=self.hop.shape))
+
+    def dense(self, forward_amplitude: complex, u: float = 0.0) -> np.ndarray:
+        """The matrix of :meth:`operator` as a dense array, equal to its
+        ``to_dense()`` bit for bit, built without a sparse matrix."""
+        n = self.hop.shape[0]
+        rows = np.repeat(np.arange(n), np.diff(self.hop.indptr))
+        # Added to zeros, as to_dense() adds, so an entry of -0.0 reads 0.0.
+        dense = np.zeros(n * n)
+        dense[rows * n + self.hop.indices] += self._entries(forward_amplitude,
+                                                            u)
+        return dense.reshape(n, n)
+
+    def _entries(self, forward_amplitude: complex, u: float) -> np.ndarray:
+        """The values of the block operator at the positions of ``hop``."""
         data = 2.0 * (complex(forward_amplitude) * self.hop.data).real
         data[self.diagonal] += u * self.interaction
-        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
-            (data, self.hop.indices, self.hop.indptr), shape=self.hop.shape))
+        return data
 
 
 def _fixed_columns(c: np.ndarray, partner: np.ndarray) -> sparse.csr_matrix:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ringlat
@@ -150,6 +151,19 @@ class TestSweep:
         _, _, body = read_csv(tmp_path / "sweep.csv")
         assert len(body) == 5
         assert all(row["sector"] == "failed" for row in body)
+
+    def test_drive_that_overflows_fails_its_row(self, tmp_path, capsys):
+        # The block entries at omega = 1.7e308 overflow to inf: that point
+        # fails, the other is written, and the exit code is 2.
+        with np.errstate(over="ignore"):
+            code = main(["sweep", "--sites", "6", "--species", "fermion",
+                         "--n-up", "1", "--n-down", "1", "--u", "4",
+                         "--omega-min", "0", "--omega-max", "1.7e308",
+                         "--omega-points", "2", "--out", str(tmp_path)])
+        assert code == 2
+        assert "1 grid points failed" in capsys.readouterr().err
+        _, _, body = read_csv(tmp_path / "sweep.csv")
+        assert [row["sector"] == "failed" for row in body] == [False, True]
 
     def test_solver_summary_comment(self, tmp_path):
         assert main(["sweep", "--sites", "8", "--species", "fermion",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,7 @@ from ringlat import (
     winding_state,
 )
 from ringlat import eigen
-from ringlat.eigen import _lowest_levels
+from ringlat.eigen import DEGENERACY_TOL, _lowest_levels
 from ringlat.hamiltonian import (
     hopping_amplitude,
     operator_from_entries,
@@ -252,6 +253,80 @@ class TestLevelStages:
         for a, b in zip(got, _lowest_levels(op, 1, 1e-10, 1e-8,
                                             FORCE_DENSE)):
             assert np.array_equal(a, b)
+
+
+def _eigh_lowest(dense, k, degeneracy_tol):
+    """The dense solve through ``scipy.linalg.eigh``: the k + 1 lowest
+    pairs, or all of them where the (k+1)-th lies within
+    ``degeneracy_tol`` of the k-th."""
+    if k < len(dense):
+        values, vectors = sla.eigh(dense, subset_by_index=(0, k),
+                                   driver="evr")
+        if values[k] - values[k - 1] >= degeneracy_tol:
+            return values, vectors
+    return sla.eigh(dense)
+
+
+def _bits(*arrays):
+    return [(array.shape, array.tobytes()) for array in arrays]
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("n_sites,species,drive", [
+        (8, Fermions(2, 2, u=4.0), 1.3),
+        (8, Fermions(2, 2, u=0.0), 0.0),
+        (8, Fermions(2, 1, u=-3.0), 2.0),
+        (8, Bosons(4, u=1.0), 0.7),
+        (8, Bosons(1), 0.4),
+        (4, Bosons(2, u=1.0), 0.9),
+    ], ids=["2+2/8 halves", "2+2/8 at rest u=0", "2+1/8", "4bosons/8",
+            "1boson/8 one state", "2bosons/4 two states"])
+    def test_blocks_match_eigh_bit_for_bit(self, n_sites, species, drive):
+        base = make_ring(n_sites)
+        ring = base.with_omega(omega_for(base, drive))
+        amp = hopping_amplitude(ring)
+        for block in sector_blocks(enumerate_basis(ring, species)):
+            dense = block.operator(amp, species.u).to_dense()
+            assert _bits(block.dense(amp, species.u)) == _bits(dense)
+            assert (_bits(*eigen._dense_lowest(dense, 1, 1e-8))
+                    == _bits(*_eigh_lowest(dense, 1, 1e-8)))
+
+    def test_degenerate_level_takes_the_full_spectrum(self):
+        # At rest and u = 0 the lowest level of the spin-flip half (4, +1)
+        # of 2+2/8 has two copies, so the solve falls back to every pair.
+        ring = make_ring(8)
+        block, = [block for block in sector_blocks(
+            enumerate_basis(ring, Fermions(2, 2))) if block.key == (4, 1)]
+        dense = block.dense(hopping_amplitude(ring))
+        values, _ = eigen._dense_lowest(dense, 1, 1e-8)
+        assert len(values) == block.dimension > 2
+        assert values[1] - values[0] < 1e-8
+
+    @pytest.mark.parametrize("x,species", [
+        (1.3, Bosons(1)), (0.0, Bosons(1)), (2.0, Fermions(1, 1, u=3.0)),
+        (0.7, Fermions(2, 2, u=4.0))])
+    def test_complex_ground_state_matches_eigh(self, x, species):
+        _, _, _, op = ring_operator(x=x, species=species)
+        dense = op.to_dense()
+        assert dense.dtype == complex
+        gs = ground_state(op, options=FORCE_DENSE)
+        values, vectors = _eigh_lowest(dense, 1, DEGENERACY_TOL)
+        members = gs.vectors.shape[1]
+        assert gs.energy == values[0]
+        assert _bits(gs.vectors) == _bits(vectors[:, :members])
+        assert gs.gap == values[members] - values[0]
+
+    def test_nan_residual_fails(self):
+        with pytest.raises(ConvergenceError, match="residuals"):
+            eigen._residuals(np.eye(2), np.array([np.nan, 1.0]), np.eye(2),
+                             1e-10)
+
+    @pytest.mark.parametrize("options", [FORCE_DENSE, FORCE_KRYLOV],
+                             ids=["dense", "krylov"])
+    def test_entry_that_is_not_finite_fails(self, options):
+        op = diagonal(1.0, np.inf, 2.0, 3.0, 4.0)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            ground_state(op, options=options)
 
 
 class TestGroundState:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from ringlat import (
     BasisSizeError,
@@ -27,7 +29,7 @@ from ringlat import (
 )
 from ringlat import cli, sweep
 from ringlat.eigen import ConvergenceError
-from ringlat.hamiltonian import SectorBlock, sector_blocks
+from ringlat.hamiltonian import sector_blocks
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -356,33 +358,76 @@ class TestScreen:
         spec = _screen_cases()["2+2/8 drive"]
         want = unscreened_rows(spec)
         failing = set(spec.control.values()[1::2])
-        keys, omegas = [], []
-        solve, operator = sweep._solve, SectorBlock.operator
-        level_stages = sweep._level_stages
+        omegas = []
+        solve, block_stages = sweep._solve, sweep._block_stages
 
         def solve_at(blocks, ring, *args, **kwargs):
             omegas.append(ring.omega)
             return solve(blocks, ring, *args, **kwargs)
 
-        def tagged(block, *args):
-            keys.append(block.key)
-            return operator(block, *args)
-
-        def stages(*args):
-            if keys[-1] == (3, -1) and omegas[-1] in failing:
+        def stages(block, *args):
+            if block.key == (3, -1) and omegas[-1] in failing:
                 raise ConvergenceError("block (3, -1) fails")
-            return level_stages(*args)
+            return block_stages(block, *args)
 
         monkeypatch.setattr(sweep, "_solve", solve_at)
-        monkeypatch.setattr(SectorBlock, "operator", tagged)
-        monkeypatch.setattr(sweep, "_level_stages", stages)
+        monkeypatch.setattr(sweep, "_block_stages", stages)
         rows = run(spec).rows
         failed = {row.control_value for row in rows if row.failed}
-        assert failed < failing and len(failed) <= len(failing) // 2
+        assert failed and failed < failing
+        assert len(failed) <= len(failing) // 2
         assert all(row.error == "ConvergenceError: block (3, -1) fails"
                    for row in rows if row.failed)
         assert ([repr(row) for row in rows if not row.failed]
                 == [repr(w) for row, w in zip(rows, want) if not row.failed])
+
+
+class TestDenseBlocks:
+    def test_dense_solves_build_no_sparse_matrix(self, monkeypatch):
+        # Once a system's blocks are built, a scan whose blocks are all
+        # dense builds no scipy.sparse matrix and never calls
+        # scipy.linalg.eigh: each block's dense matrix goes to LAPACK.
+        spec = _screen_cases()["2+2/8 drive"]
+        search = SweepSpec(make_ring(8), Bosons(4, u=1.0),
+                           OmegaGrid(0.0, 8.0, 41), 1e-7)
+        want = repr(run(spec).rows), repr(find_crossings(search))
+        built, dense = [], []
+        init = scipy.sparse._base._spbase.__init__
+        dense_levels = sweep._dense_levels
+
+        def counted_init(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            init(self, *args, **kwargs)
+
+        def counted(*args):
+            dense.append(args)
+            return dense_levels(*args)
+
+        def eigh(*args, **kwargs):
+            raise AssertionError("scipy.linalg.eigh called")
+
+        monkeypatch.setattr(scipy.sparse._base._spbase, "__init__",
+                            counted_init)
+        monkeypatch.setattr(scipy.linalg, "eigh", eigh)
+        monkeypatch.setattr(sweep, "_dense_levels", counted)
+        assert (repr(run(spec).rows), repr(find_crossings(search))) == want
+        assert dense
+        assert built == []
+
+    @pytest.mark.parametrize("options", [sweep.DEFAULT_OPTIONS,
+                                         SolverOptions(dense_threshold=1)],
+                             ids=["dense", "krylov"])
+    def test_drive_that_overflows_gives_a_failed_row(self, options):
+        # At omega = 1.7e308 the block entries overflow to inf: the point
+        # fails on either path, and the other point is solved.
+        spec = SweepSpec(make_ring(6), Fermions(1, 1, u=4.0),
+                         OmegaGrid(0.0, 1.7e308, 2))
+        with np.errstate(over="ignore"):
+            first, last = run(spec, options=options).rows
+        assert not first.failed and math.isfinite(first.ground_energy)
+        assert last.failed and math.isnan(last.ground_energy)
+        assert last.error == ("ConvergenceError: operator has entries that "
+                              "are not finite")
 
 
 FORCE_KRYLOV = SolverOptions(dense_threshold=1)
@@ -394,18 +439,13 @@ def _record_stages(monkeypatch) -> list:
     keyed by block key, and the keys of the blocks whose lock loop
     (stage 2) ran."""
     calls, current = [], {}
-    solve, operator = sweep._solve, SectorBlock.operator
-    level_stages = sweep._level_stages
+    solve, block_stages = sweep._solve, sweep._block_stages
 
-    def tagged(block, *args):
-        current["key"] = block.key
-        return operator(block, *args)
-
-    def staged(*args):
-        key = current["key"]
+    def staged(block, *args):
+        key = block.key
 
         def stages():
-            for values, vectors, residuals, final in level_stages(*args):
+            for values, vectors, residuals, final in block_stages(block, *args):
                 if not final:
                     current["first"][key] = float(values[0] - residuals[0])
                 elif key in current["first"]:
@@ -420,8 +460,7 @@ def _record_stages(monkeypatch) -> list:
         calls.append((solved, current["first"], current["second"]))
         return solved
 
-    monkeypatch.setattr(SectorBlock, "operator", tagged)
-    monkeypatch.setattr(sweep, "_level_stages", staged)
+    monkeypatch.setattr(sweep, "_block_stages", staged)
     monkeypatch.setattr(sweep, "_solve", recorded)
     return calls
 
@@ -849,17 +888,17 @@ class TestOneScan:
 
 class TestSolverSummary:
     def test_counts_match_the_solves_made(self, monkeypatch):
-        # Dense blocks: every block solve is one call of _level_stages and
-        # runs no lock loop.
+        # Dense blocks: every block solve is one dense solve and runs no
+        # lock loop.
         spec = _screen_cases()["2+2/8 drive"]
         stages = []
-        level_stages = sweep._level_stages
+        dense_levels = sweep._dense_levels
 
         def counted(*args):
             stages.append(args)
-            return level_stages(*args)
+            return dense_levels(*args)
 
-        monkeypatch.setattr(sweep, "_level_stages", counted)
+        monkeypatch.setattr(sweep, "_dense_levels", counted)
         summary = run(spec).provenance["solver_summary"]
         # Two spin-flip halves in each of the 8 sectors.
         n_blocks = len(sweep._system_blocks(8, Fermions(2, 2)))
