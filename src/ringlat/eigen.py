@@ -102,10 +102,16 @@ def _group_degenerate(values: np.ndarray, tol: float) -> tuple[tuple[int, ...], 
 
 
 def _level_end(values: np.ndarray, k: int, tol: float) -> int:
-    """One past the last copy of the k-th value in ascending ``values``:
-    the end of the :func:`_group_degenerate` group that holds index k - 1."""
-    breaks = np.flatnonzero(np.diff(values[k - 1:]) >= tol)
-    return k + int(breaks[0]) if len(breaks) else len(values)
+    """One past the last copy of the k-th value in ascending ``values``
+    (k >= 1): the end of the :func:`_group_degenerate` group that holds
+    index k - 1."""
+    # A scalar loop: it stops at the first gap of at least tol, so it reads
+    # only the copies of the k-th value and one more.  The sweep calls this
+    # on two or three levels, where np.diff and np.flatnonzero cost more.
+    for i in range(k, len(values)):
+        if values[i] - values[i - 1] >= tol:
+            return i
+    return len(values)
 
 
 def _check_tolerances(tol: float, degeneracy_tol: float) -> None:

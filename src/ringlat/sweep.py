@@ -11,21 +11,24 @@ omega or u, so a process keeps those of the two most recently scanned
 systems, keyed by n_sites, the species type and its particle counts, and
 every call on one of them reuses its blocks (127 MB for 4+4 fermions on
 12 sites).  A grid point solves only the blocks that can reach the
-ground, by Weyl's inequality: each block's lowest level lies above its
-plane-wave floor, the exact u = 0 level from the block's plane-wave
-lines plus the least contact energy, and moves between two points by at
-most the control step times the block's slope, so a block whose bound
-lies above the ground multiplet and the second level is skipped, from
-the first point on (see :func:`_grid_point`).  A Krylov block is solved
-in two stages, its main ARPACK run and then its lock loop, and the
-second stage is screened by the same rule, with the first stage's
+levels its caller reads, by Weyl's inequality: each block's lowest level
+lies above its plane-wave floor, the exact u = 0 level from the block's
+plane-wave lines plus the least contact energy, and moves between two
+points by at most the control step times the block's slope.  A row
+reads the ground multiplet and the second level, so a block whose bound
+lies above both is skipped; a search label reads the ground multiplet
+alone, so a search solve skips every block whose bound lies above it,
+from the first point on (see :func:`_grid_point`).  A Krylov block is
+solved in two stages, its main ARPACK run and then its lock loop, and
+the second stage is screened by the same rule, with the first stage's
 theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
 those of a solve of every block.  Points run serially (``workers`` is
 recorded only for compatibility), in order of the control value, so a
 sweep with the same spec is reproducible bit for bit; a failed point is
 recorded in its row.
 One walk over the grid feeds the rows and a search alike, so
-``ringlat sweep --refine`` solves each grid point once (:func:`_scan`).
+``ringlat sweep --refine`` solves each grid point once, with the row's
+screen (:func:`_scan`); its refinement solves use the label's.
 
 Both searches bracket a change of a grid-point label between neighboring
 grid points: the sector of the lowest block level for a level crossing,
@@ -269,7 +272,7 @@ def _plane_wave_floors(blocks: tuple[SectorBlock, ...], n_particles: int
 def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
            degeneracy_tol: float, tol: float, options: SolverOptions,
            floors: dict | None, record: Callable[..., None],
-           known: dict | None = None
+           known: dict | None = None, levels: int = 2
            ) -> dict[object, tuple[SectorBlock, np.ndarray, np.ndarray]]:
     """Each block's lowest level, its copies and the next level above,
     with their vectors, keyed by the block's key in block order.
@@ -282,12 +285,16 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     and a Krylov block whose main run gave its lowest level theta_1 with
     residual r_1 (stage 1 of :func:`~ringlat.eigen._level_stages`), at
     theta_1 - r_1, waiting for its lock loop (stage 2).  A dense block is
-    solved in one stage.  Once two levels are known, an item is skipped if
-    its bound lies above both the second level and the top of the ground
-    multiplet by more than ``degeneracy_tol`` plus the accuracy
-    ``tol * max(1, |E|)`` of an accepted solve: no level of its block
-    could join the ground multiplet or be the second level.  Since the
-    bounds ascend, every item after the first skipped one is skipped too.
+    solved in one stage.  ``levels`` is how many levels the caller reads:
+    2 for a row (the ground multiplet and the second level, for its gap),
+    1 for a search label (the ground multiplet alone).  Once that many
+    levels are known, an item is skipped if its bound lies above the top
+    of the ground multiplet, and for ``levels`` = 2 also above the second
+    level, by more than ``degeneracy_tol`` plus the accuracy
+    ``tol * max(1, |E|)`` of an accepted solve (:func:`_reach`): no level
+    of its block could join the ground multiplet, or be the second level.
+    Since the bounds ascend, every item after the first skipped one is
+    skipped too.
     ``record(key, bound, outcome)`` receives each solved block's lowest level
     minus its residual, with outcome "solved" (one stage) or "locked"
     (lock loop run), and each skipped item's bound, with outcome "skipped"
@@ -296,12 +303,12 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     amp = hopping_amplitude(ring)
     solved = dict(known or {})
     values = np.sort(np.concatenate(
-        [np.empty(0), *(levels for _, levels, _ in solved.values())]))
+        [np.empty(0), *(found for _, found, _ in solved.values())]))
     queue = [(-math.inf if floors is None else floors[block.key], i, block,
               None)
              for i, block in enumerate(blocks) if block.key not in solved]
     heapq.heapify(queue)
-    reach = _reach(values, degeneracy_tol, tol)
+    reach = _reach(values, degeneracy_tol, tol, levels)
     while queue:
         bound, i, block, stages = heapq.heappop(queue)
         if floors is not None and bound > reach:
@@ -312,15 +319,15 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
         if stages is None:
             stages = _block_stages(block, amp, u, tol, degeneracy_tol,
                                    options)
-        levels, vectors, residuals, final = next(stages)
-        low = float(levels[0] - residuals[0])
+        found, vectors, residuals, final = next(stages)
+        low = float(found[0] - residuals[0])
         if not final:
             heapq.heappush(queue, (low, i, block, stages))
             continue
         record(block.key, low, "locked" if locking else "solved")
-        solved[block.key] = (block, levels, vectors)
-        values = np.sort(np.concatenate([values, levels]))
-        reach = _reach(values, degeneracy_tol, tol)
+        solved[block.key] = (block, found, vectors)
+        values = np.sort(np.concatenate([values, found]))
+        reach = _reach(values, degeneracy_tol, tol, levels)
     return {block.key: solved[block.key] for block in blocks
             if block.key in solved}
 
@@ -338,14 +345,19 @@ def _block_stages(block: SectorBlock, amp: complex, u: float, tol: float,
                                  degeneracy_tol), True)])
 
 
-def _reach(values: np.ndarray, degeneracy_tol: float, tol: float) -> float:
+def _reach(values: np.ndarray, degeneracy_tol: float, tol: float,
+           levels: int) -> float:
     """The bound above which :func:`_solve` skips an item, given the
-    ascending levels known: the larger of the second level and the top of
-    the ground multiplet, plus ``degeneracy_tol`` and ``tol * max(1,
-    |E|)``; inf while fewer than two levels are known."""
-    if len(values) < 2:
+    ascending levels known and the number of levels the caller reads: the
+    top of the ground multiplet (``levels`` = 1), or the larger of that
+    and the second level (``levels`` = 2), plus ``degeneracy_tol`` and
+    ``tol * max(1, |E|)``; inf while fewer than ``levels`` levels are
+    known."""
+    if len(values) < levels:
         return math.inf
-    limit = max(values[1], values[_level_end(values, 1, degeneracy_tol) - 1])
+    limit = values[_level_end(values, 1, degeneracy_tol) - 1]
+    if levels == 2:
+        limit = max(values[1], limit)
     return limit + degeneracy_tol + tol * max(1.0, abs(limit))
 
 
@@ -384,6 +396,16 @@ def _mean_current(ring: RingSpec, members: list) -> float:
         if block.dimension <= DENSE_THRESHOLD
         else block.operator(amp).expectation(vector)
         for block, vector in members]))
+
+
+def _per_particle_current(spec: SweepSpec, value: float, solved: dict,
+                          degeneracy_tol: float) -> float:
+    """The per-particle current of the solved blocks' ground multiplet at
+    a control value, as in its :class:`SweepRow`; it reads no other
+    level."""
+    ring, species = _point_parameters(spec, value)
+    return (_mean_current(ring, _ground(solved, degeneracy_tol)[1])
+            / particle_count(species))
 
 
 def _block_row(ring: RingSpec, species: SpeciesSpec, solved: dict,
@@ -455,15 +477,17 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     """The grid-point path of one scan, as three functions, after the
     checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
 
-    ``solve(value, among, known)`` solves the blocks whose keys are in
-    ``among`` in full at a control value and returns them keyed by block
-    key (see :class:`~ringlat.hamiltonian.SectorBlock`), or None for
-    polarized fermions; ``known`` passes blocks
-    already solved there (see :func:`_solve`).  ``row(value, solved)``
-    builds the point's :class:`SweepRow` from that.  ``points()``, the one
-    walk over the grid, solves the grid values in order, lazily, and yields
-    (value, solved, None), or (value, None, error) where the solve raised.
-    ``tally``, if given, counts the outcomes that :func:`_solve` records.
+    ``solve(value, among, known, levels)`` solves the blocks whose keys
+    are in ``among`` in full at a control value and returns them keyed by
+    block key (see :class:`~ringlat.hamiltonian.SectorBlock`), or None
+    for polarized fermions; ``known`` passes blocks already solved there
+    and ``levels`` is the number of levels the caller reads, 2 for a row
+    and 1 for a search label (see :func:`_solve`).  ``row(value, solved)``
+    builds the point's :class:`SweepRow` from a solve with ``levels`` = 2.
+    ``points(levels)``, the one walk over the grid, solves the grid values
+    in order, lazily, and yields (value, solved, None), or (value, None,
+    error) where the solve raised.  ``tally``, if given, counts the
+    outcomes that :func:`_solve` records.
 
     With ``among`` left out, ``solve`` screens every block, at bound
     max(ledger bound, F_q).  F_q is the block's plane-wave floor
@@ -477,9 +501,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     interaction (max D, 0), since the contact energies D >= 0, and only
     the positive part of each step counts.  :func:`_solve` then skips
     every block, and the lock loop of every Krylov block, that cannot
-    reach the ground multiplet or the second level, so the rows and
-    labels are those of a solve of every block.  Each solve or skip
-    records its bound in the ledger; a block whose solve raises a
+    reach the ground multiplet or, for a row, the second level, so the
+    rows and labels are those of a solve of every block.  Each solve or
+    skip records its bound in the ledger, under either screen, since a
+    skip bound is a lower bound too; a block whose solve raises a
     ConvergenceError keeps its entry.
     """
     if search is _crossings and not isinstance(spec.control, OmegaGrid):
@@ -514,25 +539,29 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
         down, up = slopes[key]
         return low - max(x0 - value, 0.0) * down - max(value - x0, 0.0) * up
 
-    def solve(value: float, among=None, known=None) -> dict | None:
+    def solve(value: float, among=None, known=None,
+              levels: int = 2) -> dict | None:
         if blocks is None:
             return None
         ring, species = _point_parameters(spec, value)
         u = getattr(species, "u", 0.0)
-        if among is None:
-            chosen = blocks
-            floors = {block.key: max(floor(block.key, value), float(f))
-                      for block, f in zip(blocks, plane(ring, u))}
-        else:
-            chosen = tuple(block for block in blocks if block.key in among)
-            floors = None
 
         def record(key, low: float, outcome: str) -> None:
             tally[outcome] += 1
             ledger[key] = (value, low)
 
-        return _solve(chosen, ring, u, degeneracy_tol, tol, options, floors,
-                      record, known=known)
+        # A drive near the float limit overflows the floors and the block
+        # entries; the solve then fails on its finiteness or residual check.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if among is None:
+                chosen = blocks
+                floors = {block.key: max(floor(block.key, value), float(f))
+                          for block, f in zip(blocks, plane(ring, u))}
+            else:
+                chosen = tuple(block for block in blocks if block.key in among)
+                floors = None
+            return _solve(chosen, ring, u, degeneracy_tol, tol, options,
+                          floors, record, known=known, levels=levels)
 
     def row(value: float, solved: dict | None) -> SweepRow:
         ring, species = _point_parameters(spec, value)
@@ -540,10 +569,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
             return _polarized_row(ring, species, float(value))
         return _block_row(ring, species, solved, float(value), degeneracy_tol)
 
-    def points():
+    def points(levels: int):
         for value in map(float, spec.control.values()):
             try:
-                yield value, solve(value), None
+                yield value, solve(value, levels=levels), None
             except ConvergenceError as error:
                 yield value, None, error
 
@@ -571,7 +600,7 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
     rows = []
 
     def recorded():
-        for value, solved, error in points():
+        for value, solved, error in points(2):
             rows.append(row(value, solved) if error is None else _failed_row(
                 *_point_parameters(spec, value), value, error))
             yield value, solved, error
@@ -619,7 +648,7 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     bisection steps order the levels exactly.
     """
     grid = _grid_point(spec, workers, tol, degeneracy_tol, options, _crossings)
-    return _crossings(spec, grid, degeneracy_tol, grid[2]())
+    return _crossings(spec, grid, degeneracy_tol, grid[2](1))
 
 
 def _crossings(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
@@ -660,6 +689,8 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
     which finds the bracket's first label change.
     """
     (x_lo, solved_lo, label_lo), (x_hi, solved_hi, label_hi) = lo, hi
+    # Each label reads only the ground multiplet.
+    solve = functools.partial(solve, levels=1)
     if solved_lo is not None:
         ground_lo = _ground_keys(solved_lo, degeneracy_tol)
         ground_hi = _ground_keys(solved_hi, degeneracy_tol)
@@ -770,18 +801,18 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     """
     grid = _grid_point(spec, workers, tol, degeneracy_tol, options,
                        _boundaries)
-    return _boundaries(spec, grid, degeneracy_tol, grid[2]())
+    return _boundaries(spec, grid, degeneracy_tol, grid[2](1))
 
 
 def _boundaries(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
                 points) -> tuple[BoundaryPoint, ...]:
     """:func:`fast_mode_boundary` on ``points``; a failed point raises."""
-    solve, row, _ = grid
+    solve, _, _ = grid
     eps = FAST_CURRENT_EPS * spec.ring.t
 
     def label(u: float, solved: dict) -> int:
         """Sign of the per-particle current, 0 within eps of zero."""
-        current = row(u, solved).per_particle_current
+        current = _per_particle_current(spec, u, solved, degeneracy_tol)
         return int(current > eps) - int(current < -eps)
 
     def labelled():

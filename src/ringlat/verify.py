@@ -10,6 +10,7 @@ confirm that a deliberately corrupted convention is caught.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -25,7 +26,7 @@ from .basis import (
     sector_of_state,
     translation_orbits,
 )
-from .eigen import SolverOptions, lowest_k
+from .eigen import DEFAULT_OPTIONS, DEGENERACY_TOL, SolverOptions, lowest_k
 from .hamiltonian import (
     SectorBlock,
     build_operator,
@@ -43,11 +44,17 @@ from .model import (
     particle_count,
 )
 from .sweep import (
+    InteractionGrid,
     OmegaGrid,
     SweepSpec,
+    _boundaries,
+    _crossings,
     _drive_slopes,
+    _grid_point,
     _plane_wave_floors,
+    _sector_blocks,
     _system_blocks,
+    fast_mode_boundary,
     find_crossings,
     run as run_sweep,
 )
@@ -563,6 +570,66 @@ def check_plane_wave_floors() -> CheckResult:
     return _result("plane_wave_floors", worst, 1e-10)
 
 
+def _every_block_roots(search, spec: SweepSpec) -> tuple[tuple, int]:
+    """The roots of ``search`` (:func:`~ringlat.sweep._crossings` or
+    :func:`~ringlat.sweep._boundaries`) on ``spec`` with every block
+    solved in full at every solve, and the number of block solves."""
+    tally = Counter()
+    solve, row, _ = _grid_point(spec, 1, 1e-10, DEGENERACY_TOL,
+                                DEFAULT_OPTIONS, search, tally)
+    keys = [block.key for block in _sector_blocks(spec, 1)]
+
+    def solve_all(value, among=None, known=None, levels=2):
+        return solve(value, keys if among is None else among, known)
+
+    points = ((value, solve_all(value), None)
+              for value in map(float, spec.control.values()))
+    roots = search(spec, (solve_all, row, None), DEGENERACY_TOL, points)
+    return roots, tally["solved"]
+
+
+def check_screened_search() -> CheckResult:
+    """A search screens its solves against the ground multiplet alone,
+    since its labels read nothing else: each skips every block whose
+    lowest level cannot join the ground multiplet, including those that
+    could hold only the second level.  Its roots must equal those of the
+    same search with every block solved in full at every solve: the
+    crossings of 4 bosons on 8 sites, and the fast-mode boundaries of 2+2
+    fermions on 8 sites below and above zero interaction.  The deviation
+    is the largest distance between matching roots; a different number
+    of roots, or a different sign, fails."""
+    ring = make_ring(8)
+    omega = 10.0 * ring.t / ring.k_factor
+    cases = [(find_crossings, _crossings, SweepSpec(
+        ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7))]
+    cases += [(fast_mode_boundary, _boundaries, SweepSpec(
+        ring, Fermions(2, 2), InteractionGrid(lo, hi, points, omega=omega),
+        0.02)) for lo, hi, points in ((-23.0, -15.0, 3), (50.0, 60.0, 2))]
+    worst, problems, roots, solves = 0.0, [], 0, 0
+    for public, search, spec in cases:
+        screened = public(spec)
+        full, every = _every_block_roots(search, spec)
+        roots, solves = roots + len(full), solves + every
+        if len(screened) != len(full):
+            problems.append(f"{spec.species!r}: {len(screened)} roots, "
+                            f"{len(full)} solving every block")
+            continue
+        for got, want in zip(screened, full):
+            if search is _boundaries:
+                if (got.sign_below, got.sign_above) != (want.sign_below,
+                                                        want.sign_above):
+                    problems.append(f"{spec.species!r}: signs of {got} and "
+                                    f"{want} differ")
+                got, want = got.u_star, want.u_star
+            worst = max(worst, abs(got - want))
+    if problems:
+        return _result("screened_search", np.inf, 0.0,
+                       detail="; ".join(problems))
+    return _result("screened_search", worst, 0.0,
+                   detail=f"{roots} roots; solving every block took "
+                          f"{solves} block solves")
+
+
 def check_determinism() -> CheckResult:
     """The same sweep spec must reproduce identical rows on both solver
     paths when run twice: once building its sector blocks, once reusing
@@ -601,6 +668,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_twist_degeneracy_crossings,
     check_screening_bounds,
     check_plane_wave_floors,
+    check_screened_search,
     check_determinism,
 )
 

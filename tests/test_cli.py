@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,25 @@ class TestSweep:
         assert "1 grid points failed" in capsys.readouterr().err
         _, _, body = read_csv(tmp_path / "sweep.csv")
         assert [row["sector"] == "failed" for row in body] == [False, True]
+
+    @pytest.mark.parametrize("refine", [[], ["--refine"]],
+                             ids=["sweep", "refine"])
+    def test_drive_that_overflows_warns_nothing(self, tmp_path, capsys,
+                                                refine):
+        # The floors, block entries and residuals overflow at the two
+        # strong drives; those rows fail quietly, with no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["sweep", "--sites", "6", "--species", "fermion",
+                         "--n-up", "1", "--n-down", "1",
+                         "--omega-max", "1.7e308", "--omega-points", "3",
+                         *refine, "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        _, _, body = read_csv(tmp_path / "sweep.csv")
+        assert [row["sector"] == "failed" for row in body] == [False, True,
+                                                               True]
 
     def test_solver_summary_comment(self, tmp_path):
         assert main(["sweep", "--sites", "8", "--species", "fermion",

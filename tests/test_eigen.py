@@ -215,6 +215,23 @@ class TestDegeneracyGroups:
         want = next(group[-1] for group in groups if group[-1] >= k - 1) + 1
         assert eigen._level_end(values, k, tol) == want
 
+    @given(values=st.lists(st.one_of(
+               st.sampled_from([0.0, 0.25, 0.5, 1e-9, 1.0 + 1e-8]),
+               st.floats(-2.0, 2.0)), max_size=20), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_level_end_matches_the_vectorised_form(self, values, data):
+        # The vectorised form is the reference for the scalar loop; tol is
+        # often one of the gaps themselves, so some gaps equal it exactly
+        # and count as breaks.
+        values = np.sort(np.array(values, dtype=float))
+        tol = data.draw(st.sampled_from(
+            [0.0, 1e-8, 0.25, *np.diff(values).tolist()]))
+        k = data.draw(st.integers(1, len(values) + 1))
+        breaks = np.flatnonzero(np.diff(values[k - 1:]) >= tol)
+        want = k + int(breaks[0]) if len(breaks) else len(values)
+        got = eigen._level_end(values, k, tol)
+        assert type(got) is int and got == want
+
 
 def _block_operator(ring, species, key):
     block, = [block for block in sector_blocks(enumerate_basis(ring, species))

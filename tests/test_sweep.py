@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -338,15 +337,17 @@ class TestScreen:
         assert repr(screened) == repr(search(spec))
 
     def test_skipped_bracket_block_is_solved_at_its_end(self, monkeypatch):
-        # At one end of this bracket the screen skips the other end's
-        # block, which Brent's first step needs: it is solved there alone.
+        # At each end of this bracket the label screen skips the other
+        # end's block, which Brent's first step needs: it is solved there
+        # alone.  The two-level screen of a row skipped it only at 2.0.
         spec = SweepSpec(make_ring(6), Bosons(2, u=1.0),
                          OmegaGrid(0.0, 8.0, 13))
         calls = _record_solves(monkeypatch)
         screened = find_crossings(spec)
         grid = {float(omega) for omega in spec.control.values()}
-        assert [len(passed) for omega, _, passed, _ in calls
-                if omega in grid and len(passed) != 6] == [1]
+        assert [(omega, passed, solved) for omega, _, passed, solved in calls
+                if omega in grid and len(passed) != 6] == [
+            (2 / 3, (2,), (2,)), (2.0, (0,), (0,))]
         _unscreened(monkeypatch)
         assert repr(screened) == repr(find_crossings(spec))
 
@@ -554,8 +555,8 @@ def _record_solves(monkeypatch) -> list:
     calls = []
     solve = sweep._solve
 
-    def recorded(blocks, ring, u, *args, known=None):
-        solved = solve(blocks, ring, u, *args, known=known)
+    def recorded(blocks, ring, u, *args, known=None, levels=2):
+        solved = solve(blocks, ring, u, *args, known=known, levels=levels)
         calls.append((ring.omega, u, tuple(block.key for block in blocks),
                       tuple(q for q, entry in solved.items()
                             if entry is not (known or {}).get(q))))
@@ -570,20 +571,153 @@ def _check_solve_pattern(calls, grid, roots, n_blocks):
     solved) of every call: the first grid point passes every block and
     solves at least one (with an empty ledger it skips only blocks that
     their plane-wave floors rule out), each grid point and each root
-    takes one screened call over every block, and every other call is a
-    Brent step that solves two blocks between the grid points.  The root
-    is one of those steps, and its screened solve takes the step's two
+    takes one screened call over every block, and every other call is
+    either a Brent step that solves two blocks between the grid points or
+    a call at a bracket end that solves one block, one of the pair of a
+    Brent step beside that end, which the screen skipped there.  The root
+    is one of the steps, and its screened solve takes the step's two
     blocks as they are instead of solving them again."""
     assert len(calls[0][1]) == n_blocks and calls[0][2]
     screened = [call for call in calls if len(call[1]) == n_blocks]
     assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
-    steps = [call for call in calls if len(call[1]) != n_blocks]
-    assert all(len(passed) == len(solved) == 2 for _, passed, solved in steps)
+    steps = [call for call in calls if len(call[1]) == 2]
+    assert all(len(solved) == 2 for _, _, solved in steps)
     assert not {x for x, _, _ in steps} & set(grid)
+    ends = [call for call in calls if len(call[1]) == 1]
+    assert len(screened) + len(steps) + len(ends) == len(calls)
+    grid = sorted(grid)
+    for x, passed, solved in ends:
+        assert passed == solved
+        i = grid.index(x)
+        low, high = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        assert any(low < y < high and passed[0] in pair
+                   for y, pair, _ in steps)
     for root in roots:
         (pair,) = {passed for x, passed, _ in steps if x == root}
         (solved,) = [solved for x, _, solved in screened if x == root]
         assert not set(pair) & set(solved)
+
+
+def _two_level(monkeypatch) -> None:
+    """Make every screened solve read two levels, as a row's does, so a
+    search screens its blocks against the second level too."""
+    reach = sweep._reach
+
+    def two_level(values, degeneracy_tol, tol, levels):
+        return reach(values, degeneracy_tol, tol, 2)
+
+    monkeypatch.setattr(sweep, "_reach", two_level)
+
+
+def _search_cases():
+    """Every search over sector blocks that this file runs: (search, spec,
+    options, whether the label screen solves fewer blocks than the
+    two-level screen, or else as many)."""
+    ring4, ring5, ring6, ring8 = (make_ring(n) for n in (4, 5, 6, 8))
+    scaled = make_ring(8, t=1.3, beta=0.7)
+    dense = sweep.DEFAULT_OPTIONS
+
+    def crossings(ring, species, top, points, tol=1e-6, options=dense):
+        return (find_crossings, SweepSpec(
+            ring, species, OmegaGrid(0.0, top, points), tol), options, True)
+
+    def boundaries(ring, species, lo, hi, points, drive, tol=1e-6,
+                   options=dense, fewer=True):
+        return (fast_mode_boundary, SweepSpec(
+            ring, species, InteractionGrid(
+                lo, hi, points, omega=omega_for(ring, drive)), tol),
+            options, fewer)
+
+    return {
+        "4bosons/8": crossings(ring8, Bosons(4, u=1.0), 8.0, 41, 1e-7),
+        "4bosons/8 krylov": crossings(ring8, Bosons(4, u=1.0), 8.0, 9, 1e-7,
+                                      FORCE_KRYLOV),
+        "2+1/8": crossings(ring8, Fermions(2, 1, u=-3.0), 8.0, 17, 1e-8),
+        "2+2/8 drive": crossings(ring8, Fermions(2, 2, u=4.0), 40.0, 41),
+        "2bosons/6": crossings(ring6, Bosons(2, u=1.0), 8.0, 13),
+        "3bosons/8": crossings(ring8, Bosons(3, u=7.0), 8.0, 17, 1e-8),
+        "1boson/4": crossings(ring4, Bosons(1), omega_for(ring4, 3.0), 61,
+                              1e-7),
+        "1boson/8": crossings(ring8, Bosons(1), omega_for(ring8, 3.0), 61,
+                              1e-7),
+        "1boson/8 two points": crossings(ring8, Bosons(1),
+                                         omega_for(ring8, 3.0), 2, 1e-8),
+        "1+1/8": boundaries(ring8, Fermions(1, 1), -12.0, 12.0, 13, 10.0),
+        "2+1/5": boundaries(ring5, Fermions(2, 1), -20.0, -14.0, 7, 1.0),
+        "2+1/5 beside a crossing": boundaries(ring5, Fermions(2, 1), -58.0,
+                                              -48.0, 2, 0.75),
+        # Near these boundaries the dense screen of 2+2/8 solves the same
+        # halves for the ground multiplet as for the second level.
+        "2+2/8 attractive": boundaries(ring8, Fermions(2, 2), -23.0, -15.0,
+                                       3, 10.0, 0.02, fewer=False),
+        "2+2/8 attractive krylov": boundaries(
+            ring8, Fermions(2, 2), -23.0, -15.0, 3, 10.0, 0.02, FORCE_KRYLOV),
+        "2+2/8 repulsive": boundaries(ring8, Fermions(2, 2), 50.0, 60.0, 2,
+                                      10.0, 0.02, fewer=False),
+        "2+2/8 pairing": boundaries(ring8, Fermions(2, 2), -22.0, -16.0, 4,
+                                    10.0, 0.05, fewer=False),
+        "2+2/8 scaled": boundaries(scaled, Fermions(2, 2), -30.0, -20.0, 3,
+                                   10.0, 0.02, fewer=False),
+        "2+2/8 scaled repulsive": boundaries(scaled, Fermions(2, 2), 65.0,
+                                             78.0, 2, 10.0, 0.02,
+                                             fewer=False),
+    }
+
+
+class TestLabelScreen:
+    @pytest.mark.parametrize("name", list(_search_cases()))
+    def test_roots_match_every_block_solved_with_fewer_solves(
+            self, name, monkeypatch):
+        # A search label reads the ground multiplet alone, so its solves
+        # skip the blocks that could hold only the second level.
+        search, spec, options, fewer = _search_cases()[name]
+        calls = _record_solves(monkeypatch)
+        screened = search(spec, options=options)
+        label = sum(len(solved) for *_, solved in calls)
+        calls.clear()
+        _two_level(monkeypatch)
+        two_level = repr(search(spec, options=options))
+        assert repr(screened) == two_level
+        solves = sum(len(solved) for *_, solved in calls)
+        assert label < solves if fewer else label == solves
+        _unscreened(monkeypatch)
+        assert repr(screened) == repr(search(spec, options=options))
+
+    def test_reach_of_one_and_two_levels(self):
+        values = np.array([-2.0, -2.0 + 5e-9, -1.0, 3.0])
+        pad = 1e-8 + 1e-10 * 2.0
+        assert sweep._reach(values, 1e-8, 1e-10, 1) == -2.0 + 5e-9 + pad
+        assert sweep._reach(values[:1], 1e-8, 1e-10, 1) == -2.0 + pad
+        assert sweep._reach(values[2:], 1e-8, 1e-10, 2) == 3.0 + 1e-8 + 3e-10
+        assert sweep._reach(values[:1], 1e-8, 1e-10, 2) == math.inf
+        assert sweep._reach(values[:0], 1e-8, 1e-10, 1) == math.inf
+
+    @pytest.mark.parametrize("control", [
+        ["--species", "fermion", "--n-up", "2", "--n-down", "2", "--u", "4",
+         "--omega-min", "0", "--omega-max", "40", "--omega-points", "41"],
+        ["--species", "boson", "--n", "4", "--u", "1", "--omega-min", "0",
+         "--omega-max", "8", "--omega-points", "41", "--tol", "1e-7"],
+        ["--species", "fermion", "--n-up", "2", "--n-down", "2", "--u-min",
+         "-23", "--u-max", "-15", "--u-points", "3", "--tol", "0.02",
+         "--omega", repr(omega_for(make_ring(8), 10.0))]],
+        ids=["2+2/8 drive", "4bosons/8", "2+2/8 interaction"])
+    def test_refine_csvs_match_the_two_level_screen(self, tmp_path, control,
+                                                    monkeypatch):
+        # The rows of sweep --refine come from two-level solves; its
+        # search's solves read one.  Its files equal those of a search that
+        # screens every solve against two levels, byte for byte, apart
+        # from the timestamp.
+        def files(out):
+            assert cli.main(["sweep", "--sites", "8", *control, "--refine",
+                             "--out", str(out)]) == 0
+            return {path.name: [line for line in path.read_bytes().splitlines()
+                                if not line.startswith(b"# timestamp: ")]
+                    for path in sorted(out.iterdir())}
+
+        screened = files(tmp_path / "label")
+        _two_level(monkeypatch)
+        assert screened == files(tmp_path / "two-level")
+        assert len(screened) == 2
 
 
 class TestFindCrossings:
@@ -679,11 +813,14 @@ class TestFindCrossings:
         _check_solve_pattern([(omega, *rest) for omega, _, *rest in calls],
                              grid, crossings, 8)
         # Solving every block took 41 * 8 = 328 solves on the grid and 28
-        # more at the roots and Brent steps; the screen solves 117 and 17.
-        solves = [len(solved) for omega, _, _, solved in calls
-                  if omega in grid]
-        assert sum(solves) <= 117
-        assert sum(len(solved) for *_, solved in calls) <= 117 + 17
+        # more at the roots and Brent steps.  The two-level screen of a row
+        # solves 117 and 17; the label screen, which reads the ground
+        # multiplet alone, 59 on the grid and 19 more, two of them at
+        # bracket ends.
+        solves = [len(solved) for omega, _, passed, solved in calls
+                  if omega in grid and len(passed) == 8]
+        assert sum(solves) <= 59
+        assert sum(len(solved) for *_, solved in calls) <= 78
 
     @pytest.mark.parametrize("species,points", [
         (Bosons(1), 13), (Bosons(1), 2), (PolarizedFermions(2), 61)],
@@ -802,14 +939,10 @@ class TestFastModeBoundary:
         # A grid point with zero current is a boundary when the first
         # nonzero sign beyond it differs from the one before, or when the
         # zeros run to the end of the grid.
-        block_row = sweep._block_row
+        def pinned(spec, value, solved, degeneracy_tol):
+            return currents[int(value)]
 
-        def pinned(ring, species, solved, value, degeneracy_tol):
-            row = block_row(ring, species, solved, value, degeneracy_tol)
-            return dataclasses.replace(
-                row, per_particle_current=currents[int(value)])
-
-        monkeypatch.setattr(sweep, "_block_row", pinned)
+        monkeypatch.setattr(sweep, "_per_particle_current", pinned)
         spec = SweepSpec(ring=ring4, species=Fermions(1, 1),
                          control=InteractionGrid(0.0, 4.0, 5, omega=1.0))
         points = fast_mode_boundary(spec)

@@ -1,4 +1,4 @@
-from ringlat import hamiltonian, verify
+from ringlat import hamiltonian, sweep, verify
 from ringlat.hamiltonian import hopping_operator
 from ringlat.verify import (
     check_determinism,
@@ -7,6 +7,7 @@ from ringlat.verify import (
     check_plane_wave_floors,
     check_scaling_identity,
     check_screened_krylov_sweep,
+    check_screened_search,
     check_screening_bounds,
     check_sector_blocks,
     check_sector_labels,
@@ -55,6 +56,7 @@ def test_individual_checks_pass():
                   check_screening_bounds,
                   check_plane_wave_floors,
                   check_screened_krylov_sweep,
+                  check_screened_search,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
@@ -102,3 +104,19 @@ def test_flipped_parity_sign_is_caught(monkeypatch):
     result = check_spin_flip()
     assert not result.passed
     assert "leave their parity" in result.detail
+
+
+def test_label_screen_that_skips_ground_blocks_is_caught(monkeypatch):
+    # A label screen that reaches only half a unit below the lowest level
+    # known skips blocks that hold the ground: the crossings move.
+    reach = sweep._reach
+
+    def short(values, degeneracy_tol, tol, levels):
+        if levels == 2 or len(values) == 0:
+            return reach(values, degeneracy_tol, tol, levels)
+        return values[0] - 0.5
+
+    monkeypatch.setattr(sweep, "_reach", short)
+    result = check_screened_search()
+    assert not result.passed
+    assert result.max_deviation > 0.1
