@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -68,8 +69,12 @@ class SolverOptions:
     max_restarts: int = 100
 
     def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise DomainError(f"seed: must be >= 0, got {self.seed!r}")
+        for name in ("seed", "max_restarts"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral) or value < 0):
+                raise DomainError(f"{name}: must be an integer >= 0, got "
+                                  f"{value!r}")
 
 
 DEFAULT_OPTIONS = SolverOptions()

@@ -230,8 +230,7 @@ class SectorBlock:
     ``interaction`` is each state's contact energy at unit coupling.
     ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
-    at u = 0 the block's levels are exactly t A_c + omega K B_c.  ``key``
-    tells the blocks of one basis apart: q, or (q, parity) for a half.
+    at u = 0 the block's levels are exactly t A_c + omega K B_c.
     """
 
     q: int
@@ -247,10 +246,6 @@ class SectorBlock:
         parity = "" if self.parity is None else f", parity={self.parity:+d}"
         return (f"SectorBlock(q={self.q}{parity}, "
                 f"representatives={self.representatives!r})")
-
-    @property
-    def key(self) -> int | tuple[int, int]:
-        return self.q if self.parity is None else (self.q, self.parity)
 
     @property
     def dimension(self) -> int:

@@ -4,28 +4,27 @@ boundary refinement.
 Each call solves on the translation-sector blocks of one basis
 (:func:`ringlat.hamiltonian.sector_blocks`), split into their spin-flip
 halves for fermions with n_up = n_down, so each ground-state member
-carries its block's exact sector.  Blocks are told apart by their
-``key``, (q, parity) for a half and q otherwise; rows and labels name
-only sectors.  The blocks do not depend on t, K,
-omega or u, so a process keeps those of the two most recently scanned
-systems, keyed by n_sites, the species type and its particle counts, and
-every call on one of them reuses its blocks (127 MB for 4+4 fermions on
-12 sites).  A grid point solves only the blocks that can reach the
-levels its caller reads, by Weyl's inequality: each block's lowest level
-lies above its plane-wave floor, the exact u = 0 level from the block's
-plane-wave lines plus the least contact energy, and moves between two
-points by at most the control step times the block's slope.  A row
-reads the ground multiplet and the second level, so a block whose bound
-lies above both is skipped; a search label reads the ground multiplet
-alone, so a search solve skips every block whose bound lies above it,
-from the first point on (see :func:`_grid_point`).  A Krylov block is
-solved in two stages, its main ARPACK run and then its lock loop, and
-the second stage is screened by the same rule, with the first stage's
-theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
-those of a solve of every block.  Points run serially (``workers`` is
-recorded only for compatibility), in order of the control value, so a
-sweep with the same spec is reproducible bit for bit; a failed point is
-recorded in its row.
+carries its block's exact sector.  A call knows each block by its
+position in the system's block tuple; rows and labels name only sectors.
+The blocks do not depend on t, K, omega or u, so a process keeps those
+of the two most recently scanned systems, keyed by n_sites, the species
+type and its particle counts, and every call on one of them reuses its
+blocks (127 MB for 4+4 fermions on 12 sites).  A grid point solves only
+the blocks that can reach the levels its caller reads, by Weyl's
+inequality: each block's lowest level lies above its plane-wave floor,
+the exact u = 0 level from the block's plane-wave lines plus the least
+contact energy, and moves between two points by at most the control step
+times the block's slope.  A row reads the ground multiplet and the
+second level, so a block whose bound lies above both is skipped; a
+search label reads the ground multiplet alone, so a search solve skips
+every block whose bound lies above it, from the first point on (see
+:func:`_grid_point`).  A Krylov block is solved in two stages, its main
+ARPACK run and then its lock loop, and the second stage is screened by
+the same rule, with the first stage's theta_1 - r_1 as the bound (see
+:func:`_solve`).  Rows and labels are those of a solve of every block.
+Points run serially (``workers`` is recorded only for compatibility), in
+order of the control value, so a sweep with the same spec is
+reproducible bit for bit; a failed point is recorded in its row.
 One walk over the grid feeds the rows and a search alike, so
 ``ringlat sweep --refine`` solves each grid point once, with the row's
 screen (:func:`_scan`); its refinement solves use the label's.
@@ -55,7 +54,7 @@ import math
 import numbers
 import sys
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -216,24 +215,30 @@ _SLOPE_PAD = 1 + 8 * sys.float_info.epsilon
 _FLOOR_PAD = 32 * sys.float_info.epsilon
 
 
-def _drive_slopes(blocks: tuple[SectorBlock, ...],
-                  ring: RingSpec) -> dict:
-    """Per block key: how far a falling and a rising omega can lower the
-    block's lowest level, per unit of omega.
+def _slopes(blocks: tuple[SectorBlock, ...], ring: RingSpec,
+            control: SweepControl) -> tuple[np.ndarray, np.ndarray]:
+    """(down, up), in block order: how far a falling and a rising control
+    of the kind of ``control`` can lower each block's lowest level, per
+    unit of the control.
 
     dH/d omega restricted to a block has spectrum exactly {K B_c} over its
     plane-wave lines (:func:`~ringlat.hamiltonian.plane_wave_lines`), so by
     Weyl a rising omega lowers the level by at most max(0, -min K B_c) per
     unit and a falling omega by at most max(0, max K B_c).  The factor
-    1 + 8 eps covers the rounding of the lines.
+    1 + 8 eps covers the rounding of the lines.  dH/du is the block's
+    contact energies D >= 0, so a falling u lowers the level by at most
+    max D per unit and a rising u never lowers it.
     """
-    slopes = {}
+    if isinstance(control, InteractionGrid):
+        down = np.array([float(block.interaction.max()) for block in blocks])
+        return down, np.zeros(len(blocks))
+    down, up = [], []
     for block in blocks:
         ends = (ring.k_factor * float(block.lines_drive.min()),
                 ring.k_factor * float(block.lines_drive.max()))
-        slopes[block.key] = (max(0.0, *ends) * _SLOPE_PAD,
-                           max(0.0, -min(ends)) * _SLOPE_PAD)
-    return slopes
+        down.append(max(0.0, *ends) * _SLOPE_PAD)
+        up.append(max(0.0, -min(ends)) * _SLOPE_PAD)
+    return np.array(down), np.array(up)
 
 
 def _plane_wave_floors(blocks: tuple[SectorBlock, ...], n_particles: int
@@ -269,18 +274,20 @@ def _plane_wave_floors(blocks: tuple[SectorBlock, ...], n_particles: int
     return floors
 
 
-def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
-           degeneracy_tol: float, tol: float, options: SolverOptions,
-           floors: dict | None, record: Callable[..., None],
+def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
+           ring: RingSpec, u: float, degeneracy_tol: float, tol: float,
+           options: SolverOptions, floors: list[float] | None,
+           record: Callable[..., None],
            known: dict | None = None, levels: int = 2
-           ) -> dict[object, tuple[SectorBlock, np.ndarray, np.ndarray]]:
-    """Each block's lowest level, its copies and the next level above,
-    with their vectors, keyed by the block's key in block order.
+           ) -> dict[int, tuple[SectorBlock, np.ndarray, np.ndarray]]:
+    """The lowest level, its copies and the next level above, with their
+    vectors, of each block of ``blocks`` at the positions ``among``,
+    keyed by position in ascending order.
 
-    ``floors`` holds a proven lower bound on each block's lowest level,
-    or -inf where none is known; None solves every block in full.
-    ``known`` holds blocks already solved at this point, in the form
-    returned, which are taken as they are.  One queue, in ascending
+    ``floors`` holds, per position, a proven lower bound on the block's
+    lowest level, or -inf where none is known; None solves every block in
+    full.  ``known`` holds blocks already solved at this point, in the
+    form returned, which are taken as they are.  One queue, in ascending
     bound, holds two kinds of item: a block not yet solved, at its floor,
     and a Krylov block whose main run gave its lowest level theta_1 with
     residual r_1 (stage 1 of :func:`~ringlat.eigen._level_stages`), at
@@ -295,7 +302,7 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     of its block could join the ground multiplet, or be the second level.
     Since the bounds ascend, every item after the first skipped one is
     skipped too.
-    ``record(key, bound, outcome)`` receives each solved block's lowest level
+    ``record(i, bound, outcome)`` receives each solved block's lowest level
     minus its residual, with outcome "solved" (one stage) or "locked"
     (lock loop run), and each skipped item's bound, with outcome "skipped"
     (block not solved) or "lock skipped" (main run only).
@@ -304,32 +311,29 @@ def _solve(blocks: tuple[SectorBlock, ...], ring: RingSpec, u: float,
     solved = dict(known or {})
     values = np.sort(np.concatenate(
         [np.empty(0), *(found for _, found, _ in solved.values())]))
-    queue = [(-math.inf if floors is None else floors[block.key], i, block,
-              None)
-             for i, block in enumerate(blocks) if block.key not in solved]
+    queue = [(-math.inf if floors is None else floors[i], i, None)
+             for i in among if i not in solved]
     heapq.heapify(queue)
     reach = _reach(values, degeneracy_tol, tol, levels)
     while queue:
-        bound, i, block, stages = heapq.heappop(queue)
+        bound, i, stages = heapq.heappop(queue)
         if floors is not None and bound > reach:
-            record(block.key, bound,
-                   "skipped" if stages is None else "lock skipped")
+            record(i, bound, "skipped" if stages is None else "lock skipped")
             continue
         locking = stages is not None
         if stages is None:
-            stages = _block_stages(block, amp, u, tol, degeneracy_tol,
+            stages = _block_stages(blocks[i], amp, u, tol, degeneracy_tol,
                                    options)
         found, vectors, residuals, final = next(stages)
         low = float(found[0] - residuals[0])
         if not final:
-            heapq.heappush(queue, (low, i, block, stages))
+            heapq.heappush(queue, (low, i, stages))
             continue
-        record(block.key, low, "locked" if locking else "solved")
-        solved[block.key] = (block, found, vectors)
+        record(i, low, "locked" if locking else "solved")
+        solved[i] = (blocks[i], found, vectors)
         values = np.sort(np.concatenate([values, found]))
         reach = _reach(values, degeneracy_tol, tol, levels)
-    return {block.key: solved[block.key] for block in blocks
-            if block.key in solved}
+    return dict(sorted(solved.items()))
 
 
 def _block_stages(block: SectorBlock, amp: complex, u: float, tol: float,
@@ -362,11 +366,11 @@ def _reach(values: np.ndarray, degeneracy_tol: float, tol: float,
 
 
 def _ground(solved: dict, degeneracy_tol: float
-            ) -> tuple[np.ndarray, list[tuple[SectorBlock, np.ndarray]]]:
+            ) -> tuple[np.ndarray, list[tuple[int, SectorBlock, np.ndarray]]]:
     """The solved blocks' levels merged by value, and the ground multiplet
-    among them as (block, vector) pairs."""
+    among them as (position, block, vector) triples."""
     values = np.concatenate([levels for _, levels, _ in solved.values()])
-    pairs = [(block, vector) for block, _, vectors in solved.values()
+    pairs = [(i, block, vector) for i, (block, _, vectors) in solved.items()
              for vector in vectors.T]
     order = np.argsort(values, kind="stable")
     members = order[:_level_end(values[order], 1, degeneracy_tol)]
@@ -375,16 +379,18 @@ def _ground(solved: dict, degeneracy_tol: float
 
 def _ground_sectors(solved: dict, degeneracy_tol: float) -> set[int]:
     """Sectors of the solved blocks' ground multiplet."""
-    return {block.q for block, _ in _ground(solved, degeneracy_tol)[1]}
+    return {block.q for _, block, _ in _ground(solved, degeneracy_tol)[1]}
 
 
-def _ground_keys(solved: dict, degeneracy_tol: float) -> set:
-    """Keys of the blocks that hold the solved blocks' ground multiplet."""
-    return {block.key for block, _ in _ground(solved, degeneracy_tol)[1]}
+def _ground_positions(solved: dict, degeneracy_tol: float) -> set[int]:
+    """Positions of the blocks that hold the solved blocks' ground
+    multiplet."""
+    return {i for i, _, _ in _ground(solved, degeneracy_tol)[1]}
 
 
 def _mean_current(ring: RingSpec, members: list) -> float:
-    """Total current of a multiplet given as (block, vector) pairs."""
+    """Total current of a multiplet given as (position, block, vector)
+    triples."""
     # The multiplet's current is a trace over its span, so any orthonormal
     # basis of it gives the same mean.  A block that the default options
     # solve densely is measured on its dense matrix too: 18 against 25 us
@@ -395,7 +401,7 @@ def _mean_current(ring: RingSpec, members: list) -> float:
         np.vdot(vector, block.dense(amp) @ vector)
         if block.dimension <= DENSE_THRESHOLD
         else block.operator(amp).expectation(vector)
-        for block, vector in members]))
+        for _, block, vector in members]))
 
 
 def _per_particle_current(spec: SweepSpec, value: float, solved: dict,
@@ -412,7 +418,7 @@ def _block_row(ring: RingSpec, species: SpeciesSpec, solved: dict,
                control_value: float, degeneracy_tol: float) -> SweepRow:
     values, members = _ground(solved, degeneracy_tol)
     total = _mean_current(ring, members)
-    labels = tuple(sorted(block.q for block, _ in members))
+    labels = tuple(sorted(block.q for _, block, _ in members))
     n_particles = particle_count(species)
     target = (n_particles * (ring.n_sites // 4)) % ring.n_sites
     return SweepRow(
@@ -477,13 +483,13 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     """The grid-point path of one scan, as three functions, after the
     checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
 
-    ``solve(value, among, known, levels)`` solves the blocks whose keys
-    are in ``among`` in full at a control value and returns them keyed by
-    block key (see :class:`~ringlat.hamiltonian.SectorBlock`), or None
-    for polarized fermions; ``known`` passes blocks already solved there
-    and ``levels`` is the number of levels the caller reads, 2 for a row
-    and 1 for a search label (see :func:`_solve`).  ``row(value, solved)``
-    builds the point's :class:`SweepRow` from a solve with ``levels`` = 2.
+    ``solve(value, among, known, levels)`` solves the blocks at the
+    positions ``among`` in full at a control value and returns them keyed
+    by position, or None for polarized fermions; ``known`` passes blocks
+    already solved there and ``levels`` is the number of levels the
+    caller reads, 2 for a row and 1 for a search label (see
+    :func:`_solve`).  ``row(value, solved)`` builds the point's
+    :class:`SweepRow` from a solve with ``levels`` = 2.
     ``points(levels)``, the one walk over the grid, solves the grid values
     in order, lazily, and yields (value, solved, None), or (value, None,
     error) where the solve raised.  ``tally``, if given, counts the
@@ -492,20 +498,18 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     With ``among`` left out, ``solve`` screens every block, at bound
     max(ledger bound, F_q).  F_q is the block's plane-wave floor
     (:func:`_plane_wave_floors`), which holds from the first point on.
-    The ledger, kept for the call, maps block key -> (x0, l), where l bounds
-    the block's lowest level at the control value x0 from below.  Each
-    block is affine in the control, so at x its lowest level is at least
-    l - (x0 - x) * down - (x - x0) * up, where the pair is the block's
-    slopes: in the drive, (down, up) = (max(0, max K B_c), max(0,
-    -min K B_c)) over its lines (:func:`_drive_slopes`); in the
-    interaction (max D, 0), since the contact energies D >= 0, and only
-    the positive part of each step counts.  :func:`_solve` then skips
-    every block, and the lock loop of every Krylov block, that cannot
-    reach the ground multiplet or, for a row, the second level, so the
-    rows and labels are those of a solve of every block.  Each solve or
-    skip records its bound in the ledger, under either screen, since a
-    skip bound is a lower bound too; a block whose solve raises a
-    ConvergenceError keeps its entry.
+    The ledger, kept for the call, holds per block a control value x0 and
+    a bound l on the block's lowest level there, -inf until the block is
+    first solved or skipped.  Each block is affine in the control, so at
+    x its lowest level is at least l - (x0 - x) * down - (x - x0) * up,
+    with the block's slopes (:func:`_slopes`), and only the positive part
+    of each step counts.  :func:`_solve` then skips every block, and the
+    lock loop of every Krylov block, that cannot reach the ground
+    multiplet or, for a row, the second level, so the rows and labels are
+    those of a solve of every block.  Each solve or skip records its
+    bound in the ledger, under either screen, since a skip bound is a
+    lower bound too; a block whose solve raises a ConvergenceError keeps
+    its entry.
     """
     if search is _crossings and not isinstance(spec.control, OmegaGrid):
         raise DomainError("control: crossing detection scans the drive "
@@ -519,25 +523,10 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
     blocks = _sector_blocks(spec, workers)
     _check_tolerances(tol, degeneracy_tol)
     tally = Counter() if tally is None else tally
-    ledger: dict[object, tuple[float, float]] = {}
-    if blocks is None:
-        slopes = {}
-    elif isinstance(spec.control, OmegaGrid):
-        slopes = _drive_slopes(blocks, spec.ring)
-    else:
-        # Falling u lowers a level by at most max D per unit; rising u
-        # never lowers it.
-        slopes = {block.key: (float(block.interaction.max()), 0.0)
-                  for block in blocks}
-    plane = (None if blocks is None else
-             _plane_wave_floors(blocks, particle_count(spec.species)))
-
-    def floor(key, value: float) -> float:
-        if key not in ledger:
-            return -math.inf
-        x0, low = ledger[key]
-        down, up = slopes[key]
-        return low - max(x0 - value, 0.0) * down - max(value - x0, 0.0) * up
+    if blocks is not None:
+        down, up = _slopes(blocks, spec.ring, spec.control)
+        plane = _plane_wave_floors(blocks, particle_count(spec.species))
+        x0, ledger = np.zeros(len(blocks)), np.full(len(blocks), -math.inf)
 
     def solve(value: float, among=None, known=None,
               levels: int = 2) -> dict | None:
@@ -546,22 +535,25 @@ def _grid_point(spec: SweepSpec, workers: int, tol: float,
         ring, species = _point_parameters(spec, value)
         u = getattr(species, "u", 0.0)
 
-        def record(key, low: float, outcome: str) -> None:
+        def record(i: int, low: float, outcome: str) -> None:
             tally[outcome] += 1
-            ledger[key] = (value, low)
+            x0[i], ledger[i] = value, low
 
         # A drive near the float limit overflows the floors and the block
         # entries; the solve then fails on its finiteness or residual check.
         with np.errstate(over="ignore", invalid="ignore"):
             if among is None:
-                chosen = blocks
-                floors = {block.key: max(floor(block.key, value), float(f))
-                          for block, f in zip(blocks, plane(ring, u))}
+                among = range(len(blocks))
+                stepped = (ledger - np.maximum(x0 - value, 0.0) * down
+                           - np.maximum(value - x0, 0.0) * up)
+                floor = plane(ring, u)
+                # max(stepped, floor) as Python's max takes it: a NaN
+                # ledger bound is kept and a NaN floor dropped.
+                floors = np.where(floor > stepped, floor, stepped).tolist()
             else:
-                chosen = tuple(block for block in blocks if block.key in among)
                 floors = None
-            return _solve(chosen, ring, u, degeneracy_tol, tol, options,
-                          floors, record, known=known, levels=levels)
+            return _solve(blocks, among, ring, u, degeneracy_tol, tol,
+                          options, floors, record, known=known, levels=levels)
 
     def row(value: float, solved: dict | None) -> SweepRow:
         ring, species = _point_parameters(spec, value)
@@ -692,20 +684,20 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
     # Each label reads only the ground multiplet.
     solve = functools.partial(solve, levels=1)
     if solved_lo is not None:
-        ground_lo = _ground_keys(solved_lo, degeneracy_tol)
-        ground_hi = _ground_keys(solved_hi, degeneracy_tol)
+        ground_lo = _ground_positions(solved_lo, degeneracy_tol)
+        ground_hi = _ground_positions(solved_hi, degeneracy_tol)
         if len(ground_lo) == len(ground_hi) == 1 and ground_lo != ground_hi:
-            (key_lo,), (key_hi,) = ground_lo, ground_hi
-            pair = (key_lo, key_hi)
+            (i_lo,), (i_hi,) = ground_lo, ground_hi
+            pair = (i_lo, i_hi)
 
             def with_pair(x: float, solved: dict) -> dict:
                 """``solved`` at x, with any of the two blocks that the
                 screen skipped there solved now."""
-                missing = [key for key in pair if key not in solved]
+                missing = [i for i in pair if i not in solved]
                 return {**solved, **solve(x, missing)} if missing else solved
 
             def split(solved: dict) -> float:
-                return solved[key_lo][1][0] - solved[key_hi][1][0]
+                return solved[i_lo][1][0] - solved[i_hi][1][0]
 
             steps = {}
 
@@ -719,9 +711,9 @@ def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
             # Brent returns one of its steps, or else a bracket end, where
             # with_pair solves whichever of the two blocks the screen skips.
             solved = with_pair(root, solve(root, known=steps.get(root)))
-            if (_ground_keys(solved, degeneracy_tol) <= {key_lo, key_hi}
-                    and label(root, {key_lo: solved[key_lo]}) == label_lo
-                    and label(root, {key_hi: solved[key_hi]}) == label_hi):
+            if (_ground_positions(solved, degeneracy_tol) <= {i_lo, i_hi}
+                    and label(root, {i_lo: solved[i_lo]}) == label_lo
+                    and label(root, {i_hi: solved[i_hi]}) == label_hi):
                 return root
     return _bisect_crossing(x_lo, x_hi, label_lo,
                             lambda x: label(x, solve(x)), bisection_tol)

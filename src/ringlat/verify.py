@@ -49,10 +49,10 @@ from .sweep import (
     SweepSpec,
     _boundaries,
     _crossings,
-    _drive_slopes,
     _grid_point,
     _plane_wave_floors,
     _sector_blocks,
+    _slopes,
     _system_blocks,
     fast_mode_boundary,
     find_crossings,
@@ -358,7 +358,8 @@ def check_sector_blocks() -> CheckResult:
         amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
         matrices = [block.operator(amp, u).matrix for block in blocks]
         problems.extend(
-            f"{species!r}: block {block.key} is not real and exactly symmetric"
+            f"{species!r}: block q={block.q}, parity={block.parity} is not "
+            f"real and exactly symmetric"
             for block, matrix in zip(blocks, matrices)
             if matrix.dtype != np.float64 or (matrix != matrix.T).nnz)
         spectra = np.sort(np.concatenate(
@@ -382,7 +383,8 @@ def check_sector_blocks() -> CheckResult:
             reflected[targets] = signs[:, None] * states.conj()
             worst = max(worst, float(np.max(np.abs(reflected - states))))
             problems.extend(
-                f"{species!r}: a state of block {block.key} has sector {label}"
+                f"{species!r}: a state of block q={block.q}, "
+                f"parity={block.parity} has sector {label}"
                 for label in {sector_of_state(v, basis) for v in states.T}
                 if label != block.q)
     if problems:
@@ -438,8 +440,9 @@ def check_spin_flip() -> CheckResult:
         for block in sector_blocks(basis):
             halves.setdefault(block.q, []).append(block)
             if block.parity is None or len(block.lines_t) != block.dimension:
-                problems.append(f"{species!r}: block {block.key} is no "
-                                f"spin-flip half with a line per state")
+                problems.append(f"{species!r}: block q={block.q}, "
+                                f"parity={block.parity} is no spin-flip "
+                                f"half with a line per state")
                 continue
             states = bloch_states(basis, block)
             parity = max(parity, float(np.max(np.abs(
@@ -510,12 +513,11 @@ def check_screening_bounds() -> CheckResult:
     theta_1 (dense eigh) must lie above its plane-wave floor F_q
     (:func:`~ringlat.sweep._plane_wave_floors`) at both controls, and obey
     the Weyl step in the drive, theta_1(w) >= theta_1(w0) - (w0 - w) *
-    down - (w - w0) * up with the sector's slopes from
-    :func:`~ringlat.sweep._drive_slopes` (positive parts only), and the
-    step in the interaction, theta_1(u) >= theta_1(u0) - max(0, u0 - u) *
-    max D.  Drives up to omega*K/t = 20 put lowest levels on slopes near
-    the sector's slopes.  The deviation is minus the smallest slack, so
-    the margin is that slack.
+    down - (w - w0) * up (positive parts only), and in the interaction
+    likewise, with the slopes that a sweep over that control uses
+    (:func:`~ringlat.sweep._slopes`).  Drives up to omega*K/t = 20 put
+    lowest levels on slopes near the sector's slopes.  The deviation is
+    minus the smallest slack, so the margin is that slack.
     """
     rng = np.random.default_rng(14)
     slack = math.inf
@@ -523,8 +525,8 @@ def check_screening_bounds() -> CheckResult:
         blocks = sector_blocks(enumerate_basis(ring, species))
         u = getattr(species, "u", 0.0)
         floors = _plane_wave_floors(blocks, particle_count(species))
-        slopes = _drive_slopes(blocks, ring)
-        down, up = np.array([slopes[block.key] for block in blocks]).T
+        span = 20.0 * ring.t / ring.k_factor
+        down, up = _slopes(blocks, ring, OmegaGrid(-span, span, 2))
         for low, high in ((-3.0, 3.0), (10.0, 20.0), (-20.0, -10.0)):
             w0, w = rng.uniform(low, high, 2) * ring.t / ring.k_factor
             before = _lowest(blocks, ring.with_omega(w0), u)
@@ -533,12 +535,13 @@ def check_screening_bounds() -> CheckResult:
             slack = min(slack, float(np.min(after - (before - step))),
                         float(np.min(before - floors(ring.with_omega(w0), u))),
                         float(np.min(after - floors(ring.with_omega(w), u))))
-        reach = np.array([block.interaction.max() for block in blocks])
+        down, up = _slopes(blocks, ring,
+                           InteractionGrid(-10.0, 10.0, 2, omega=ring.omega))
         for _ in range(3):
             u0, u1 = rng.uniform(-10.0, 10.0, 2)
             before = _lowest(blocks, ring, u0)
             after = _lowest(blocks, ring, u1)
-            step = max(0.0, u0 - u1) * reach
+            step = max(u0 - u1, 0.0) * down + max(u1 - u0, 0.0) * up
             slack = min(slack, float(np.min(after - (before - step))),
                         float(np.min(before - floors(ring, u0))),
                         float(np.min(after - floors(ring, u1))))
@@ -555,8 +558,9 @@ def check_plane_wave_floors() -> CheckResult:
     for ring, species in _with_rest_doublet():
         blocks = sector_blocks(enumerate_basis(ring, species))
         problems.extend(
-            f"{species!r}: block {block.key} has {len(block.lines_t)} lines "
-            f"for {block.dimension} states" for block in blocks
+            f"{species!r}: block q={block.q}, parity={block.parity} has "
+            f"{len(block.lines_t)} lines for {block.dimension} states"
+            for block in blocks
             if not (len(block.lines_t) == len(block.lines_drive)
                     == block.dimension))
         floors = _plane_wave_floors(blocks, particle_count(species))
@@ -577,10 +581,10 @@ def _every_block_roots(search, spec: SweepSpec) -> tuple[tuple, int]:
     tally = Counter()
     solve, row, _ = _grid_point(spec, 1, 1e-10, DEGENERACY_TOL,
                                 DEFAULT_OPTIONS, search, tally)
-    keys = [block.key for block in _sector_blocks(spec, 1)]
+    every = range(len(_sector_blocks(spec, 1)))
 
     def solve_all(value, among=None, known=None, levels=2):
-        return solve(value, keys if among is None else among, known)
+        return solve(value, every if among is None else among, known)
 
     points = ((value, solve_all(value), None)
               for value in map(float, spec.control.values()))

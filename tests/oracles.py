@@ -252,11 +252,11 @@ def unscreened_rows(spec, tol: float = 1e-10, degeneracy_tol: float = 1e-8,
         ring, species = sweep._point_parameters(spec, value)
         amp = hopping_amplitude(ring)
         solved = {}
-        for block in blocks:
+        for i, block in enumerate(blocks):
             levels, vectors, _ = _lowest_levels(
                 block.operator(amp, species.u), 1, tol, degeneracy_tol,
                 options)
-            solved[block.key] = (block, levels, vectors)
+            solved[i] = (block, levels, vectors)
         rows.append(sweep._block_row(ring, species, solved, float(value),
                                      degeneracy_tol))
     return tuple(rows)

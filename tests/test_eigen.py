@@ -182,6 +182,18 @@ class TestLowestKKrylov:
         with pytest.raises(DomainError, match="seed"):
             SolverOptions(seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, True, "7"])
+    def test_seed_that_is_no_integer_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed: must be an integer"):
+            SolverOptions(seed=seed)
+
+    @pytest.mark.parametrize("max_restarts", [-1, 2.0])
+    def test_bad_max_restarts_rejected(self, max_restarts):
+        # -1 would reach ARPACK as maxiter = 0.
+        with pytest.raises(DomainError, match="max_restarts: must be an "
+                                              "integer >= 0"):
+            SolverOptions(max_restarts=max_restarts, dense_threshold=1)
+
     def test_nonconvergence_raises_with_diagnostics(self):
         _, _, _, op = ring_operator(x=1.0, species=Fermions(2, 2, u=4.0))
         cramped = SolverOptions(dense_threshold=1, max_krylov=3,
@@ -233,9 +245,9 @@ class TestDegeneracyGroups:
         assert type(got) is int and got == want
 
 
-def _block_operator(ring, species, key):
+def _block_operator(ring, species, q_parity):
     block, = [block for block in sector_blocks(enumerate_basis(ring, species))
-              if block.key == key]
+              if (block.q, block.parity) == q_parity]
     return block.operator(hopping_amplitude(ring), species.u)
 
 
@@ -313,7 +325,8 @@ class TestDenseKernel:
         # of 2+2/8 has two copies, so the solve falls back to every pair.
         ring = make_ring(8)
         block, = [block for block in sector_blocks(
-            enumerate_basis(ring, Fermions(2, 2))) if block.key == (4, 1)]
+            enumerate_basis(ring, Fermions(2, 2)))
+            if (block.q, block.parity) == (4, 1)]
         dense = block.dense(hopping_amplitude(ring))
         values, _ = eigen._dense_lowest(dense, 1, 1e-8)
         assert len(values) == block.dimension > 2

@@ -358,7 +358,7 @@ class TestSpinFlipHalves:
         basis = enumerate_basis(ring, species)
         blocks = sector_blocks(basis)
         sizes = _sector_sizes(basis)
-        assert [block.key for block in blocks] == [
+        assert [(block.q, block.parity) for block in blocks] == [
             (q, parity) for q in sizes for parity in (1, -1)]
         for q, size in sizes.items():
             plus, minus = (block for block in blocks if block.q == q)
@@ -387,7 +387,8 @@ class TestSpinFlipHalves:
         species = Fermions(n_sites, n_sites, u=1.0)
         ring = make_ring(n_sites, omega=0.5)
         (block,) = sector_blocks(enumerate_basis(ring, species))
-        assert block.key == (0, parity) and block.dimension == 1
+        assert (block.q, block.parity) == (0, parity)
+        assert block.dimension == 1
         (row,) = run(SweepSpec(ring, species, OmegaGrid(0.5, 1.0, 2))).rows[:1]
         assert row.sectors == (0,) and row.ground_energy == n_sites
 
@@ -412,9 +413,9 @@ class TestSpinFlipHalves:
     def test_other_species_keep_one_block_per_sector(self, ring, species):
         basis = enumerate_basis(ring, species)
         blocks = sector_blocks(basis)
-        assert [block.key for block in blocks] == list(_sector_sizes(basis))
+        assert [block.q for block in blocks] == list(_sector_sizes(basis))
         for block in blocks:
-            assert block.parity is None and block.key == block.q
+            assert block.parity is None
             assert (len(block.representatives) == block.dimension
                     == len(block.lines_t))
             assert repr(block) == (f"SectorBlock(q={block.q}, representatives="
@@ -431,8 +432,8 @@ class TestSpinFlipHalves:
         for omega in spec.control.values():
             ring = spec.ring.with_omega(omega)
             amp = hopping_amplitude(ring)
-            lowest = {block.key: np.linalg.eigvalsh(block.operator(
-                amp, 4.0).to_dense())[0] for block in blocks}
+            lowest = {(block.q, block.parity): np.linalg.eigvalsh(
+                block.operator(amp, 4.0).to_dense())[0] for block in blocks}
             for q in (0, 2, 4, 6):
                 lower.setdefault(q, set()).add(
                     1 if lowest[(q, 1)] < lowest[(q, -1)] else -1)

@@ -1,5 +1,6 @@
 import csv
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -362,12 +363,12 @@ class TestScreen:
         omegas = []
         solve, block_stages = sweep._solve, sweep._block_stages
 
-        def solve_at(blocks, ring, *args, **kwargs):
+        def solve_at(blocks, among, ring, *args, **kwargs):
             omegas.append(ring.omega)
-            return solve(blocks, ring, *args, **kwargs)
+            return solve(blocks, among, ring, *args, **kwargs)
 
         def stages(block, *args):
-            if block.key == (3, -1) and omegas[-1] in failing:
+            if (block.q, block.parity) == (3, -1) and omegas[-1] in failing:
                 raise ConvergenceError("block (3, -1) fails")
             return block_stages(block, *args)
 
@@ -434,30 +435,37 @@ class TestDenseBlocks:
 FORCE_KRYLOV = SolverOptions(dense_threshold=1)
 
 
+def _positions(blocks) -> dict:
+    """Each block's position in ``blocks``, by (q, parity)."""
+    return {(block.q, block.parity): i for i, block in enumerate(blocks)}
+
+
 def _record_stages(monkeypatch) -> list:
     """For each call of sweep._solve: the blocks it returned,
     theta_1 - r_1 of every Krylov block whose main run (stage 1) ran,
-    keyed by block key, and the keys of the blocks whose lock loop
-    (stage 2) ran."""
+    keyed by block position, and the positions of the blocks whose lock
+    loop (stage 2) ran."""
     calls, current = [], {}
     solve, block_stages = sweep._solve, sweep._block_stages
 
     def staged(block, *args):
-        key = block.key
+        i = current["positions"][id(block)]
 
         def stages():
             for values, vectors, residuals, final in block_stages(block, *args):
                 if not final:
-                    current["first"][key] = float(values[0] - residuals[0])
-                elif key in current["first"]:
-                    current["second"].add(key)
+                    current["first"][i] = float(values[0] - residuals[0])
+                elif i in current["first"]:
+                    current["second"].add(i)
                 yield values, vectors, residuals, final
 
         return stages()
 
-    def recorded(*args, **kwargs):
-        current.update(first={}, second=set())
-        solved = solve(*args, **kwargs)
+    def recorded(blocks, *args, **kwargs):
+        current.update(first={}, second=set(),
+                       positions={id(block): i
+                                  for i, block in enumerate(blocks)})
+        solved = solve(blocks, *args, **kwargs)
         calls.append((solved, current["first"], current["second"]))
         return solved
 
@@ -518,10 +526,11 @@ class TestLockLoopScreen:
         spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
                          OmegaGrid(0.0, 1.0, 2))
         solve, _, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
-        solved = solve(0.0, ((0, -1), (4, 1)))
-        assert sorted(solved) == [(0, -1), (4, 1)]
-        assert solved[(4, 1)][1][0] > solved[(0, -1)][1][1]
-        assert len(solved[(4, 1)][1]) == 3
+        at = _positions(sweep._system_blocks(8, Fermions(2, 2)))
+        solved = solve(0.0, (at[0, -1], at[4, 1]))
+        assert sorted(solved) == [at[0, -1], at[4, 1]]
+        assert solved[at[4, 1]][1][0] > solved[at[0, -1]][1][1]
+        assert len(solved[at[4, 1]][1]) == 3
 
     @pytest.mark.parametrize("spec,options", [
         (SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
@@ -549,17 +558,18 @@ class TestLockLoopScreen:
 
 
 def _record_solves(monkeypatch) -> list:
-    """(omega, u, keys of the blocks passed, keys of the blocks solved) of
-    every call of sweep._solve; a block returned as it was passed in
-    ``known`` does not count as solved."""
+    """(omega, u, positions of the blocks passed, positions of the blocks
+    solved) of every call of sweep._solve; a block returned as it was
+    passed in ``known`` does not count as solved."""
     calls = []
     solve = sweep._solve
 
-    def recorded(blocks, ring, u, *args, known=None, levels=2):
-        solved = solve(blocks, ring, u, *args, known=known, levels=levels)
-        calls.append((ring.omega, u, tuple(block.key for block in blocks),
-                      tuple(q for q, entry in solved.items()
-                            if entry is not (known or {}).get(q))))
+    def recorded(blocks, among, ring, u, *args, known=None, levels=2):
+        solved = solve(blocks, among, ring, u, *args, known=known,
+                       levels=levels)
+        calls.append((ring.omega, u, tuple(among),
+                      tuple(i for i, entry in solved.items()
+                            if entry is not (known or {}).get(i))))
         return solved
 
     monkeypatch.setattr(sweep, "_solve", recorded)
@@ -567,16 +577,16 @@ def _record_solves(monkeypatch) -> list:
 
 
 def _check_solve_pattern(calls, grid, roots, n_blocks):
-    """Given (control value, keys of the blocks passed, keys of the blocks
-    solved) of every call: the first grid point passes every block and
-    solves at least one (with an empty ledger it skips only blocks that
-    their plane-wave floors rule out), each grid point and each root
-    takes one screened call over every block, and every other call is
-    either a Brent step that solves two blocks between the grid points or
-    a call at a bracket end that solves one block, one of the pair of a
-    Brent step beside that end, which the screen skipped there.  The root
-    is one of the steps, and its screened solve takes the step's two
-    blocks as they are instead of solving them again."""
+    """Given (control value, positions of the blocks passed, positions of
+    the blocks solved) of every call: the first grid point passes every
+    block and solves at least one (with an empty ledger it skips only
+    blocks that their plane-wave floors rule out), each grid point and
+    each root takes one screened call over every block, and every other
+    call is either a Brent step that solves two blocks between the grid
+    points or a call at a bracket end that solves one block, one of the
+    pair of a Brent step beside that end, which the screen skipped there.
+    The root is one of the steps, and its screened solve takes the step's
+    two blocks as they are instead of solving them again."""
     assert len(calls[0][1]) == n_blocks and calls[0][2]
     screened = [call for call in calls if len(call[1]) == n_blocks]
     assert sorted(x for x, _, _ in screened) == sorted([*grid, *roots])
@@ -983,13 +993,13 @@ class TestOneScan:
         screened = []
         solve = sweep._solve
 
-        def recorded(blocks, ring, u, degeneracy_tol, tol, options, floors,
-                     *args, **kwargs):
+        def recorded(blocks, among, ring, u, degeneracy_tol, tol, options,
+                     floors, *args, **kwargs):
             if floors is not None:
                 screened.append(ring.omega if search is find_crossings
                                 else u)
-            return solve(blocks, ring, u, degeneracy_tol, tol, options,
-                         floors, *args, **kwargs)
+            return solve(blocks, among, ring, u, degeneracy_tol, tol,
+                         options, floors, *args, **kwargs)
 
         monkeypatch.setattr(sweep, "_solve", recorded)
         assert cli.main(["sweep", "--sites", "8", "--species", "fermion",
@@ -1053,6 +1063,31 @@ class TestSolverSummary:
                            "lock_loops_run": seconds,
                            "lock_loops_skipped": firsts - seconds}
         assert 0 < seconds < firsts
+
+    @pytest.mark.parametrize("grid,options,want", [
+        (OmegaGrid(0.0, 40.0, 41), sweep.DEFAULT_OPTIONS, (110, 546, 0, 0)),
+        (OmegaGrid(0.0, 40.0, 9), FORCE_KRYLOV, (30, 114, 19, 11)),
+    ], ids=["dense", "krylov"])
+    def test_row_screen_counts_are_pinned(self, grid, options, want):
+        # The counts above only agree with the solves made; these pin how
+        # many the screen leaves out, so a looser screen with the same
+        # rows fails here.
+        spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0), grid)
+        summary = run(spec, options=options).provenance["solver_summary"]
+        assert summary == dict(zip(("block_solves", "blocks_skipped",
+                                    "lock_loops_run", "lock_loops_skipped"),
+                                   want))
+
+    def test_label_screen_counts_are_pinned(self):
+        # 59 solves on the grid and 19 in the refinement of its two
+        # crossings, of 41 * 8 + 26 blocks met.
+        spec = SweepSpec(make_ring(8), Bosons(4, u=1.0),
+                         OmegaGrid(0.0, 8.0, 41), 1e-7)
+        tally = Counter()
+        grid = sweep._grid_point(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS,
+                                 sweep._crossings, tally)
+        assert len(sweep._crossings(spec, grid, 1e-8, grid[2](1))) == 2
+        assert tally == Counter(solved=78, skipped=276)
 
 
 def _csv_body(path) -> list[dict]:

@@ -65,13 +65,33 @@ def test_individual_checks_pass():
 def test_halved_drive_slope_is_caught(monkeypatch):
     # Strong drives put lowest levels on slopes near their sector's
     # slopes, so bounds half as steep fail.
-    slopes = verify._drive_slopes
+    slopes = verify._slopes
 
-    def halved(blocks, ring):
-        return {q: (0.5 * down, 0.5 * up)
-                for q, (down, up) in slopes(blocks, ring).items()}
+    def halved(blocks, ring, control):
+        down, up = slopes(blocks, ring, control)
+        if isinstance(control, sweep.OmegaGrid):
+            return 0.5 * down, 0.5 * up
+        return down, up
 
-    monkeypatch.setattr(verify, "_drive_slopes", halved)
+    monkeypatch.setattr(verify, "_slopes", halved)
+    result = check_screening_bounds()
+    assert not result.passed
+    assert result.max_deviation > 1.0
+
+
+def test_swapped_interaction_slopes_are_caught(monkeypatch):
+    # A sweep's interaction slopes are (max D, 0): a falling u lowers a
+    # level, a rising u never does.  Swapped, they let a falling u lower
+    # no level, which the seeded pairs of interactions contradict.
+    slopes = verify._slopes
+
+    def swapped(blocks, ring, control):
+        down, up = slopes(blocks, ring, control)
+        if isinstance(control, sweep.InteractionGrid):
+            return up, down
+        return down, up
+
+    monkeypatch.setattr(verify, "_slopes", swapped)
     result = check_screening_bounds()
     assert not result.passed
     assert result.max_deviation > 1.0
