@@ -15,8 +15,11 @@ Hermitian ones (the real-space operators) through the complex ones.
 Every dense solve is one call of LAPACK's MRRR routine (``dsyevr`` or
 ``zheevr``; Dhillon, Parlett & Voemel, ACM TOMS 32, 533 (2006)) on a dense
 array, through :func:`_dense_levels`, which a caller holding the dense
-matrix can call directly.  Repeated runs are bit-for-bit reproducible at a
-fixed thread count.
+matrix can call directly.  A caller that needs only to know whether a
+real symmetric matrix's levels all lie above a bound can ask
+:func:`_certified_above`, one Cholesky factorization (``dpotrf``) that
+proves it.  Repeated runs are bit-for-bit reproducible at a fixed thread
+count.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ KRYLOV_SEED = 7
 # ARPACK stops on its own residual estimate; aim below the bound that
 # lowest_k checks so the check does not fail on rounding.
 _ARPACK_TOL_FACTOR = 1e-2
+_EPS = math.ulp(1.0)
+_POTRF = get_lapack_funcs("potrf", dtype=np.dtype(float))
 
 
 class ConvergenceError(RuntimeError):
@@ -59,6 +64,7 @@ class SolverOptions:
 
     ``max_krylov`` is ARPACK's ``ncv`` (raised to ``2k + 1`` when smaller)
     and ``max_restarts`` bounds its restarts (``maxiter = max_restarts + 1``).
+    Each field must be an integer >= 0, not a bool.
     """
 
     dense_threshold: int = DENSE_THRESHOLD
@@ -69,7 +75,7 @@ class SolverOptions:
     max_restarts: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("seed", "max_restarts"):
+        for name in ("dense_threshold", "seed", "max_krylov", "max_restarts"):
             value = getattr(self, name)
             if (isinstance(value, bool)
                     or not isinstance(value, numbers.Integral) or value < 0):
@@ -204,10 +210,11 @@ def _residuals(matrix, values: np.ndarray, vectors: np.ndarray,
     """||H v - value v|| of each pair, each of which must stay within
     ``tol * max(1, |value|)``; a NaN fails."""
     residuals = np.linalg.norm(matrix @ vectors - vectors * values, axis=0)
-    bounds = tol * np.maximum(1.0, np.abs(values))
-    if not np.all(residuals <= bounds):
-        raise ConvergenceError(
-            f"residuals {residuals} exceed tolerance bounds {bounds}")
+    # A scalar loop: the sweep checks two or three pairs at a time.
+    bounds = [tol * max(1.0, abs(value)) for value in values.tolist()]
+    if not all(map(float.__le__, residuals.tolist(), bounds)):
+        raise ConvergenceError(f"residuals {residuals} exceed tolerance "
+                               f"bounds {np.array(bounds)}")
     return residuals
 
 
@@ -230,6 +237,47 @@ def _dense_lowest(dense: np.ndarray, k: int,
         if values[k] - values[k - 1] >= degeneracy_tol:
             return values, vectors
     return _evr(dense, None)
+
+
+def _certified_above(dense: np.ndarray, bound: float) -> bool:
+    """Whether one Cholesky factorization proves every eigenvalue of the
+    real symmetric array ``dense`` above ``bound``, with room for the
+    rounding of a dense solve, so that its levels would lie above
+    ``bound`` too.  False proves nothing.
+
+    LAPACK's ``dpotrf`` factors A = fl(dense - sigma I), sigma = bound +
+    pad.  If it completes, R^T R = A + dA with |dA| <= gamma_{n+1}
+    |R^T||R| (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Thm 10.3), so lambda_min(A) >= -gamma_{n+1} / (1 -
+    gamma_{n+1}) tr(A) (Rump, BIT 46 (2006) 433), and the rounding of the
+    shifted diagonal costs at most u tr(A) more.  Since sigma > bound,
+    tr(A) is at most (1 + u) times the spread sum |d_ii - bound|.  The pad
+    is twice that bound on the spread, which covers the rounding of the
+    spread and of sigma, plus 32 eps (|bound| + spread), the allowance
+    that the screen's floors make for a solve: a certified matrix has
+    norm at most |sigma| + tr(A).  A last term is Rump's allowance for
+    underflow.  An entry that is not finite is never certified: it makes
+    a pivot fail or not finite.
+    """
+    if not bound < math.inf:
+        return False
+    n, diagonal = len(dense), dense.diagonal()
+    unit = 0.5 * _EPS
+    gamma = (n + 1) * unit / (1 - (n + 1) * unit)
+    spread = float(np.add.reduce(np.abs(diagonal - bound)))
+    sigma = bound + (2 * (gamma / (1 - gamma) + unit) * spread
+                     + 32 * _EPS * (abs(bound) + spread)
+                     + 4 * unit * abs(bound)
+                     + 4 * (n + 1) * (2 * (n + 2) + spread) * math.ulp(0.0))
+    # lambda_min is at most the least diagonal entry.
+    if not (math.isfinite(sigma) and np.minimum.reduce(diagonal) > sigma):
+        return False
+    shifted = dense.copy()
+    shifted.reshape(-1)[::n + 1] -= sigma
+    # The transpose of the symmetric copy is itself, in Fortran order, so
+    # dpotrf factors it in place.
+    factor, info = _POTRF(shifted.T, lower=1, overwrite_a=1, clean=0)
+    return info == 0 and bool(np.isfinite(factor.diagonal()).all())
 
 
 def _evr(dense: np.ndarray, index: tuple[int, int] | None

@@ -18,13 +18,20 @@ times the block's slope.  A row reads the ground multiplet and the
 second level, so a block whose bound lies above both is skipped; a
 search label reads the ground multiplet alone, so a search solve skips
 every block whose bound lies above it, from the first point on (see
-:func:`_grid_point`).  A Krylov block is solved in two stages, its main
-ARPACK run and then its lock loop, and the second stage is screened by
-the same rule, with the first stage's theta_1 - r_1 as the bound (see
-:func:`_solve`).  Rows and labels are those of a solve of every block.
-Points run serially (``workers`` is recorded only for compatibility), in
-order of the control value, so a sweep with the same spec is
-reproducible bit for bit; a failed point is recorded in its row.
+:func:`_grid_point`).  A dense block that the bounds do not rule out is
+first tried for a certificate: one Cholesky factorization of its matrix
+shifted just above the skip limit, which, if it completes, proves every
+level of the block above that limit with room for rounding, and the
+block is skipped unsolved (see :func:`_solve`).  A dense block keeps
+its hop matrix as a dense array, so its matrix at any point is one
+complex product and its current one quadratic form.  A Krylov block is
+solved in two stages, its main ARPACK run and then its lock loop, and
+the second stage is screened by the same rule, with the first stage's
+theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
+those of a solve of every block.  Points run serially (``workers`` is
+recorded only for compatibility), in order of the control value, so a
+sweep with the same spec is reproducible bit for bit; a failed point is
+recorded in its row.
 One walk over the grid feeds the rows and a search alike, so
 ``ringlat sweep --refine`` solves each grid point once, with the row's
 screen (:func:`_scan`); its refinement solves use the label's.
@@ -67,6 +74,7 @@ from .eigen import (
     DENSE_THRESHOLD,
     ConvergenceError,
     SolverOptions,
+    _certified_above,
     _check_tolerances,
     _dense_levels,
     _krylov,
@@ -300,8 +308,13 @@ def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
     level, by more than ``degeneracy_tol`` plus the accuracy
     ``tol * max(1, |E|)`` of an accepted solve (:func:`_reach`): no level
     of its block could join the ground multiplet, or be the second level.
-    Since the bounds ascend, every item after the first skipped one is
-    skipped too.
+    With the screen on, a dense block that is not skipped is first tried
+    for a certificate (:func:`_block_stages`): if one Cholesky
+    factorization proves its every level above the float just above that
+    limit, it goes back into the queue at that bound instead of being
+    solved.  There it is skipped in turn, unless a level solved meanwhile
+    has raised the limit to it; then it is tried again.  Since the bounds
+    ascend, every item after the first skipped one is skipped too.
     ``record(i, bound, outcome)`` receives each solved block's lowest level
     minus its residual, with outcome "solved" (one stage) or "locked"
     (lock loop run), and each skipped item's bound, with outcome "skipped"
@@ -322,9 +335,17 @@ def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
             continue
         locking = stages is not None
         if stages is None:
+            above = (math.inf if floors is None
+                     else math.nextafter(reach, math.inf))
             stages = _block_stages(blocks[i], amp, u, tol, degeneracy_tol,
-                                   options)
-        found, vectors, residuals, final = next(stages)
+                                   options, above)
+        stage = next(stages, None)
+        if stage is None:
+            # Certified above ``above``: the block waits there, skipped
+            # unless a level solved later raises the reach to it.
+            heapq.heappush(queue, (above, i, None))
+            continue
+        found, vectors, residuals, final = stage
         low = float(found[0] - residuals[0])
         if not final:
             heapq.heappush(queue, (low, i, stages))
@@ -337,16 +358,25 @@ def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
 
 
 def _block_stages(block: SectorBlock, amp: complex, u: float, tol: float,
-                  degeneracy_tol: float, options: SolverOptions):
+                  degeneracy_tol: float, options: SolverOptions,
+                  above: float):
     """The solve of one block at hopping amplitude ``amp`` and interaction
     u, in the stages of :func:`~ringlat.eigen._level_stages`.  A block
     solved densely (at most ``options.dense_threshold`` states) gives its
-    one final stage from its dense matrix, with no sparse matrix built."""
+    one final stage from its dense matrix, with no sparse matrix built,
+    or no stage at all where one Cholesky factorization of that matrix
+    proves its every level above ``above``
+    (:func:`~ringlat.eigen._certified_above`)."""
     if _krylov(block.dimension, 1, options):
         return _level_stages(block.operator(amp, u), 1, tol, degeneracy_tol,
                              options)
-    return iter([(*_dense_levels(block.dense(amp, u), 1, tol,
-                                 degeneracy_tol), True)])
+    # A block kept dense stays small: one above DENSE_THRESHOLD is solved
+    # densely only under a raised dense_threshold, and keeps nothing.
+    dense = (block.dense(amp, u) if block.dimension <= DENSE_THRESHOLD
+             else block.operator(amp, u).to_dense())
+    if _certified_above(dense, above):
+        return iter(())
+    return iter([(*_dense_levels(dense, 1, tol, degeneracy_tol), True)])
 
 
 def _reach(values: np.ndarray, degeneracy_tol: float, tol: float,
@@ -393,12 +423,12 @@ def _mean_current(ring: RingSpec, members: list) -> float:
     triples."""
     # The multiplet's current is a trace over its span, so any orthonormal
     # basis of it gives the same mean.  A block that the default options
-    # solve densely is measured on its dense matrix too: 18 against 25 us
-    # with the sparse one at 54 states, 72 against 34 us at 304, where
-    # its dense solve takes about 4 ms.
+    # solve densely is measured on the dense X it keeps, as one quadratic
+    # form: 4 against 12 us for a dense J at 54 states, 14 against 29 us
+    # for the sparse J at 201; a larger block on its sparse J.
     amp = forward_hop_amplitude(ring)
     return float(np.mean([
-        np.vdot(vector, block.dense(amp) @ vector)
+        block.hop_expectation(amp, vector)
         if block.dimension <= DENSE_THRESHOLD
         else block.operator(amp).expectation(vector)
         for _, block, vector in members]))

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import analytic, observables
+from . import analytic, observables, sweep
 from .basis import (
     FermionFockState,
     FockBasis,
@@ -26,7 +26,13 @@ from .basis import (
     sector_of_state,
     translation_orbits,
 )
-from .eigen import DEFAULT_OPTIONS, DEGENERACY_TOL, SolverOptions, lowest_k
+from .eigen import (
+    DEFAULT_OPTIONS,
+    DEGENERACY_TOL,
+    SolverOptions,
+    _certified_above,
+    lowest_k,
+)
 from .hamiltonian import (
     SectorBlock,
     build_operator,
@@ -634,6 +640,55 @@ def check_screened_search() -> CheckResult:
                           f"{solves} block solves")
 
 
+def check_dense_certificates(
+    certify: Callable[[np.ndarray, float], bool] = _certified_above,
+) -> CheckResult:
+    """Every dense block that a scan leaves unsolved on a Cholesky
+    certificate (:func:`~ringlat.eigen._certified_above`) must have its
+    lowest level theta_1 above the bound certified.  The scans are the
+    41-point sweep of 2+2 fermions on 8 sites at u = 4 over omega*K/t
+    from 0 to 40, and the searches of the refine benchmark: fast-mode
+    boundaries of 2+2 fermions on 8 sites at omega*K/t = 10 below and
+    above zero interaction, and crossings of 4 bosons on 8 sites.  Each
+    certified block is solved in full (dense eigh).  The deviation is
+    minus the smallest margin theta_1 - bound, so the margin is that
+    slack; a run in which no certificate held fails.  ``certify`` stands
+    in for the scans' certificate, so a corrupted one can be shown to be
+    caught.
+    """
+    ring = make_ring(8)
+    margins = []
+
+    def recorded(dense: np.ndarray, bound: float) -> bool:
+        held = certify(dense, bound)
+        if held:
+            margins.append(float(np.linalg.eigvalsh(dense)[0]) - bound)
+        return held
+
+    omega = 10.0 * ring.t / ring.k_factor
+    windows = ((-23.0, -15.0, 3), (50.0, 60.0, 2))
+    scans = [(run_sweep, SweepSpec(ring, Fermions(2, 2, u=4.0),
+                                   OmegaGrid(0.0, 40.0, 41)))]
+    scans += [(fast_mode_boundary, SweepSpec(
+        ring, Fermions(2, 2), InteractionGrid(lo, hi, points, omega=omega),
+        0.02)) for lo, hi, points in windows]
+    scans.append((find_crossings, SweepSpec(
+        ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7)))
+    scans_certify, sweep._certified_above = sweep._certified_above, recorded
+    try:
+        for scan, spec in scans:
+            scan(spec)
+    finally:
+        sweep._certified_above = scans_certify
+    if not margins:
+        return _result("dense_certificates", np.inf, 0.0,
+                       detail="no certificate held")
+    slack = min(margins)
+    return _result("dense_certificates", -slack, 0.0,
+                   detail=f"{len(margins)} certificates, smallest margin "
+                          f"{slack:.3e}")
+
+
 def check_determinism() -> CheckResult:
     """The same sweep spec must reproduce identical rows on both solver
     paths when run twice: once building its sector blocks, once reusing
@@ -673,6 +728,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_screening_bounds,
     check_plane_wave_floors,
     check_screened_search,
+    check_dense_certificates,
     check_determinism,
 )
 

@@ -187,6 +187,15 @@ class TestLowestKKrylov:
         with pytest.raises(DomainError, match="seed: must be an integer"):
             SolverOptions(seed=seed)
 
+    @pytest.mark.parametrize("name,value", [
+        ("dense_threshold", 1.5), ("dense_threshold", -1),
+        ("dense_threshold", True), ("max_krylov", 2.5), ("max_krylov", -3)])
+    def test_bad_sizes_rejected(self, name, value):
+        # Each of these used to run a sweep without a word.
+        with pytest.raises(DomainError, match=f"^{name}: must be an integer "
+                                              f">= 0"):
+            SolverOptions(**{"dense_threshold": 1, name: value})
+
     @pytest.mark.parametrize("max_restarts", [-1, 2.0])
     def test_bad_max_restarts_rejected(self, max_restarts):
         # -1 would reach ARPACK as maxiter = 0.
@@ -357,6 +366,91 @@ class TestDenseKernel:
         op = diagonal(1.0, np.inf, 2.0, 3.0, 4.0)
         with pytest.raises(ConvergenceError, match="not finite"):
             ground_state(op, options=options)
+
+
+_PR17_BLOCKS = [
+    (8, Fermions(2, 2, u=4.0), 1.3), (8, Fermions(2, 2, u=0.0), 0.0),
+    (8, Fermions(2, 1, u=-3.0), 2.0), (8, Bosons(4, u=1.0), 0.7),
+    (8, Bosons(1), 0.4), (4, Bosons(2, u=1.0), 0.9)]
+
+
+class TestDenseFromKeptHop:
+    @pytest.mark.parametrize("n_sites,species,drive", _PR17_BLOCKS)
+    def test_equals_to_dense_bit_for_bit(self, n_sites, species, drive):
+        # At rest, without interaction and at u = -0.0 too: no entry of
+        # -0.0 may survive, since to_dense() adds the entries to zeros.
+        base = make_ring(n_sites)
+        blocks = sector_blocks(enumerate_basis(base, species))
+        for x in (drive, 0.0, -2.5):
+            amp = hopping_amplitude(base.with_omega(omega_for(base, x)))
+            for u in (species.u if hasattr(species, "u") else 0.0, 0.0,
+                      -0.0, -3.7):
+                for block in blocks:
+                    dense = block.dense(amp, u)
+                    assert _bits(dense) == _bits(
+                        block.operator(amp, u).to_dense())
+                    assert not np.signbit(dense[dense == 0.0]).any()
+
+    def test_current_is_a_quadratic_form_on_the_kept_hop(self):
+        ring = make_ring(8, omega=1.7)
+        amp = 1j * ring.t - ring.omega * ring.k_factor
+        rng = np.random.default_rng(5)
+        for block in sector_blocks(enumerate_basis(ring, Fermions(2, 2))):
+            vector = rng.standard_normal(block.dimension)
+            assert block.hop_expectation(amp, vector) == pytest.approx(
+                block.operator(amp).expectation(vector), rel=1e-13,
+                abs=1e-13)
+
+
+def _symmetric(entries: list[float], n: int) -> np.ndarray:
+    """The symmetric n x n array whose lower triangle, row by row, is
+    ``entries``."""
+    dense = np.zeros((n, n))
+    dense[np.tril_indices(n)] = entries
+    return dense + np.tril(dense, -1).T
+
+
+@st.composite
+def _certificate_cases(draw):
+    """A symmetric array, and a bound near its lowest level or anywhere."""
+    n = draw(st.integers(1, 12))
+    entries = draw(st.lists(st.floats(-10.0, 10.0), min_size=n * (n + 1) // 2,
+                            max_size=n * (n + 1) // 2))
+    dense = _symmetric(entries, n)
+    if draw(st.booleans()):
+        # Copies of the lowest level make the bound's neighborhood crowded.
+        dense += np.diag(np.repeat(draw(st.floats(0.0, 1e-6)), n))
+    lowest = float(np.linalg.eigvalsh(dense)[0])
+    offset = draw(st.floats(-1.0, 1.0)) * 10.0 ** draw(st.integers(-16, 1))
+    return dense, lowest + offset
+
+
+class TestCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(_certificate_cases())
+    def test_a_certificate_that_holds_puts_the_solve_above(self, case):
+        dense, bound = case
+        if eigen._certified_above(dense, bound):
+            assert np.linalg.eigvalsh(dense)[0] > bound
+
+    def test_holds_below_the_lowest_level_and_fails_above(self):
+        ring = make_ring(8, omega=1.3)
+        amp = hopping_amplitude(ring)
+        for block in sector_blocks(enumerate_basis(ring, Fermions(2, 2))):
+            dense = block.dense(amp, 4.0)
+            lowest = np.linalg.eigvalsh(dense)[0]
+            assert eigen._certified_above(dense, lowest - 1e-6)
+            assert not eigen._certified_above(dense, lowest)
+            assert not eigen._certified_above(dense, math.inf)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("where", [(0, 0), (2, 1), (3, 3)],
+                             ids=["first pivot", "off diagonal", "last pivot"])
+    def test_an_entry_that_is_not_finite_is_never_certified(self, value,
+                                                            where):
+        dense = np.diag([5.0, 6.0, 7.0, 8.0])
+        dense[where] = dense[where[::-1]] = value
+        assert not eigen._certified_above(dense, -1e300)
 
 
 class TestGroundState:

@@ -326,7 +326,7 @@ class TestSectorBlocks:
 
     @pytest.mark.parametrize("name", [
         "representatives", "hop.data", "hop.indices", "hop.indptr",
-        "diagonal", "interaction", "lines_t", "lines_drive"])
+        "diagonal", "interaction", "lines_t", "lines_drive", "dense_hop"])
     def test_block_arrays_are_read_only(self, name):
         # A sweep shares its blocks between calls, so none may change them.
         basis = enumerate_basis(make_ring(6), Fermions(2, 1, u=1.0))

@@ -29,7 +29,7 @@ from ringlat import (
 )
 from ringlat import cli, sweep
 from ringlat.eigen import ConvergenceError
-from ringlat.hamiltonian import sector_blocks
+from ringlat.hamiltonian import SectorBlock, sector_blocks
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -416,6 +416,23 @@ class TestDenseBlocks:
         assert dense
         assert built == []
 
+    def test_blocks_above_the_threshold_keep_no_dense_hop(self,
+                                                          monkeypatch):
+        # A dense_threshold raised past DENSE_THRESHOLD solves larger
+        # blocks densely from their sparse operators, keeping nothing; the
+        # currents come from the sparse J, within rounding.
+        spec = _screen_cases()["2+2/8 drive"]
+        want = run(spec).rows
+        sweep._system_blocks.cache_clear()
+        monkeypatch.setattr(sweep, "DENSE_THRESHOLD", 20)
+        rows = run(spec, options=SolverOptions(dense_threshold=2**62)).rows
+        assert ([(row.ground_energy, row.gap, row.sectors) for row in rows]
+                == [(row.ground_energy, row.gap, row.sectors) for row in want])
+        assert max(abs(row.total_current - w.total_current)
+                   for row, w in zip(rows, want)) < 1e-13
+        assert not any("dense_hop" in vars(block)
+                       for block in sweep._system_blocks(8, Fermions(2, 2)))
+
     @pytest.mark.parametrize("options", [sweep.DEFAULT_OPTIONS,
                                          SolverOptions(dense_threshold=1)],
                              ids=["dense", "krylov"])
@@ -430,6 +447,86 @@ class TestDenseBlocks:
         assert last.failed and math.isnan(last.ground_energy)
         assert last.error == ("ConvergenceError: operator has entries that "
                               "are not finite")
+
+
+def _one_state_block(contact: float) -> SectorBlock:
+    """A block of one state with no hop and contact energy ``contact``."""
+    hop = scipy.sparse.csr_matrix((np.zeros(1), np.zeros(1, dtype=int),
+                                   np.array([0, 1])), shape=(1, 1))
+    return SectorBlock(0, None, np.zeros(1, dtype=int), hop, np.zeros(1, int),
+                       np.array([contact]), np.zeros(1), np.zeros(1))
+
+
+def _record_certificates(monkeypatch) -> list:
+    """(held, every entry finite) of each certificate the sweep tries."""
+    tried = []
+    certified_above = sweep._certified_above
+
+    def recorded(dense, bound):
+        held = certified_above(dense, bound)
+        tried.append((held, bool(np.isfinite(dense).all())))
+        return held
+
+    monkeypatch.setattr(sweep, "_certified_above", recorded)
+    return tried
+
+
+class TestCertificates:
+    def test_a_certified_block_is_tried_again_when_the_reach_rises(
+            self, monkeypatch):
+        # Levels 0, 0.9e-8 and 1.05e-8 form one ground multiplet at
+        # degeneracy_tol 1e-8, by their gaps.  The floors pop them in the
+        # order 0, 1.05e-8, 0.9e-8: the third level is certified above the
+        # reach of the first alone, then must be solved once the second
+        # joins the multiplet and raises the reach past it.
+        blocks = tuple(map(_one_state_block, (0.0, 0.9e-8, 1.05e-8)))
+        tried, outcomes = _record_certificates(monkeypatch), []
+        solved = sweep._solve(
+            blocks, range(3), make_ring(4), 1.0, 1e-8, 1e-10,
+            sweep.DEFAULT_OPTIONS, [-1.0, -0.4, -0.5],
+            lambda i, bound, outcome: outcomes.append((i, outcome)),
+            levels=1)
+        assert (True, True) in tried
+        assert sweep._ground_positions(solved, 1e-8) == {0, 1, 2}
+        assert sorted(outcomes) == [(0, "solved"), (1, "solved"),
+                                    (2, "solved")]
+
+    def test_rows_match_every_block_solved_with_certificates(self,
+                                                             monkeypatch):
+        # The 2+2/8 drive sweep certifies blocks out of reach instead of
+        # solving them, and keeps the rows of a solve of every block.
+        spec = _screen_cases()["2+2/8 drive"]
+        tried = _record_certificates(monkeypatch)
+        rows = run(spec).rows
+        assert (True, True) in tried
+        assert repr(rows) == repr(unscreened_rows(spec))
+
+    def test_block_that_is_not_finite_is_never_certified(self,
+                                                         monkeypatch):
+        # Once the first block is solved the reach is finite, and the
+        # second block, of entry inf, is tried for a certificate: it fails,
+        # and the solve raises.
+        blocks = tuple(map(_one_state_block, (0.0, math.inf)))
+        tried = _record_certificates(monkeypatch)
+        with pytest.raises(ConvergenceError, match="not finite"):
+            sweep._solve(blocks, range(2), make_ring(4), 1.0, 1e-8, 1e-10,
+                         sweep.DEFAULT_OPTIONS, [-1.0, -0.5],
+                         lambda *args: None, levels=1)
+        assert tried == [(False, True), (False, False)]
+
+    def test_overflowing_drive_fails_its_rows(self, tmp_path, monkeypatch):
+        # Certificates hold at omega = 0; at 8.5e307 and 1.7e308 the
+        # entries overflow and both rows fail, with exit code 2.
+        tried = _record_certificates(monkeypatch)
+        with np.errstate(over="ignore"):
+            code = cli.main(["sweep", "--sites", "8", "--species", "fermion",
+                             "--n-up", "2", "--n-down", "2", "--u", "4",
+                             "--omega-min", "0", "--omega-max", "1.7e308",
+                             "--omega-points", "3", "--out", str(tmp_path)])
+        assert code == 2
+        assert (True, True) in tried
+        assert [row["sector"] == "failed" for row in _csv_body(
+            tmp_path / "sweep.csv")] == [False, True, True]
 
 
 FORCE_KRYLOV = SolverOptions(dense_threshold=1)
@@ -656,21 +753,22 @@ def _search_cases():
         "2+1/5": boundaries(ring5, Fermions(2, 1), -20.0, -14.0, 7, 1.0),
         "2+1/5 beside a crossing": boundaries(ring5, Fermions(2, 1), -58.0,
                                               -48.0, 2, 0.75),
-        # Near these boundaries the dense screen of 2+2/8 solves the same
-        # halves for the ground multiplet as for the second level.
+        # Near these boundaries the dense screen of 2+2/8 reaches the same
+        # halves for the ground multiplet as for the second level.  Near
+        # some (fewer=False) it solves the same ones; near the others the
+        # label's lower limit lets more of them be certified out of reach.
         "2+2/8 attractive": boundaries(ring8, Fermions(2, 2), -23.0, -15.0,
                                        3, 10.0, 0.02, fewer=False),
         "2+2/8 attractive krylov": boundaries(
             ring8, Fermions(2, 2), -23.0, -15.0, 3, 10.0, 0.02, FORCE_KRYLOV),
         "2+2/8 repulsive": boundaries(ring8, Fermions(2, 2), 50.0, 60.0, 2,
-                                      10.0, 0.02, fewer=False),
+                                      10.0, 0.02),
         "2+2/8 pairing": boundaries(ring8, Fermions(2, 2), -22.0, -16.0, 4,
-                                    10.0, 0.05, fewer=False),
+                                    10.0, 0.05),
         "2+2/8 scaled": boundaries(scaled, Fermions(2, 2), -30.0, -20.0, 3,
                                    10.0, 0.02, fewer=False),
         "2+2/8 scaled repulsive": boundaries(scaled, Fermions(2, 2), 65.0,
-                                             78.0, 2, 10.0, 0.02,
-                                             fewer=False),
+                                             78.0, 2, 10.0, 0.02),
     }
 
 
@@ -1065,7 +1163,7 @@ class TestSolverSummary:
         assert 0 < seconds < firsts
 
     @pytest.mark.parametrize("grid,options,want", [
-        (OmegaGrid(0.0, 40.0, 41), sweep.DEFAULT_OPTIONS, (110, 546, 0, 0)),
+        (OmegaGrid(0.0, 40.0, 41), sweep.DEFAULT_OPTIONS, (93, 563, 0, 0)),
         (OmegaGrid(0.0, 40.0, 9), FORCE_KRYLOV, (30, 114, 19, 11)),
     ], ids=["dense", "krylov"])
     def test_row_screen_counts_are_pinned(self, grid, options, want):
@@ -1079,7 +1177,7 @@ class TestSolverSummary:
                                    want))
 
     def test_label_screen_counts_are_pinned(self):
-        # 59 solves on the grid and 19 in the refinement of its two
+        # 49 solves on the grid and 14 in the refinement of its two
         # crossings, of 41 * 8 + 26 blocks met.
         spec = SweepSpec(make_ring(8), Bosons(4, u=1.0),
                          OmegaGrid(0.0, 8.0, 41), 1e-7)
@@ -1087,7 +1185,7 @@ class TestSolverSummary:
         grid = sweep._grid_point(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS,
                                  sweep._crossings, tally)
         assert len(sweep._crossings(spec, grid, 1e-8, grid[2](1))) == 2
-        assert tally == Counter(solved=78, skipped=276)
+        assert tally == Counter(solved=63, skipped=291)
 
 
 def _csv_body(path) -> list[dict]:

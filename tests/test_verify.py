@@ -1,6 +1,8 @@
 from ringlat import hamiltonian, sweep, verify
+from ringlat.eigen import _certified_above
 from ringlat.hamiltonian import hopping_operator
 from ringlat.verify import (
+    check_dense_certificates,
     check_determinism,
     check_ground_current_vs_formula,
     check_hermiticity,
@@ -57,6 +59,7 @@ def test_individual_checks_pass():
                   check_plane_wave_floors,
                   check_screened_krylov_sweep,
                   check_screened_search,
+                  check_dense_certificates,
                   check_determinism):
         result = check()
         assert result.passed, f"{result.name}: {result.max_deviation}"
@@ -128,7 +131,8 @@ def test_flipped_parity_sign_is_caught(monkeypatch):
 
 def test_label_screen_that_skips_ground_blocks_is_caught(monkeypatch):
     # A label screen that reaches only half a unit below the lowest level
-    # known skips blocks that hold the ground: the crossings move.
+    # known skips blocks that hold the ground: the crossings move, one of
+    # them by 0.028, 10**5 times the bisection tolerance.
     reach = sweep._reach
 
     def short(values, degeneracy_tol, tol, levels):
@@ -139,4 +143,22 @@ def test_label_screen_that_skips_ground_blocks_is_caught(monkeypatch):
     monkeypatch.setattr(sweep, "_reach", short)
     result = check_screened_search()
     assert not result.passed
+    assert result.max_deviation > 0.01
+
+
+def test_certificate_with_a_raised_shift_is_caught():
+    # Raising the shift of the factored matrix by 0.5 certifies blocks
+    # whose lowest level lies up to half a unit below the bound claimed.
+    def raised(dense, bound):
+        return _certified_above(dense, bound - 0.5)
+
+    result = check_dense_certificates(certify=raised)
+    assert not result.passed
     assert result.max_deviation > 0.1
+    assert sweep._certified_above is _certified_above
+
+
+def test_certificates_that_never_hold_fail_the_check():
+    result = check_dense_certificates(certify=lambda dense, bound: False)
+    assert not result.passed
+    assert result.detail == "no certificate held"
