@@ -34,17 +34,9 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
-from .hamiltonian import HermitianOperator
+from .hamiltonian import DENSE_THRESHOLD, HermitianOperator
 from .model import DomainError
 
-# Real sector blocks cost about the same on both paths near this dimension
-# (2-CPU x86, OpenBLAS at 1 and at 2 threads alike, one block of 2+2, 3+1,
-# 4+1, 3+2 and 3+3 fermions and 5 and 6 bosons on 10-14 sites, omega = 3).
-# Against ARPACK with its lock loop, the dense solve takes 0.1-0.3 of the
-# time up to 200 states, 0.5-0.85 at 291-364 and 1.0-1.8 at 495-540.
-# Against the main ARPACK run alone, which is all a screened lock loop
-# leaves, it takes 0.25-0.75 up to 200 and 1.0-1.1 at 220.
-DENSE_THRESHOLD = 300
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
 # ARPACK stops on its own residual estimate; aim below the bound that

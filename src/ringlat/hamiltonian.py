@@ -33,6 +33,16 @@ from .model import (
     particle_content,
 )
 
+# The largest sector block that the default solver options solve densely
+# (eigen), and that keeps its X as a dense array (SectorBlock.dense).
+# Real sector blocks cost about the same on both paths near this dimension
+# (2-CPU x86, OpenBLAS at 1 and at 2 threads alike, one block of 2+2, 3+1,
+# 4+1, 3+2 and 3+3 fermions and 5 and 6 bosons on 10-14 sites, omega = 3).
+# Against ARPACK with its lock loop, the dense solve takes 0.1-0.3 of the
+# time up to 200 states, 0.5-0.85 at 291-364 and 1.0-1.8 at 495-540.
+# Against the main ARPACK run alone, which is all a screened lock loop
+# leaves, it takes 0.25-0.75 up to 200 and 1.0-1.1 at 220.
+DENSE_THRESHOLD = 300
 _DIAG_IMAG_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
 
@@ -228,7 +238,9 @@ class SectorBlock:
     a complex symmetric matrix X, held in ``hop`` as one CSR matrix whose
     mirror entries hold one value and whose every diagonal position is
     stored (a 0 where X has none), at ``diagonal`` in ``hop.data``.  A
-    block used densely keeps X as a dense array too (:attr:`dense_hop`).
+    block of at most ``DENSE_THRESHOLD`` states keeps X as a dense array
+    too, once :meth:`dense` or :meth:`hop_expectation` first needs it
+    (:attr:`dense_hop`).
     ``interaction`` is each state's contact energy at unit coupling.
     ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
@@ -265,9 +277,18 @@ class SectorBlock:
     def dense(self, forward_amplitude: complex, u: float = 0.0) -> np.ndarray:
         """The matrix of :meth:`operator` as a dense array, equal to its
         ``to_dense()`` bit for bit at a finite amplitude, built without a
-        sparse matrix from the dense X that the block keeps
-        (:attr:`dense_hop`)."""
+        sparse matrix: for a block of at most ``DENSE_THRESHOLD`` states
+        from the dense X that it keeps (:attr:`dense_hop`), for a larger
+        one by scattering the operator's entries, keeping nothing."""
         n = self.dimension
+        if n > DENSE_THRESHOLD:
+            rows = np.repeat(np.arange(n), np.diff(self.hop.indptr))
+            # Added to zeros, as to_dense() adds, so an entry of -0.0 reads
+            # 0.0.
+            dense = np.zeros(n * n)
+            dense[rows * n + self.hop.indices] += self._entries(
+                forward_amplitude, u)
+            return dense.reshape(n, n)
         # The complex product of _entries, so each entry rounds alike.
         dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
         dense.reshape(-1)[::n + 1] += u * self.interaction
@@ -278,9 +299,12 @@ class SectorBlock:
     def hop_expectation(self, forward_amplitude: complex,
                         vector: np.ndarray) -> float:
         """<v| amp * X + h.c. |v> = 2 Re(amp v^T X v) for a real vector
-        v, from the dense X that the block keeps (:attr:`dense_hop`)."""
+        v: for a block of at most ``DENSE_THRESHOLD`` states from the
+        dense X that it keeps (:attr:`dense_hop`), for a larger one from
+        ``hop``."""
+        hop = self.dense_hop if self.dimension <= DENSE_THRESHOLD else self.hop
         return 2.0 * (complex(forward_amplitude)
-                      * (vector @ (self.dense_hop @ vector))).real
+                      * (vector @ (hop @ vector))).real
 
     @functools.cached_property
     def dense_hop(self) -> np.ndarray:

@@ -22,9 +22,10 @@ every block whose bound lies above it, from the first point on (see
 first tried for a certificate: one Cholesky factorization of its matrix
 shifted just above the skip limit, which, if it completes, proves every
 level of the block above that limit with room for rounding, and the
-block is skipped unsolved (see :func:`_solve`).  A dense block keeps
-its hop matrix as a dense array, so its matrix at any point is one
-complex product and its current one quadratic form.  A Krylov block is
+block is skipped unsolved (see :func:`_solve`).  A block of at most
+``DENSE_THRESHOLD`` states keeps its hop matrix as a dense array, so its
+matrix at any point is one complex product and its current one quadratic
+form (:class:`~ringlat.hamiltonian.SectorBlock`).  A Krylov block is
 solved in two stages, its main ARPACK run and then its lock loop, and
 the second stage is screened by the same rule, with the first stage's
 theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
@@ -71,7 +72,6 @@ from .basis import enumerate_basis
 from .eigen import (
     DEFAULT_OPTIONS,
     DEGENERACY_TOL,
-    DENSE_THRESHOLD,
     ConvergenceError,
     SolverOptions,
     _certified_above,
@@ -370,10 +370,7 @@ def _block_stages(block: SectorBlock, amp: complex, u: float, tol: float,
     if _krylov(block.dimension, 1, options):
         return _level_stages(block.operator(amp, u), 1, tol, degeneracy_tol,
                              options)
-    # A block kept dense stays small: one above DENSE_THRESHOLD is solved
-    # densely only under a raised dense_threshold, and keeps nothing.
-    dense = (block.dense(amp, u) if block.dimension <= DENSE_THRESHOLD
-             else block.operator(amp, u).to_dense())
+    dense = block.dense(amp, u)
     if _certified_above(dense, above):
         return iter(())
     return iter([(*_dense_levels(dense, 1, tol, degeneracy_tol), True)])
@@ -422,15 +419,12 @@ def _mean_current(ring: RingSpec, members: list) -> float:
     """Total current of a multiplet given as (position, block, vector)
     triples."""
     # The multiplet's current is a trace over its span, so any orthonormal
-    # basis of it gives the same mean.  A block that the default options
-    # solve densely is measured on the dense X it keeps, as one quadratic
-    # form: 4 against 12 us for a dense J at 54 states, 14 against 29 us
-    # for the sparse J at 201; a larger block on its sparse J.
+    # basis of it gives the same mean.  Each vector's expectation is one
+    # quadratic form in X (SectorBlock.hop_expectation): 4 against 12 us
+    # for a dense J at 54 states.
     amp = forward_hop_amplitude(ring)
     return float(np.mean([
         block.hop_expectation(amp, vector)
-        if block.dimension <= DENSE_THRESHOLD
-        else block.operator(amp).expectation(vector)
         for _, block, vector in members]))
 
 

@@ -26,13 +26,7 @@ from .basis import (
     sector_of_state,
     translation_orbits,
 )
-from .eigen import (
-    DEFAULT_OPTIONS,
-    DEGENERACY_TOL,
-    SolverOptions,
-    _certified_above,
-    lowest_k,
-)
+from .eigen import DEFAULT_OPTIONS, DEGENERACY_TOL, SolverOptions, lowest_k
 from .hamiltonian import (
     SectorBlock,
     build_operator,
@@ -640,9 +634,7 @@ def check_screened_search() -> CheckResult:
                           f"{solves} block solves")
 
 
-def check_dense_certificates(
-    certify: Callable[[np.ndarray, float], bool] = _certified_above,
-) -> CheckResult:
+def check_dense_certificates() -> CheckResult:
     """Every dense block that a scan leaves unsolved on a Cholesky
     certificate (:func:`~ringlat.eigen._certified_above`) must have its
     lowest level theta_1 above the bound certified.  The scans are the
@@ -652,9 +644,8 @@ def check_dense_certificates(
     above zero interaction, and crossings of 4 bosons on 8 sites.  Each
     certified block is solved in full (dense eigh).  The deviation is
     minus the smallest margin theta_1 - bound, so the margin is that
-    slack; a run in which no certificate held fails.  ``certify`` stands
-    in for the scans' certificate, so a corrupted one can be shown to be
-    caught.
+    slack; a run in which no certificate held fails.  The check records
+    through whatever certificate the scans call (``sweep._certified_above``).
     """
     ring = make_ring(8)
     margins = []
@@ -674,12 +665,12 @@ def check_dense_certificates(
         0.02)) for lo, hi, points in windows]
     scans.append((find_crossings, SweepSpec(
         ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7)))
-    scans_certify, sweep._certified_above = sweep._certified_above, recorded
+    certify, sweep._certified_above = sweep._certified_above, recorded
     try:
         for scan, spec in scans:
             scan(spec)
     finally:
-        sweep._certified_above = scans_certify
+        sweep._certified_above = certify
     if not margins:
         return _result("dense_certificates", np.inf, 0.0,
                        detail="no certificate held")

@@ -22,7 +22,7 @@ from ringlat import (
     sector_of_state,
     winding_state,
 )
-from ringlat import eigen
+from ringlat import eigen, hamiltonian
 from ringlat.eigen import DEGENERACY_TOL, _lowest_levels
 from ringlat.hamiltonian import (
     hopping_amplitude,
@@ -374,11 +374,20 @@ _PR17_BLOCKS = [
     (8, Bosons(1), 0.4), (4, Bosons(2, u=1.0), 0.9)]
 
 
+# A threshold of 0 sends every block down the path of a block above
+# DENSE_THRESHOLD, which keeps no dense X.
+_KEPT_OR_NOT = pytest.mark.parametrize(
+    "threshold", [hamiltonian.DENSE_THRESHOLD, 0], ids=["kept", "scattered"])
+
+
 class TestDenseFromKeptHop:
+    @_KEPT_OR_NOT
     @pytest.mark.parametrize("n_sites,species,drive", _PR17_BLOCKS)
-    def test_equals_to_dense_bit_for_bit(self, n_sites, species, drive):
+    def test_equals_to_dense_bit_for_bit(self, n_sites, species, drive,
+                                         threshold, monkeypatch):
         # At rest, without interaction and at u = -0.0 too: no entry of
         # -0.0 may survive, since to_dense() adds the entries to zeros.
+        monkeypatch.setattr(hamiltonian, "DENSE_THRESHOLD", threshold)
         base = make_ring(n_sites)
         blocks = sector_blocks(enumerate_basis(base, species))
         for x in (drive, 0.0, -2.5):
@@ -390,8 +399,13 @@ class TestDenseFromKeptHop:
                     assert _bits(dense) == _bits(
                         block.operator(amp, u).to_dense())
                     assert not np.signbit(dense[dense == 0.0]).any()
+        assert all(("dense_hop" in vars(block)) == (threshold > 0)
+                   for block in blocks)
 
-    def test_current_is_a_quadratic_form_on_the_kept_hop(self):
+    @_KEPT_OR_NOT
+    def test_current_is_a_quadratic_form_on_the_kept_hop(self, threshold,
+                                                         monkeypatch):
+        monkeypatch.setattr(hamiltonian, "DENSE_THRESHOLD", threshold)
         ring = make_ring(8, omega=1.7)
         amp = 1j * ring.t - ring.omega * ring.k_factor
         rng = np.random.default_rng(5)

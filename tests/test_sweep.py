@@ -27,7 +27,7 @@ from ringlat import (
     polarized_current,
     run,
 )
-from ringlat import cli, sweep
+from ringlat import cli, hamiltonian, sweep
 from ringlat.eigen import ConvergenceError
 from ringlat.hamiltonian import SectorBlock, sector_blocks
 from ringlat.verify import _test_systems
@@ -419,12 +419,12 @@ class TestDenseBlocks:
     def test_blocks_above_the_threshold_keep_no_dense_hop(self,
                                                           monkeypatch):
         # A dense_threshold raised past DENSE_THRESHOLD solves larger
-        # blocks densely from their sparse operators, keeping nothing; the
-        # currents come from the sparse J, within rounding.
+        # blocks densely from their scattered entries, keeping nothing;
+        # the currents come from the sparse X, within rounding.
         spec = _screen_cases()["2+2/8 drive"]
         want = run(spec).rows
         sweep._system_blocks.cache_clear()
-        monkeypatch.setattr(sweep, "DENSE_THRESHOLD", 20)
+        monkeypatch.setattr(hamiltonian, "DENSE_THRESHOLD", 20)
         rows = run(spec, options=SolverOptions(dense_threshold=2**62)).rows
         assert ([(row.ground_energy, row.gap, row.sectors) for row in rows]
                 == [(row.ground_energy, row.gap, row.sectors) for row in want])

@@ -131,8 +131,9 @@ def test_flipped_parity_sign_is_caught(monkeypatch):
 
 def test_label_screen_that_skips_ground_blocks_is_caught(monkeypatch):
     # A label screen that reaches only half a unit below the lowest level
-    # known skips blocks that hold the ground: the crossings move, one of
-    # them by 0.028, 10**5 times the bisection tolerance.
+    # known skips blocks that hold the ground: the crossings move.  The
+    # certificates stay off, so the mutated screen alone decides which
+    # blocks go unsolved.
     reach = sweep._reach
 
     def short(values, degeneracy_tol, tol, levels):
@@ -141,24 +142,27 @@ def test_label_screen_that_skips_ground_blocks_is_caught(monkeypatch):
         return values[0] - 0.5
 
     monkeypatch.setattr(sweep, "_reach", short)
+    monkeypatch.setattr(sweep, "_certified_above", lambda dense, bound: False)
     result = check_screened_search()
     assert not result.passed
-    assert result.max_deviation > 0.01
+    assert result.max_deviation > 0.1
 
 
-def test_certificate_with_a_raised_shift_is_caught():
+def test_certificate_with_a_raised_shift_is_caught(monkeypatch):
     # Raising the shift of the factored matrix by 0.5 certifies blocks
     # whose lowest level lies up to half a unit below the bound claimed.
     def raised(dense, bound):
         return _certified_above(dense, bound - 0.5)
 
-    result = check_dense_certificates(certify=raised)
+    monkeypatch.setattr(sweep, "_certified_above", raised)
+    result = check_dense_certificates()
     assert not result.passed
     assert result.max_deviation > 0.1
-    assert sweep._certified_above is _certified_above
+    assert sweep._certified_above is raised
 
 
-def test_certificates_that_never_hold_fail_the_check():
-    result = check_dense_certificates(certify=lambda dense, bound: False)
+def test_certificates_that_never_hold_fail_the_check(monkeypatch):
+    monkeypatch.setattr(sweep, "_certified_above", lambda dense, bound: False)
+    result = check_dense_certificates()
     assert not result.passed
     assert result.detail == "no certificate held"
