@@ -63,6 +63,12 @@ class HopTable(NamedTuple):
 class FockBasis:
     """Enumerated many-body basis with an exact reverse index.
 
+    ``occupations`` holds each state's particle count per site, summed
+    over spin, as one read-only (dimension, n_sites) array: ``uint8``
+    for fermions, the smallest unsigned type that holds the particle
+    count for bosons.  Hamiltonians and observables read occupation
+    numbers from it, so only this module knows how ``states`` encode
+    them.
     ``shift_perm``/``shift_sign`` cache the one-site translation as a
     signed permutation: state k maps to state ``shift_perm[k]`` with
     amplitude ``shift_sign[k]``.  ``reflect_perm``/``reflect_sign`` cache
@@ -75,6 +81,7 @@ class FockBasis:
     species: SpeciesSpec
     states: tuple[FockState, ...]
     dimension: int
+    occupations: np.ndarray = field(repr=False)
     shift_perm: np.ndarray = field(repr=False)
     shift_sign: np.ndarray = field(repr=False)
     reflect_perm: np.ndarray = field(repr=False)
@@ -132,6 +139,8 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
         states: tuple[FockState, ...] = tuple(
             _boson_occupations(n, species.n_particles))
         index = {state: k for k, state in enumerate(states)}
+        occupations = np.array(
+            states, dtype=np.min_scalar_type(species.n_particles))
         hops = _boson_hops(states, index, n)
         shift, reflection = _boson_symmetries(states, index)
     else:
@@ -143,14 +152,19 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
             downs = [0]
         states = tuple(FermionFockState(mu, md) for mu in ups for md in downs)
         index = {state: k for k, state in enumerate(states)}
+        up, down = (np.array([[(mask >> j) & 1 for j in range(n)]
+                              for mask in masks], dtype=np.uint8)
+                    for masks in (ups, downs))
+        occupations = (up[:, None] + down[None]).reshape(dimension, n)
         hops = _fermion_hops(ups, downs, n)
         shift, reflection = _fermion_symmetries(ups, downs, n)
-    for arr in (*shift, *reflection, *hops):
+    for arr in (occupations, *shift, *reflection, *hops):
         arr.setflags(write=False)
     return FockBasis(n_sites=n, species=species, states=states,
-                     dimension=dimension, shift_perm=shift[0],
-                     shift_sign=shift[1], reflect_perm=reflection[0],
-                     reflect_sign=reflection[1], hops=hops, _index=index)
+                     dimension=dimension, occupations=occupations,
+                     shift_perm=shift[0], shift_sign=shift[1],
+                     reflect_perm=reflection[0], reflect_sign=reflection[1],
+                     hops=hops, _index=index)
 
 
 SignedPermutation = tuple[np.ndarray, np.ndarray]

@@ -335,6 +335,16 @@ def _single_particle_or_die(config: RunConfig) -> None:
                           "commands; use --n 1")
 
 
+def _plot_windings(path: Path, rows: list[tuple], windings: tuple[int, ...],
+                   title: str, y_label: str) -> None:
+    """One line per winding n over omega K / t, from rows that begin
+    (omega, omegaK_over_t, n, value)."""
+    series = [(f"n={n}", [r[1] for r in rows if r[2] == n],
+               [r[3] for r in rows if r[2] == n]) for n in windings]
+    write_line_plot(path, title=title, x_label="omega K / t",
+                    y_label=y_label, series=series)
+
+
 def cmd_spectrum(config: RunConfig) -> int:
     """Closed-form energy levels versus drive frequency."""
     _single_particle_or_die(config)
@@ -351,14 +361,8 @@ def cmd_spectrum(config: RunConfig) -> int:
     _write_csv(path, config.echo,
                ["omega", "omegaK_over_t", "n", "energy"], rows)
     if config.svg:
-        series = []
-        for n in windings:
-            xs = [r[1] for r in rows if r[2] == n]
-            ys = [r[3] for r in rows if r[2] == n]
-            series.append((f"n={n}", xs, ys))
-        write_line_plot(config.out_dir / "spectrum.svg",
-                        title=f"One-particle levels, {ring0.n_sites} sites",
-                        x_label="omega K / t", y_label="E / t", series=series)
+        _plot_windings(config.out_dir / "spectrum.svg", rows, windings,
+                       f"One-particle levels, {ring0.n_sites} sites", "E / t")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -391,14 +395,9 @@ def cmd_currents(config: RunConfig) -> int:
                ["omega", "omegaK_over_t", "n", "current", "is_ground"],
                rows, extra_comments=comments)
     if config.svg:
-        series = []
-        for n in windings:
-            xs = [r[1] for r in rows if r[2] == n]
-            ys = [r[3] for r in rows if r[2] == n]
-            series.append((f"n={n}", xs, ys))
-        write_line_plot(config.out_dir / "currents.svg",
-                        title=f"One-particle currents, {ring0.n_sites} sites",
-                        x_label="omega K / t", y_label="J / t", series=series)
+        _plot_windings(config.out_dir / "currents.svg", rows, windings,
+                       f"One-particle currents, {ring0.n_sites} sites",
+                       "J / t")
     print(f"wrote {path}")
     return EXIT_OK
 

@@ -16,7 +16,6 @@ number of doubly occupied sites for spin-1/2 fermions.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -129,42 +128,22 @@ def _check_basis(ring: RingSpec, species: SpeciesSpec, basis: FockBasis) -> None
                           f"got species {species!r}")
 
 
-def _boson_occupations(basis: FockBasis) -> np.ndarray:
-    """The occupation tuples of a boson basis as one (dimension, N) array."""
-    return np.fromiter(
-        itertools.chain.from_iterable(basis.states), dtype=np.int64,
-        count=basis.dimension * basis.n_sites).reshape(basis.dimension, -1)
-
-
 def interaction_diagonal(species: SpeciesSpec, basis: FockBasis) -> np.ndarray:
-    """Per-state diagonal interaction energy at unit coupling: sum n(n - 1)
-    for bosons, the number of doubly occupied sites for fermions."""
+    """Per-state diagonal interaction energy at unit coupling, read from
+    ``basis.occupations``: sum n(n - 1) for bosons, the number of sites
+    with n = 2 for fermions (none for polarized fermions)."""
     if isinstance(species, Bosons):
-        occupations = _boson_occupations(basis)
+        # Widened, so that n(n - 1) cannot overflow the narrow counts.
+        occupations = basis.occupations.astype(np.int64)
         return (occupations * (occupations - 1)).sum(axis=1).astype(float)
-    if isinstance(species, Fermions):
-        # Masks of more than 64 sites stay Python integers.
-        dtype = np.uint64 if basis.n_sites <= 64 else object
-        ups, downs = (np.array(masks, dtype=dtype)
-                      for masks in _spin_masks(basis))
-        return np.bitwise_count(
-            np.bitwise_and.outer(ups, downs)).ravel().astype(float)
-    return np.zeros(basis.dimension)
-
-
-def _spin_masks(basis: FockBasis) -> tuple[list[int], list[int]]:
-    """The up masks and the down masks of a fermion basis: the product
-    basis runs over up masks, and for each over every down mask (one
-    empty mask for polarized fermions)."""
-    n_down = math.comb(basis.n_sites, getattr(basis.species, "n_down", 0))
-    return ([state.up_mask for state in basis.states[::n_down]],
-            [state.down_mask for state in basis.states[:n_down]])
+    return np.count_nonzero(basis.occupations == 2, axis=1).astype(float)
 
 
 def plane_wave_lines(basis: FockBasis
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each basis state read as momentum occupations n_k, k < N: the up
-    and down masks for fermions, the occupation tuple for bosons.
+    """Each basis state read as momentum occupations n_k, k < N: the
+    state's per-site counts ``basis.occupations``, summed over spin, read
+    as counts per plane wave.
 
     Returns, per state, the plane-wave configuration c's A_c = -2 sum_k
     n_k cos(phi_k), B_c = -2 sum_k n_k sin(phi_k) and sector sum_k k n_k
@@ -176,17 +155,8 @@ def plane_wave_lines(basis: FockBasis
     n = basis.n_sites
     phi = 2 * math.pi * np.arange(n) / n
     waves = np.column_stack([-2 * np.cos(phi), -2 * np.sin(phi)])
-    momenta = np.arange(n)
-    if isinstance(basis.species, Bosons):
-        occupations = _boson_occupations(basis)
-        lines, sums = occupations @ waves, occupations @ momenta
-    else:
-        up, down = (np.array([[(mask >> k) & 1 for k in range(n)]
-                              for mask in masks])
-                    for masks in _spin_masks(basis))
-        lines = ((up @ waves)[:, None] + (down @ waves)[None]).reshape(-1, 2)
-        sums = np.add.outer(up @ momenta, down @ momenta).ravel()
-    return lines[:, 0], lines[:, 1], sums % n
+    lines = basis.occupations @ waves
+    return lines[:, 0], lines[:, 1], basis.occupations @ np.arange(n) % n
 
 
 def build_boson(ring: RingSpec, species: Bosons, basis: FockBasis,
@@ -276,19 +246,14 @@ class SectorBlock:
 
     def dense(self, forward_amplitude: complex, u: float = 0.0) -> np.ndarray:
         """The matrix of :meth:`operator` as a dense array, equal to its
-        ``to_dense()`` bit for bit at a finite amplitude, built without a
-        sparse matrix: for a block of at most ``DENSE_THRESHOLD`` states
-        from the dense X that it keeps (:attr:`dense_hop`), for a larger
-        one by scattering the operator's entries, keeping nothing."""
+        ``to_dense()`` bit for bit at a finite amplitude: for a block of at
+        most ``DENSE_THRESHOLD`` states built from the dense X that it
+        keeps (:attr:`dense_hop`), without a sparse matrix; for a larger
+        one, solved densely only under a raised ``dense_threshold``, that
+        ``to_dense()`` itself."""
         n = self.dimension
         if n > DENSE_THRESHOLD:
-            rows = np.repeat(np.arange(n), np.diff(self.hop.indptr))
-            # Added to zeros, as to_dense() adds, so an entry of -0.0 reads
-            # 0.0.
-            dense = np.zeros(n * n)
-            dense[rows * n + self.hop.indices] += self._entries(
-                forward_amplitude, u)
-            return dense.reshape(n, n)
+            return self.operator(forward_amplitude, u).to_dense()
         # The complex product of _entries, so each entry rounds alike.
         dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
         dense.reshape(-1)[::n + 1] += u * self.interaction
@@ -311,10 +276,7 @@ class SectorBlock:
         """X as a dense complex array, read-only, built on first use and
         kept with the block: 16 bytes per entry, 640 KB for the blocks of
         2+2 fermions on 8 sites."""
-        n = self.dimension
-        rows = np.repeat(np.arange(n), np.diff(self.hop.indptr))
-        hop = np.zeros((n, n), dtype=complex)
-        hop[rows, self.hop.indices] = self.hop.data
+        hop = self.hop.toarray()
         hop.setflags(write=False)
         return hop
 

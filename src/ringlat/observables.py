@@ -19,7 +19,7 @@ import numpy as np
 
 from .basis import FockBasis, sector_of_state
 from .hamiltonian import HermitianOperator, _check_basis, hopping_operator
-from .model import Bosons, RingSpec, SpeciesSpec, particle_count
+from .model import RingSpec, SpeciesSpec, particle_count
 
 #: Currents with |J| below this (in units of t) count as zero, not fast.
 FAST_CURRENT_EPS = 1e-9
@@ -95,20 +95,7 @@ def evaluate(op: HermitianOperator, vector: np.ndarray, species: SpeciesSpec,
 
 def occupations(vector: np.ndarray, basis: FockBasis) -> np.ndarray:
     """Per-site densities <n_i>; they sum to the particle count."""
-    v = np.asarray(vector)
-    weights = np.abs(v) ** 2
-    out = np.zeros(basis.n_sites)
-    if isinstance(basis.species, Bosons):
-        for k, occ in enumerate(basis.states):
-            if weights[k]:
-                out += weights[k] * np.asarray(occ)
-    else:
-        for k, state in enumerate(basis.states):
-            if not weights[k]:
-                continue
-            for mask in (state.up_mask, state.down_mask):
-                while mask:
-                    site = (mask & -mask).bit_length() - 1
-                    out[site] += weights[k]
-                    mask &= mask - 1
-    return out
+    if len(vector) != basis.dimension:
+        raise ValueError(f"vector length {len(vector)} != basis dimension "
+                         f"{basis.dimension}")
+    return np.abs(np.asarray(vector)) ** 2 @ basis.occupations

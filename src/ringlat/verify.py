@@ -592,25 +592,32 @@ def _every_block_roots(search, spec: SweepSpec) -> tuple[tuple, int]:
     return roots, tally["solved"]
 
 
+def _refine_searches() -> list[tuple[Callable, Callable, SweepSpec]]:
+    """The searches of the refine benchmark, as (public entry point,
+    search, spec): crossings of 4 bosons on 8 sites, and fast-mode
+    boundaries of 2+2 fermions on 8 sites at omega*K/t = 10 below and
+    above zero interaction."""
+    ring = make_ring(8)
+    omega = 10.0 * ring.t / ring.k_factor
+    searches = [(find_crossings, _crossings, SweepSpec(
+        ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7))]
+    searches += [(fast_mode_boundary, _boundaries, SweepSpec(
+        ring, Fermions(2, 2), InteractionGrid(lo, hi, points, omega=omega),
+        0.02)) for lo, hi, points in ((-23.0, -15.0, 3), (50.0, 60.0, 2))]
+    return searches
+
+
 def check_screened_search() -> CheckResult:
     """A search screens its solves against the ground multiplet alone,
     since its labels read nothing else: each skips every block whose
     lowest level cannot join the ground multiplet, including those that
     could hold only the second level.  Its roots must equal those of the
-    same search with every block solved in full at every solve: the
-    crossings of 4 bosons on 8 sites, and the fast-mode boundaries of 2+2
-    fermions on 8 sites below and above zero interaction.  The deviation
-    is the largest distance between matching roots; a different number
-    of roots, or a different sign, fails."""
-    ring = make_ring(8)
-    omega = 10.0 * ring.t / ring.k_factor
-    cases = [(find_crossings, _crossings, SweepSpec(
-        ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7))]
-    cases += [(fast_mode_boundary, _boundaries, SweepSpec(
-        ring, Fermions(2, 2), InteractionGrid(lo, hi, points, omega=omega),
-        0.02)) for lo, hi, points in ((-23.0, -15.0, 3), (50.0, 60.0, 2))]
+    same search with every block solved in full at every solve, on the
+    searches of the refine benchmark (:func:`_refine_searches`).  The
+    deviation is the largest distance between matching roots; a different
+    number of roots, or a different sign, fails."""
     worst, problems, roots, solves = 0.0, [], 0, 0
-    for public, search, spec in cases:
+    for public, search, spec in _refine_searches():
         screened = public(spec)
         full, every = _every_block_roots(search, spec)
         roots, solves = roots + len(full), solves + every
@@ -639,15 +646,13 @@ def check_dense_certificates() -> CheckResult:
     certificate (:func:`~ringlat.eigen._certified_above`) must have its
     lowest level theta_1 above the bound certified.  The scans are the
     41-point sweep of 2+2 fermions on 8 sites at u = 4 over omega*K/t
-    from 0 to 40, and the searches of the refine benchmark: fast-mode
-    boundaries of 2+2 fermions on 8 sites at omega*K/t = 10 below and
-    above zero interaction, and crossings of 4 bosons on 8 sites.  Each
-    certified block is solved in full (dense eigh).  The deviation is
-    minus the smallest margin theta_1 - bound, so the margin is that
-    slack; a run in which no certificate held fails.  The check records
-    through whatever certificate the scans call (``sweep._certified_above``).
+    from 0 to 40, and the searches of the refine benchmark
+    (:func:`_refine_searches`).  Each certified block is solved in full
+    (dense eigh).  The deviation is minus the smallest margin theta_1 -
+    bound, so the margin is that slack; a run in which no certificate held
+    fails.  The check records through whatever certificate the scans call
+    (``sweep._certified_above``).
     """
-    ring = make_ring(8)
     margins = []
 
     def recorded(dense: np.ndarray, bound: float) -> bool:
@@ -656,15 +661,9 @@ def check_dense_certificates() -> CheckResult:
             margins.append(float(np.linalg.eigvalsh(dense)[0]) - bound)
         return held
 
-    omega = 10.0 * ring.t / ring.k_factor
-    windows = ((-23.0, -15.0, 3), (50.0, 60.0, 2))
-    scans = [(run_sweep, SweepSpec(ring, Fermions(2, 2, u=4.0),
+    scans = [(run_sweep, SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
                                    OmegaGrid(0.0, 40.0, 41)))]
-    scans += [(fast_mode_boundary, SweepSpec(
-        ring, Fermions(2, 2), InteractionGrid(lo, hi, points, omega=omega),
-        0.02)) for lo, hi, points in windows]
-    scans.append((find_crossings, SweepSpec(
-        ring, Bosons(4, u=1.0), OmegaGrid(0.0, 8.0, 41), 1e-7)))
+    scans += [(public, spec) for public, _, spec in _refine_searches()]
     certify, sweep._certified_above = sweep._certified_above, recorded
     try:
         for scan, spec in scans:

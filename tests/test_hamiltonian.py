@@ -25,6 +25,7 @@ from ringlat import (
     winding_state,
 )
 from ringlat.basis import translation_orbits
+from ringlat.model import particle_count
 from ringlat.hamiltonian import (
     hopping_amplitude,
     interaction_diagonal,
@@ -98,12 +99,21 @@ class TestInteractions:
         # Exact integers, equal to a count over each state's occupations.
         basis = enumerate_basis(make_ring(n_sites), species)
         if isinstance(species, Bosons):
+            counts = [list(state) for state in basis.states]
             want = [sum(n * (n - 1) for n in state) for state in basis.states]
-        elif isinstance(species, Fermions):
+        else:
+            counts = [[(state.up_mask >> j & 1) + (state.down_mask >> j & 1)
+                       for j in range(n_sites)] for state in basis.states]
             want = [(state.up_mask & state.down_mask).bit_count()
                     for state in basis.states]
-        else:
-            want = [0] * basis.dimension
+        # The basis's occupation array holds the same counts, read-only.
+        occupations = basis.occupations
+        assert occupations.dtype == (
+            np.min_scalar_type(species.n_particles)
+            if isinstance(species, Bosons) else np.uint8)
+        assert not occupations.flags.writeable
+        assert np.array_equal(occupations, counts)
+        assert np.all(occupations.sum(axis=1) == particle_count(species))
         got = interaction_diagonal(species, basis)
         assert got.dtype == np.float64
         assert np.array_equal(got, want)

@@ -165,3 +165,12 @@ class TestOccupations:
         basis, gs = solve_ground(ring, species)
         assert np.sum(occupations(gs.vectors[:, 0], basis)) == pytest.approx(
             3.0, abs=1e-10)
+
+    @pytest.mark.parametrize("length", [41, 35])
+    def test_vector_of_another_length_is_rejected(self, length):
+        # 1+1 fermions on 6 sites have 36 states; a longer vector was once
+        # cut to the basis, and a shorter one raised IndexError.
+        basis = enumerate_basis(make_ring(6), Fermions(1, 1))
+        with pytest.raises(ValueError, match=f"vector length {length} != "
+                                             f"basis dimension 36"):
+            occupations(np.ones(length) / np.sqrt(length), basis)
