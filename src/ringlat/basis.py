@@ -1,20 +1,25 @@
 """Occupation-number bases for bosons and fermions on the ring.
 
-Boson states are occupation tuples (one count per site); fermion states
-are pairs of bit masks, one per spin, with bit i set when site i is
-occupied.  Identical (polarized) fermions reuse the fermion layout with
-an empty down sector.  Fermion matrix elements take their sign from the
-reference ordering in which creation operators are sorted by ascending
-site index within each spin sector, all up operators to the left of all
-down operators.
+A basis is the product of its spin components, each a read-only array
+of rows with one particle count per site: bosons have one component,
+whose rows are every way of spreading the particles over the sites;
+fermions have an up and a down component, whose rows are 0/1 bits
+(identical, polarized fermions have an empty down component).  The
+basis lists the component rows' products in up-major order.  Library
+states, built on first use, are occupation tuples for bosons and pairs
+of bit masks for fermions, with bit i set when site i is occupied.
+Fermion matrix elements take their sign from the reference ordering in
+which creation operators are sorted by ascending site index within each
+spin sector, all up operators to the left of all down operators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,58 +66,60 @@ class HopTable(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FockBasis:
-    """Enumerated many-body basis with an exact reverse index.
+    """Enumerated many-body basis, as arrays.
 
-    ``occupations`` holds each state's particle count per site, summed
-    over spin, as one read-only (dimension, n_sites) array: ``uint8``
-    for fermions, the smallest unsigned type that holds the particle
-    count for bosons.  Hamiltonians and observables read occupation
-    numbers from it, so only this module knows how ``states`` encode
-    them.
+    ``components`` holds one read-only (rows, n_sites) array of particle
+    counts per spin component: the boson occupations in lexicographic
+    order, or the up and then the down 0/1 rows of fermions in
+    ``itertools.combinations`` order.  State k is the up-major product
+    of one row of each.  ``occupations`` holds each state's particle
+    count per site, summed over spin, as one read-only (dimension,
+    n_sites) array: ``uint8`` for fermions, the smallest unsigned type
+    that holds the particle count for bosons.  Hamiltonians and
+    observables read occupation numbers from it, so only this module
+    knows the Fock encoding.
     ``shift_perm``/``shift_sign`` cache the one-site translation as a
     signed permutation: state k maps to state ``shift_perm[k]`` with
     amplitude ``shift_sign[k]``.  ``reflect_perm``/``reflect_sign`` cache
     the site reflection j -> -j (mod N) the same way.  ``hops`` lists the
     forward hops once, so every ring bilinear on this basis is built from
     numpy arrays.
+    ``states`` and the reverse index behind ``index_of`` are Python
+    objects, built from ``components`` on first use and then kept.
     """
 
     n_sites: int
     species: SpeciesSpec
-    states: tuple[FockState, ...]
     dimension: int
+    components: tuple[np.ndarray, ...] = field(repr=False)
     occupations: np.ndarray = field(repr=False)
     shift_perm: np.ndarray = field(repr=False)
     shift_sign: np.ndarray = field(repr=False)
     reflect_perm: np.ndarray = field(repr=False)
     reflect_sign: np.ndarray = field(repr=False)
     hops: HopTable = field(repr=False)
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @functools.cached_property
+    def states(self) -> tuple[FockState, ...]:
+        """Every state in basis order: occupation tuples for bosons,
+        (up, down) mask pairs for fermions."""
+        if isinstance(self.species, Bosons):
+            return tuple(map(tuple, self.components[0].tolist()))
+        ups, downs = ([int.from_bytes(row.tobytes(), "little") for row in
+                       np.packbits(rows, axis=1, bitorder="little")]
+                      for rows in self.components)
+        return tuple(FermionFockState(up, down)
+                     for up in ups for down in downs)
+
+    @functools.cached_property
+    def _positions(self) -> dict:
+        return {state: k for k, state in enumerate(self.states)}
 
     def index_of(self, state: FockState) -> int:
         try:
-            return self._index[state]
+            return self._positions[state]
         except KeyError:
             raise KeyError(f"state {state!r} is not in this basis") from None
-
-
-def _boson_occupations(n_sites: int, n_particles: int) -> Iterator[tuple]:
-    if n_sites == 1:
-        yield (n_particles,)
-        return
-    for head in range(n_particles + 1):
-        for rest in _boson_occupations(n_sites - 1, n_particles - head):
-            yield (head, *rest)
-
-
-def _masks_with_popcount(n_sites: int, n_set: int) -> list[int]:
-    masks = []
-    for positions in itertools.combinations(range(n_sites), n_set):
-        mask = 0
-        for p in positions:
-            mask |= 1 << p
-        masks.append(mask)
-    return masks
 
 
 def basis_dimension(ring: RingSpec, species: SpeciesSpec) -> int:
@@ -124,9 +131,87 @@ def basis_dimension(ring: RingSpec, species: SpeciesSpec) -> int:
     return math.comb(n, species.n_particles)
 
 
+def _combinations(n: int, k: int) -> np.ndarray:
+    """``itertools.combinations(range(n), k)`` as a (comb(n, k), k) array."""
+    return np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n), k)), dtype=np.int64,
+        count=math.comb(n, k) * k).reshape(math.comb(n, k), k)
+
+
+def _fermion_rows(n_sites: int, n_particles: int) -> np.ndarray:
+    """0/1 rows of one spin, in ``itertools.combinations`` order."""
+    positions = _combinations(n_sites, n_particles)
+    rows = np.zeros((len(positions), n_sites), dtype=np.uint8)
+    rows[np.arange(len(positions))[:, None], positions] = 1
+    return rows
+
+
+def _boson_rows(n_sites: int, n_particles: int) -> np.ndarray:
+    """Occupation rows in lexicographic order, by stars and bars: the
+    n_sites - 1 bars among n_particles + n_sites - 1 slots, taken in
+    ``itertools.combinations`` order, leave the counts between them."""
+    slots = n_particles + n_sites - 1
+    bars = _combinations(slots, n_sites - 1)
+    counts = np.diff(bars, axis=1, prepend=-1, append=slots) - 1
+    return counts.astype(np.min_scalar_type(n_particles))
+
+
+SignedPermutation = tuple[np.ndarray, np.ndarray]
+
+
+def _component_tables(rows: np.ndarray, fermion: bool
+                      ) -> tuple[SignedPermutation, SignedPermutation,
+                                 HopTable]:
+    """The shift, the reflection and the forward hops of one component,
+    by row position.
+
+    Each moved row is found by a binary search among the rows' bytes
+    (Sandvik, arXiv:1101.3281, sec. 4).
+    Fermion signs: with k particles, the shift moves the top-site
+    operator to the front when it wraps, (-1)**(k-1), and so does the
+    hop across the wrapping bond (any other hop passes no operator).  The
+    reflection keeps site 0 first and reverses the order of the other k'
+    occupied sites: (-1)**(k'(k'-1)/2).
+    """
+    n_sites = rows.shape[1]
+    key = np.dtype((np.void, rows.itemsize * n_sites))
+    keys = rows.view(key).ravel()
+    order = np.argsort(keys)
+    ordered = keys[order]
+
+    def find(moved: np.ndarray) -> np.ndarray:
+        return order[np.searchsorted(
+            ordered, np.ascontiguousarray(moved).view(key).ravel())]
+
+    exchange = -1.0 if fermion else 1.0
+    count = rows.sum(axis=1, dtype=np.int64)
+    rest = count - rows[:, 0]
+    shift_sign = np.where(rows[:, -1] > 0, exchange ** (count - 1), 1.0)
+    sites = np.arange(n_sites)
+    shift = find(np.roll(rows, 1, axis=1)), shift_sign
+    reflection = (find(rows[:, -sites % n_sites]),
+                  exchange ** (rest * (rest - 1) // 2))
+
+    dst = (sites + 1) % n_sites
+    movable = rows > 0
+    if fermion:
+        movable &= rows[:, dst] == 0
+    cols, bonds = np.nonzero(movable)
+    entries, targets = np.arange(len(cols)), dst[bonds]
+    moved = rows[cols]
+    moved[entries, bonds] -= 1
+    moved[entries, targets] += 1
+    factor = np.sqrt(rows[cols, bonds].astype(np.int64)
+                     * (rows[cols, targets].astype(np.int64) + 1))
+    values = factor * np.where(bonds == n_sites - 1, shift_sign[cols], 1.0)
+    return shift, reflection, HopTable(find(moved), cols, values, bonds)
+
+
 def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
                     max_dimension: int = MAX_DIMENSION) -> FockBasis:
-    """Enumerate all Fock states of the species in lexicographic order."""
+    """Enumerate all Fock states of the species: boson occupations in
+    lexicographic order, fermions up-major with each spin in
+    ``itertools.combinations`` order."""
     validate_species(species, ring)
     dimension = basis_dimension(ring, species)
     if dimension > max_dimension:
@@ -135,171 +220,56 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
             f"raise max_dimension explicitly if this is intentional")
 
     n = ring.n_sites
-    if isinstance(species, Bosons):
-        states: tuple[FockState, ...] = tuple(
-            _boson_occupations(n, species.n_particles))
-        index = {state: k for k, state in enumerate(states)}
-        occupations = np.array(
-            states, dtype=np.min_scalar_type(species.n_particles))
-        hops = _boson_hops(states, index, n)
-        shift, reflection = _boson_symmetries(states, index)
+    fermion = not isinstance(species, Bosons)
+    if not fermion:
+        components = (_boson_rows(n, species.n_particles),)
+    elif isinstance(species, Fermions):
+        components = (_fermion_rows(n, species.n_up),
+                      _fermion_rows(n, species.n_down))
     else:
-        if isinstance(species, Fermions):
-            ups = _masks_with_popcount(n, species.n_up)
-            downs = _masks_with_popcount(n, species.n_down)
-        else:
-            ups = _masks_with_popcount(n, species.n_particles)
-            downs = [0]
-        states = tuple(FermionFockState(mu, md) for mu in ups for md in downs)
-        index = {state: k for k, state in enumerate(states)}
-        up, down = (np.array([[(mask >> j) & 1 for j in range(n)]
-                              for mask in masks], dtype=np.uint8)
-                    for masks in (ups, downs))
-        occupations = (up[:, None] + down[None]).reshape(dimension, n)
-        hops = _fermion_hops(ups, downs, n)
-        shift, reflection = _fermion_symmetries(ups, downs, n)
-    for arr in (occupations, *shift, *reflection, *hops):
-        arr.setflags(write=False)
-    return FockBasis(n_sites=n, species=species, states=states,
-                     dimension=dimension, occupations=occupations,
-                     shift_perm=shift[0], shift_sign=shift[1],
-                     reflect_perm=reflection[0], reflect_sign=reflection[1],
-                     hops=hops, _index=index)
+        components = (_fermion_rows(n, species.n_particles),
+                      _fermion_rows(n, 0))
+    for rows in components:
+        rows.setflags(write=False)
 
-
-SignedPermutation = tuple[np.ndarray, np.ndarray]
-
-
-def _boson_symmetries(states: tuple, index: dict
-                      ) -> tuple[SignedPermutation, SignedPermutation]:
-    """The one-site shift and the site reflection, state by state."""
-    shift = np.empty(len(states), dtype=np.int64)
-    reflect = np.empty(len(states), dtype=np.int64)
-    for k, occ in enumerate(states):
-        shift[k] = index[(occ[-1],) + occ[:-1]]
-        reflect[k] = index[occ[:1] + occ[:0:-1]]
-    ones = np.ones(len(states))
-    return (shift, ones), (reflect, ones)
-
-
-def _reflect_mask(mask: int, n_sites: int) -> int:
-    reflected = mask & 1
-    for j in range(1, n_sites):
-        if (mask >> j) & 1:
-            reflected |= 1 << (n_sites - j)
-    return reflected
-
-
-def _mask_symmetries(masks: list[int], n_sites: int
-                     ) -> tuple[SignedPermutation, SignedPermutation]:
-    """The shift and the reflection of one spin sector, by mask position.
-
-    With k particles, the shift moves the top-site operator to the front
-    when it wraps: (-1)**(k-1).  The reflection keeps site 0 first and
-    reverses the order of the other k' occupied sites: (-1)**(k'(k'-1)/2).
-    """
-    position = {mask: i for i, mask in enumerate(masks)}
-    shift = np.empty(len(masks), dtype=np.int64)
-    reflect = np.empty(len(masks), dtype=np.int64)
-    shift_sign, reflect_sign = np.ones(len(masks)), np.ones(len(masks))
-    for i, mask in enumerate(masks):
-        k = mask.bit_count()
-        shift[i] = position[_shift_mask(mask, n_sites)]
-        if (mask >> (n_sites - 1)) & 1 and k % 2 == 0:
-            shift_sign[i] = -1.0
-        reflect[i] = position[_reflect_mask(mask, n_sites)]
-        rest = k - (mask & 1)
-        if rest * (rest - 1) // 2 % 2:
-            reflect_sign[i] = -1.0
-    return (shift, shift_sign), (reflect, reflect_sign)
-
-
-def _fermion_symmetries(ups: list[int], downs: list[int], n_sites: int
-                        ) -> tuple[SignedPermutation, SignedPermutation]:
-    """The shift and the reflection on the product basis (up-major order):
-    each spin sector moves on its own, and the signs multiply."""
-    n_down = len(downs)
-
-    def combine(up: SignedPermutation,
-                down: SignedPermutation) -> SignedPermutation:
-        return (np.add.outer(up[0] * n_down, down[0]).ravel(),
-                np.multiply.outer(up[1], down[1]).ravel())
-
-    up, down = _mask_symmetries(ups, n_sites), _mask_symmetries(downs, n_sites)
-    return combine(up[0], down[0]), combine(up[1], down[1])
-
-
-def _hop_table(entries: list[tuple[int, int, float, int]]) -> HopTable:
-    columns = np.array(entries, dtype=np.float64).reshape(-1, 4).T
-    rows, cols, values, bonds = columns
-    return HopTable(rows.astype(np.int64), cols.astype(np.int64), values,
-                    bonds.astype(np.int64))
-
-
-def _boson_hops(states: tuple, index: dict, n_sites: int) -> HopTable:
-    entries = []
-    for col, occ in enumerate(states):
-        for j in range(n_sites):
-            if occ[j]:
-                jp = (j + 1) % n_sites
-                shifted = list(occ)
-                shifted[j] -= 1
-                shifted[jp] += 1
-                entries.append((index[tuple(shifted)], col,
-                                math.sqrt(occ[j] * (occ[jp] + 1)), j))
-    return _hop_table(entries)
-
-
-def _fermion_hop(mask: int, dst: int, src: int) -> tuple[int, int] | None:
-    """Apply c+_dst c_src to one spin sector; None if it annihilates.
-
-    Signs count occupied sites below the touched position, per the
-    ascending-site operator ordering.
-    """
-    if not (mask >> src) & 1:
-        return None
-    sign = -1 if (mask & ((1 << src) - 1)).bit_count() & 1 else 1
-    mask ^= 1 << src
-    if (mask >> dst) & 1:
-        return None
-    if (mask & ((1 << dst) - 1)).bit_count() & 1:
-        sign = -sign
-    return mask | (1 << dst), sign
-
-
-def _sector_hops(masks: list[int], n_sites: int) -> HopTable:
-    """Forward hops of one spin sector, indexed by position in ``masks``."""
-    position = {mask: i for i, mask in enumerate(masks)}
-    entries = []
-    for col, mask in enumerate(masks):
-        for j in range(n_sites):
-            hop = _fermion_hop(mask, (j + 1) % n_sites, j)
-            if hop is not None:
-                entries.append((position[hop[0]], col, float(hop[1]), j))
-    return _hop_table(entries)
-
-
-def _fermion_hops(ups: list[int], downs: list[int], n_sites: int) -> HopTable:
-    """Forward hops of both spins on the product basis (up-major order).
-
-    A hop in one spin sector leaves the other sector's mask, and so its
-    index, untouched; the down operators stand right of all up operators,
-    so a down hop's sign depends on the down mask alone.
-    """
-    n_down = len(downs)
+    # Fold the components in up-major order (Lin, PRB 42, 6561 (1990)):
+    # the state of rows (a, c), with a in the basis so far and c in a
+    # component of m rows, is a * m + c.  A hop in one component leaves
+    # the other's row, and so its index, untouched; down operators stand
+    # right of all up operators, so a down hop's sign depends on the
+    # down row alone.
+    def combine(left: SignedPermutation, right: SignedPermutation
+                ) -> SignedPermutation:
+        return (np.add.outer(left[0] * len(right[0]), right[0]).ravel(),
+                np.multiply.outer(left[1], right[1]).ravel())
 
     def spread(hops: HopTable, stride: int,
                spectators: np.ndarray) -> HopTable:
-        # State index = sector index * stride + spectator offset.
+        # State index = component index * stride + spectator offset.
         return HopTable(np.add.outer(hops.rows * stride, spectators).ravel(),
                         np.add.outer(hops.cols * stride, spectators).ravel(),
                         np.repeat(hops.values, len(spectators)),
                         np.repeat(hops.bonds, len(spectators)))
 
-    up = spread(_sector_hops(ups, n_sites), n_down, np.arange(n_down))
-    down = spread(_sector_hops(downs, n_sites), 1,
-                  np.arange(len(ups)) * n_down)
-    return HopTable(*(np.concatenate(pair) for pair in zip(up, down)))
+    occupations = components[0]
+    shift, reflection, hops = _component_tables(occupations, fermion)
+    for rows in components[1:]:
+        size, m = len(occupations), len(rows)
+        occupations = (occupations[:, None] + rows[None]).reshape(-1, n)
+        right_shift, right_reflection, right_hops = _component_tables(
+            rows, fermion)
+        shift = combine(shift, right_shift)
+        reflection = combine(reflection, right_reflection)
+        hops = HopTable(*(np.concatenate(pair) for pair in zip(
+            spread(hops, m, np.arange(m)),
+            spread(right_hops, 1, np.arange(size) * m))))
+    for arr in (occupations, *shift, *reflection, *hops):
+        arr.setflags(write=False)
+    return FockBasis(n_sites=n, species=species, dimension=dimension,
+                     components=components, occupations=occupations,
+                     shift_perm=shift[0], shift_sign=shift[1],
+                     reflect_perm=reflection[0], reflect_sign=reflection[1],
+                     hops=hops)
 
 
 def _shift_mask(mask: int, n_sites: int) -> int:
@@ -312,9 +282,17 @@ def translate(state: FockState, ring: RingSpec) -> tuple[FockState, int]:
     Returns the shifted state and the fermionic permutation sign: a spin
     sector with k particles whose top-site particle wraps to site 0 picks
     up (-1)**(k-1) from reordering the wrapped creation operator back to
-    the front of the ascending product.
+    the front of the ascending product.  A state that does not fit the
+    ring (a mask bit at or above ``n_sites``, a negative mask or count,
+    or a tuple of another length) raises ``ValueError``.
     """
     n = ring.n_sites
+    if isinstance(state, FermionFockState):
+        fits = all(0 <= mask < 1 << n for mask in state)
+    else:
+        fits = len(state) == n and min(state) >= 0
+    if not fits:
+        raise ValueError(f"state {state!r} does not fit a ring of {n} sites")
     if isinstance(state, FermionFockState):
         sign = 1
         for mask in (state.up_mask, state.down_mask):

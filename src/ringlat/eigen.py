@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg as sla
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .hamiltonian import DENSE_THRESHOLD, HermitianOperator
@@ -346,7 +345,7 @@ def _rayleigh_ritz(op: HermitianOperator,
     """
     basis, _ = np.linalg.qr(vectors)
     projected = basis.conj().T @ (op.matrix @ basis)
-    values, rotation = sla.eigh(0.5 * (projected + projected.conj().T))
+    values, rotation = _evr(0.5 * (projected + projected.conj().T), None)
     return values, basis @ rotation
 
 

@@ -58,8 +58,8 @@ def _fermion_hop(mask: int, dst: int, src: int):
 
 
 def _hops_from(state, n_sites: int, forward: bool):
-    """(new state, factor) for every hop c+_{j+1} c_j out of a state, or
-    every hop c+_j c_{j+1} when ``forward`` is false.
+    """(bond j, new state, factor) for every hop c+_{j+1} c_j out of a
+    state, or every hop c+_j c_{j+1} when ``forward`` is false.
 
     Boson states are occupation tuples; fermion states are (up, down)
     mask pairs exposing ``up_mask``.
@@ -72,14 +72,14 @@ def _hops_from(state, n_sites: int, forward: bool):
                 moved = list(state)
                 moved[src] -= 1
                 moved[dst] += 1
-                yield tuple(moved), np.sqrt(state[src] * (state[dst] + 1))
+                yield j, tuple(moved), np.sqrt(state[src] * (state[dst] + 1))
             continue
         for spin in (0, 1):
             hop = _fermion_hop(state[spin], dst, src)
             if hop is not None:
                 moved = list(state)
                 moved[spin] = hop[0]
-                yield type(state)(*moved), hop[1]
+                yield j, type(state)(*moved), hop[1]
 
 
 def dense_ring_bilinear(basis, n_sites: int, forward_amplitude: complex,
@@ -96,7 +96,7 @@ def dense_ring_bilinear(basis, n_sites: int, forward_amplitude: complex,
     amp = complex(forward_amplitude)
     for col, state in enumerate(basis.states):
         for forward, coefficient in ((True, amp), (False, np.conj(amp))):
-            for moved, factor in _hops_from(state, n_sites, forward):
+            for _, moved, factor in _hops_from(state, n_sites, forward):
                 matrix[basis.index_of(moved), col] += coefficient * factor
         if hasattr(state, "up_mask"):
             contact = bin(state.up_mask & state.down_mask).count("1")

@@ -1,4 +1,6 @@
 import math
+import re
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from ringlat import (
 )
 from ringlat.basis import spin_flip
 
-from oracles import plane_wave, reflection, spin_flip_oracle
+from oracles import _hops_from, plane_wave, reflection, spin_flip_oracle
 
 
 def single_particle_vector(basis, n_sites, winding):
@@ -53,8 +55,14 @@ class TestEnumerate:
         assert basis.dimension == math.comb(8, 3)
         assert all(state.down_mask == 0 for state in basis.states)
 
-    def test_index_roundtrip(self, ring8):
-        basis = enumerate_basis(ring8, Bosons(2))
+    @pytest.mark.parametrize("ring,species", [
+        (make_ring(8), Bosons(2)), (make_ring(7), Fermions(3, 2)),
+        (make_ring(9), PolarizedFermions(4)), (make_ring(70), Fermions(1, 1)),
+    ], ids=["bosons-2/8", "fermions-3+2/7", "polarized-4/9", "fermions-1+1/70"])
+    def test_index_roundtrip(self, ring, species):
+        basis = enumerate_basis(ring, species)
+        assert all(not rows.flags.writeable for rows in basis.components)
+        assert len(basis.states) == basis.dimension
         for k, state in enumerate(basis.states):
             assert basis.index_of(state) == k
 
@@ -101,6 +109,17 @@ class TestTranslate:
             _, sign = translate(FermionFockState(mask, 0), ring8)
             assert sign == (-1) ** (n_up - 1)
 
+    @pytest.mark.parametrize("state", [
+        FermionFockState(1 << 9, 0), FermionFockState(1 << 8, 0),
+        FermionFockState(0, 1 << 8), FermionFockState(-1, 0),
+        (2, 0, 0), (2, 0, 0, 0, 0, 0, 0, 0, 0), (-1, 1, 0, 0, 0, 0, 0, 0),
+    ], ids=["bit-9", "bit-8", "down-bit-8", "negative-mask", "short-tuple",
+            "long-tuple", "negative-count"])
+    def test_state_that_does_not_fit_the_ring_raises(self, ring8, state):
+        with pytest.raises(ValueError,
+                           match=re.escape(repr(state)) + ".*8 sites"):
+            translate(state, ring8)
+
     @given(up=st.integers(min_value=0, max_value=255),
            down=st.integers(min_value=0, max_value=255))
     @settings(max_examples=80)
@@ -129,9 +148,9 @@ class TestTranslate:
 _SYMMETRY_SYSTEMS = pytest.mark.parametrize("ring,species", [
     (make_ring(8), Bosons(3)), (make_ring(7), Fermions(3, 2)),
     (make_ring(8), Fermions(4, 3)), (make_ring(6), Fermions(2, 0)),
-    (make_ring(9), PolarizedFermions(4)),
+    (make_ring(9), PolarizedFermions(4)), (make_ring(3), Bosons(256)),
 ], ids=["bosons-3/8", "fermions-3+2/7", "fermions-4+3/8", "fermions-2+0/6",
-        "polarized-4/9"])
+        "polarized-4/9", "bosons-256/3"])
 
 
 class TestSymmetryTables:
@@ -149,6 +168,24 @@ class TestSymmetryTables:
         targets, signs = reflection(basis, ring.n_sites)
         assert np.array_equal(basis.reflect_perm, targets)
         assert np.array_equal(basis.reflect_sign, signs)
+
+    @_SYMMETRY_SYSTEMS
+    def test_hop_table_matches_statewise_oracle(self, ring, species):
+        # Sums per bond and (row, col), so neither side's entry order
+        # matters here.
+        basis = enumerate_basis(ring, species)
+        want = defaultdict(float)
+        for col, state in enumerate(basis.states):
+            for bond, moved, factor in _hops_from(state, ring.n_sites, True):
+                want[bond, basis.index_of(moved), col] += factor
+        got = defaultdict(float)
+        hops = basis.hops
+        for bond, row, col, value in zip(hops.bonds.tolist(),
+                                         hops.rows.tolist(),
+                                         hops.cols.tolist(),
+                                         hops.values.tolist()):
+            got[bond, row, col] += value
+        assert got == want
 
     @_SYMMETRY_SYSTEMS
     def test_reflection_inverts_the_shift(self, ring, species):

@@ -94,7 +94,7 @@ class TestInteractions:
         (6, Bosons(3)), (3, Bosons(4)), (5, Fermions(2, 1)),
         (8, Fermions(2, 2)), (6, Fermions(4, 2)), (4, Fermions(0, 3)),
         (64, Fermions(1, 1)), (70, Fermions(1, 1)),
-        (7, PolarizedFermions(3))])
+        (7, PolarizedFermions(3)), (3, Bosons(256))])
     def test_interaction_diagonal_counts_each_state(self, n_sites, species):
         # Exact integers, equal to a count over each state's occupations.
         basis = enumerate_basis(make_ring(n_sites), species)
