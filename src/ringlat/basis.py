@@ -243,13 +243,20 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
         return (np.add.outer(left[0] * len(right[0]), right[0]).ravel(),
                 np.multiply.outer(left[1], right[1]).ravel())
 
-    def spread(hops: HopTable, stride: int,
-               spectators: np.ndarray) -> HopTable:
-        # State index = component index * stride + spectator offset.
-        return HopTable(np.add.outer(hops.rows * stride, spectators).ravel(),
-                        np.add.outer(hops.cols * stride, spectators).ravel(),
-                        np.repeat(hops.values, len(spectators)),
-                        np.repeat(hops.bonds, len(spectators)))
+    def spread(hops: HopTable, stride: int, spectators: np.ndarray,
+               out: HopTable, start: int) -> int:
+        # State index = component index * stride + spectator offset, one
+        # row of spectators per hop, written into ``out`` from ``start``
+        # on; returns where the next component's hops start.
+        shape = (len(hops.rows), len(spectators))
+        stop = start + shape[0] * shape[1]
+        rows, cols, values, bonds = (array[start:stop].reshape(shape)
+                                     for array in out)
+        np.add.outer(hops.rows * stride, spectators, out=rows)
+        np.add.outer(hops.cols * stride, spectators, out=cols)
+        values[...] = hops.values[:, None]
+        bonds[...] = hops.bonds[:, None]
+        return stop
 
     occupations = components[0]
     shift, reflection, hops = _component_tables(occupations, fermion)
@@ -260,9 +267,15 @@ def enumerate_basis(ring: RingSpec, species: SpeciesSpec,
             rows, fermion)
         shift = combine(shift, right_shift)
         reflection = combine(reflection, right_reflection)
-        hops = HopTable(*(np.concatenate(pair) for pair in zip(
-            spread(hops, m, np.arange(m)),
-            spread(right_hops, 1, np.arange(size) * m))))
+        # Each spread is written straight into the folded table, so the
+        # table is built once, not copied.
+        folded = HopTable(*(
+            np.empty(len(hops.rows) * m + len(right_hops.rows) * size,
+                     dtype=np.result_type(left, right))
+            for left, right in zip(hops, right_hops)))
+        middle = spread(hops, m, np.arange(m), folded, 0)
+        spread(right_hops, 1, np.arange(size) * m, folded, middle)
+        hops = folded
     for arr in (occupations, *shift, *reflection, *hops):
         arr.setflags(write=False)
     return FockBasis(n_sites=n, species=species, dimension=dimension,

@@ -23,7 +23,12 @@ import numpy as np
 
 from . import __version__, analytic, sweep
 from .basis import BasisSizeError
-from .eigen import DEFAULT_OPTIONS, ConvergenceError, SolverOptions
+from .eigen import (
+    DEFAULT_OPTIONS,
+    ConvergenceError,
+    SolverOptions,
+    _lapack_provenance,
+)
 from .model import (
     Bosons,
     DomainError,
@@ -315,6 +320,7 @@ def _write_csv(path: Path, echo: dict, columns: list[str], rows,
         f"# generator: ringlat {__version__}",
         f"# timestamp: {datetime.now(timezone.utc).isoformat()}",
         f"# config: {json.dumps(echo, sort_keys=True)}",
+        f"# lapack: {json.dumps(_lapack_provenance(), sort_keys=True)}",
         "# units: energies and currents in units of t",
     ]
     lines.extend(extra_comments or [])

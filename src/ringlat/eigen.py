@@ -20,18 +20,28 @@ real symmetric matrix's levels all lie above a bound can ask
 :func:`_certified_above`, one Cholesky factorization (``dpotrf``) that
 proves it.  Repeated runs are bit-for-bit reproducible at a fixed thread
 count.
+
+The three LAPACK routines are called through ctypes (:func:`_lapack`),
+in the OpenBLAS that the scipy wheel ships, found without importing
+scipy, with the arguments of scipy's own wrappers, so every result is
+bit for bit that of ``scipy.linalg.eigh(..., driver="evr")`` and of
+scipy's ``potrf``.  A dense solve therefore imports no scipy module; only
+the Krylov path imports ARPACK, inside the functions that call it.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
+import importlib.util
 import math
 import numbers
+import struct
 from dataclasses import dataclass
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .hamiltonian import DENSE_THRESHOLD, HermitianOperator
 from .model import DomainError
@@ -42,7 +52,118 @@ KRYLOV_SEED = 7
 # lowest_k checks so the check does not fail on rounding.
 _ARPACK_TOL_FACTOR = 1e-2
 _EPS = math.ulp(1.0)
-_POTRF = get_lapack_funcs("potrf", dtype=np.dtype(float))
+
+
+class _Lapack(NamedTuple):
+    """The LAPACK routines that the dense path calls, bound by address,
+    and where they come from: the file name of the library, or
+    ``cython_lapack``.  A call passes its character arguments first, then
+    pointers, as addresses, then the first of ``lengths``, one per
+    character argument: the hidden lengths of the Fortran routines, none
+    for the capsules.  ``handle`` is the library, None for the capsules."""
+
+    name: str
+    dsyevr: ctypes._CFuncPtr
+    zheevr: ctypes._CFuncPtr
+    dpotrf: ctypes._CFuncPtr
+    lengths: tuple[int, ...]
+    handle: ctypes.CDLL | None
+
+
+# Each routine's count of character and of pointer arguments, in order.
+_ROUTINES = {"dsyevr": (3, 18), "zheevr": (3, 20), "dpotrf": (1, 4)}
+
+
+def _bundled_openblas() -> Path | None:
+    """The OpenBLAS that the scipy wheel ships (``scipy.libs`` on Linux
+    and Windows, ``scipy/.dylibs`` on macOS), found without importing
+    scipy; None where scipy links another LAPACK."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    package = Path(next(iter(spec.submodule_search_locations)))
+    found = sorted([*package.parent.glob("scipy.libs/libscipy_openblas*"),
+                    *package.glob(".dylibs/libscipy_openblas*")])
+    return found[0] if found else None
+
+
+def _symbol(handle: ctypes.CDLL, name: str):
+    """``name`` in the library, with the ``scipy_`` prefix of the wheel's
+    build or without it; None if absent."""
+    for symbol in (f"scipy_{name}", name):
+        function = getattr(handle, symbol, None)
+        if function is not None:
+            return function
+    return None
+
+
+def _bind(address: int, chars: int, pointers: int,
+          hidden: bool) -> ctypes._CFuncPtr:
+    """The routine at ``address``, with ``chars`` character arguments and
+    then ``pointers`` pointers; a Fortran routine (``hidden``) takes one
+    hidden length per character argument after the others."""
+    return ctypes.CFUNCTYPE(
+        None, *(ctypes.c_char_p,) * chars, *(ctypes.c_void_p,) * pointers,
+        *(ctypes.c_size_t,) * (chars if hidden else 0))(address)
+
+
+@functools.cache
+def _lapack() -> _Lapack:
+    """The LAPACK routines of the dense path, bound on first use.
+
+    They come from the OpenBLAS of :func:`_bundled_openblas`, the library
+    that scipy's own wrappers call.  Where it is absent, the same routines
+    come from the capsules of ``scipy.linalg.cython_lapack``, which take
+    no hidden lengths; only the address lookup differs.
+    """
+    path = _bundled_openblas()
+    handle = None
+    if path is not None:
+        try:
+            handle = ctypes.CDLL(str(path))
+        except OSError:
+            handle = None
+    if handle is not None and all(_symbol(handle, f"{name}_")
+                                  for name in _ROUTINES):
+        name, hidden = path.name, True
+
+        def address(routine: str) -> int:
+            return ctypes.cast(_symbol(handle, f"{routine}_"),
+                               ctypes.c_void_p).value
+    else:
+        from scipy.linalg import cython_lapack
+
+        name, hidden, handle = "cython_lapack", False, None
+        get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        get_pointer = ctypes.PYFUNCTYPE(
+            ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+            ("PyCapsule_GetPointer", ctypes.pythonapi))
+
+        def address(routine: str) -> int:
+            capsule = cython_lapack.__pyx_capi__[routine]
+            return get_pointer(capsule, get_name(capsule))
+    return _Lapack(name, *(_bind(address(routine), *counts, hidden)
+                           for routine, counts in _ROUTINES.items()),
+                   (1, 1, 1) if hidden else (), handle)
+
+
+def _lapack_provenance() -> dict:
+    """Which LAPACK the dense path calls: the library's file name (or
+    ``cython_lapack``), and for an OpenBLAS its build configuration and
+    current thread count."""
+    lapack = _lapack()
+    info = {"library": lapack.name}
+    if lapack.handle is not None:
+        config = _symbol(lapack.handle, "openblas_get_config")
+        threads = _symbol(lapack.handle, "openblas_get_num_threads")
+        if config is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+            info["config"] = config().decode(errors="replace").strip()
+        if threads is not None:
+            threads.argtypes, threads.restype = [], ctypes.c_int
+            info["threads"] = int(threads())
+    return info
 
 
 class ConvergenceError(RuntimeError):
@@ -265,42 +386,143 @@ def _certified_above(dense: np.ndarray, bound: float) -> bool:
         return False
     shifted = dense.copy()
     shifted.reshape(-1)[::n + 1] -= sigma
-    # The transpose of the symmetric copy is itself, in Fortran order, so
-    # dpotrf factors it in place.
-    factor, info = _POTRF(shifted.T, lower=1, overwrite_a=1, clean=0)
-    return info == 0 and bool(np.isfinite(factor.diagonal()).all())
+    return _positive_definite(shifted)
+
+
+def _positive_definite(shifted: np.ndarray) -> bool:
+    """Whether LAPACK's ``dpotrf`` factors the real symmetric C-ordered
+    array ``shifted`` (overwritten) with finite pivots, as scipy's
+    ``potrf(shifted.T, lower=1, overwrite_a=1, clean=0)`` would: the
+    transpose of a symmetric array is itself, in Fortran order, so dpotrf
+    factors it in place."""
+    if shifted.dtype != np.float64 or shifted.shape != (len(shifted),) * 2:
+        raise ValueError(f"need a square float64 array, got "
+                         f"{shifted.dtype} {shifted.shape}")
+    size, info = ctypes.c_int(len(shifted)), ctypes.c_int()
+    lapack = _lapack()
+    lapack.dpotrf(b"L", ctypes.byref(size), _address(shifted),
+                  ctypes.byref(size), ctypes.byref(info), *lapack.lengths[:1])
+    return info.value == 0 and bool(np.isfinite(shifted.diagonal()).all())
+
+
+def _address(array: np.ndarray) -> int:
+    """Where the data of a writable C-contiguous array starts; a third of
+    the cost of ``array.ctypes.data``."""
+    return ctypes.addressof(ctypes.c_char.from_buffer(array))
+
+
+class _EvrLayout(NamedTuple):
+    """Byte offsets in the scratch array of one ``dsyevr``/``zheevr``
+    call, each a multiple of 64 from its start, and its size.  It starts
+    with ``scalars``: the int32 N (also LDA and LDZ), IL, IU, M, INFO,
+    LWORK, LIWORK and LRWORK, then the float64 VL, VU and ABSTOL."""
+
+    scalars: np.ndarray
+    w: int
+    isuppz: int
+    work: int
+    rwork: int
+    iwork: int
+    a: int
+    z: int
+    size: int
 
 
 def _evr(dense: np.ndarray, index: tuple[int, int] | None
          ) -> tuple[np.ndarray, np.ndarray]:
     """Ascending pairs of the dense Hermitian array ``dense`` from LAPACK's
-    ``?syevr``/``?heevr`` on its lower triangle: those of 1-based indices
+    ``dsyevr``/``zheevr`` on its lower triangle: those of 1-based indices
     ``index`` (first, last), or all of them for None.  The arguments are
-    those of ``scipy.linalg.eigh(dense, subset_by_index=..., driver="evr")``,
-    so the results are bit for bit the same, without its checks; an entry
-    that is not finite must be ruled out first."""
-    routine, workspace = _evr_routine(dense.dtype.char, dense.shape[0])
-    bounds = {} if index is None else {"range": "I", "il": index[0],
-                                       "iu": index[1]}
-    values, vectors, found, _, info = routine(dense, lower=1, **bounds,
-                                              **workspace)
+    those that ``scipy.linalg.eigh(dense, subset_by_index=...,
+    driver="evr")`` passes, workspace sizes included, so the results are
+    bit for bit the same, without its checks; an entry that is not finite
+    must be ruled out first.  Each call has its own scratch array, so
+    threads may call this at once."""
+    n, complex_ = dense.shape[0], dense.dtype.kind == "c"
+    first, last = (1, n) if index is None else index
+    if not (dense.shape == (n, n) and 1 <= first <= last <= n):
+        raise ValueError(f"need a square array and 1 <= first <= last <= "
+                         f"{n}, got shape {dense.shape} and {index}")
+    layout = _evr_plan(complex_, n, first, last)
+    dtype = complex if complex_ else float
+    scratch = np.empty(layout.size, dtype=np.uint8)
+    # The C-ordered transpose holds A column by column, as LAPACK reads it.
+    np.copyto(np.ndarray((n, n), dtype, scratch, layout.a), dense.T)
+    found, info = _call_evr(complex_, b"V", b"A" if index is None else b"I",
+                            scratch, layout)
     if info != 0:
-        raise ConvergenceError(f"LAPACK {routine.__name__} failed with "
-                               f"info {info}")
-    return values[:found], vectors[:, :found]
+        raise ConvergenceError(f"LAPACK {'zheevr' if complex_ else 'dsyevr'} "
+                               f"failed with info {info}")
+    # Copied out, so a result kept does not keep A and the work arrays.
+    return (np.ndarray(found, float, scratch, layout.w).copy(),
+            np.ndarray((found, n), dtype, scratch, layout.z).T.copy("F"))
+
+
+@functools.lru_cache(maxsize=256)
+def _evr_plan(complex_: bool, n: int, first: int, last: int) -> _EvrLayout:
+    """The layout of :func:`_evr`'s call for eigenpairs ``first`` to
+    ``last`` (1-based) at dimension n."""
+    return _evr_layout(complex_, (n, first, last),
+                       _evr_workspace(complex_, n))
 
 
 @functools.lru_cache(maxsize=64)
-def _evr_routine(dtype: str, n: int) -> tuple:
-    """The LAPACK routine for arrays of dtype character ``dtype`` and its
-    workspace sizes at dimension n, queried once."""
-    prefix = "he" if np.dtype(dtype).kind == "c" else "sy"
-    routine, query = get_lapack_funcs((prefix + "evr", prefix + "evr_lwork"),
-                                      dtype=np.dtype(dtype))
-    sizes = _compute_lwork(query, n=n, lower=1)
-    names = ("lwork", "lrwork", "liwork") if prefix == "he" else (
-        "lwork", "liwork")
-    return routine, dict(zip(names, sizes))
+def _evr_workspace(complex_: bool, n: int) -> tuple[int, int, int]:
+    """The workspace sizes (lwork, liwork, lrwork) that LAPACK's query
+    (``lwork = -1``) gives for ``zheevr`` (``complex_``) or ``dsyevr`` at
+    dimension n, read as scipy's ``_compute_lwork`` reads them; lrwork is
+    0 for ``dsyevr``, which has no such array.  The block size of the
+    tridiagonal reduction follows lwork, so these must be the sizes that
+    scipy passes."""
+    layout = _evr_layout(complex_, (n, 1, n), (-1, -1, -1))
+    scratch = np.zeros(layout.size, dtype=np.uint8)
+    _, info = _call_evr(complex_, b"N", b"A", scratch, layout)
+    if info != 0:
+        raise ValueError(f"LAPACK workspace query failed with info {info}")
+    work, rwork, iwork = (scratch[at:at + 8].view(kind)[0] for at, kind in (
+        (layout.work, float), (layout.rwork, float), (layout.iwork, np.intc)))
+    return int(work), int(iwork), int(rwork) if complex_ else 0
+
+
+def _call_evr(complex_: bool, job: bytes, span: bytes, scratch: np.ndarray,
+              layout: _EvrLayout) -> tuple[int, int]:
+    """One call of ``zheevr`` (``complex_``) or ``dsyevr``, with ``job``
+    and ``span`` its JOBZ and RANGE, on the scratch array laid out by
+    ``layout``: A is overwritten and the eigenvectors fill Z's rows.
+    Returns M and INFO."""
+    base = _address(scratch)
+    scratch[:len(layout.scalars)] = layout.scalars
+    n, il, iu, m, info, lwork, liwork, lrwork = range(base, base + 32, 4)
+    head = (job, span, b"L", n, base + layout.a, n, base + 32, base + 40, il,
+            iu, base + 48, m, base + layout.w, base + layout.z, n,
+            base + layout.isuppz, base + layout.work, lwork)
+    lapack = _lapack()
+    if complex_:
+        lapack.zheevr(*head, base + layout.rwork, lrwork,
+                      base + layout.iwork, liwork, info, *lapack.lengths)
+    else:
+        lapack.dsyevr(*head, base + layout.iwork, liwork, info,
+                      *lapack.lengths)
+    return struct.unpack_from("=2i", scratch, 12)
+
+
+def _evr_layout(complex_: bool, sizes: tuple[int, int, int],
+                workspace: tuple[int, int, int]) -> _EvrLayout:
+    """The :class:`_EvrLayout` of a call with N, IL and IU ``sizes`` and
+    LWORK, LIWORK and LRWORK ``workspace``; a workspace query (-1 each)
+    gets one entry of each array."""
+    n, first, last = sizes
+    query = workspace[0] < 0
+    item = 16 if complex_ else 8
+    lwork, liwork, lrwork = (max(1, size) for size in workspace)
+    offsets = [64]
+    for size in (8 * n, 8 * n, item * lwork, 8 * lrwork, 4 * liwork,
+                 item * (1 if query else n * n),
+                 item * (1 if query else n * (last - first + 1))):
+        offsets.append(offsets[-1] + -(-size // 64) * 64)
+    scalars = np.frombuffer(struct.pack("=8i3d", *sizes, 0, 0, *workspace,
+                                        0.0, 1.0, 0.0), dtype=np.uint8)
+    return _EvrLayout(scalars, *offsets)
 
 
 def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,

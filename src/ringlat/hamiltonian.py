@@ -11,6 +11,13 @@ current is the operator ``-dH/d(theta)`` (see :mod:`ringlat.observables`).
 Interactions are diagonal: u * n * (n - 1) summed over sites for bosons
 (note: twice the (u/2) n (n-1) convention some codes use) and u times the
 number of doubly occupied sites for spin-1/2 fermions.
+
+The real-space operators (:func:`build_operator`) are scipy sparse
+matrices.  The sector blocks of :func:`sector_blocks`, which every sweep
+solves, are built in numpy and hold their forward-hop matrix as plain
+CSR arrays (:class:`CSRArrays`), so a sweep whose blocks are all solved
+densely never imports scipy: this module imports ``scipy.sparse`` only
+inside the functions that return a sparse matrix.
 """
 
 from __future__ import annotations
@@ -18,9 +25,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .basis import FockBasis, spin_flip, translation_orbits
 from .model import (
@@ -31,6 +38,9 @@ from .model import (
     SpeciesSpec,
     particle_content,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse as sparse
 
 # The largest sector block that the default solver options solve densely
 # (eigen), and that keeps its X as a dense array (SectorBlock.dense).
@@ -80,6 +90,8 @@ def operator_from_entries(dimension: int, rows, cols, values) -> HermitianOperat
     The term list must describe a Hermitian matrix (every off-diagonal
     entry accompanied by its conjugate mirror); duplicates are summed.
     """
+    import scipy.sparse as sparse
+
     full = sparse.coo_matrix(
         (np.asarray(values, dtype=complex),
          (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
@@ -193,6 +205,16 @@ def hopping_amplitude(ring: RingSpec, twist: float = 0.0) -> complex:
     return (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
 
 
+class CSRArrays(NamedTuple):
+    """A square matrix in compressed sparse row form, as plain arrays:
+    row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class SectorBlock:
     """Sector q of the ring Hamiltonians, real symmetric on states that
@@ -204,13 +226,14 @@ class SectorBlock:
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives``
     r (T the forward shift, p the period of the orbit of r), rotated by
     the W of :func:`reflection_rotation`, or of :func:`spin_flip_rotation`
-    for a half.  In them the forward-hop sum is
-    a complex symmetric matrix X, held in ``hop`` as one CSR matrix whose
-    mirror entries hold one value and whose every diagonal position is
-    stored (a 0 where X has none), at ``diagonal`` in ``hop.data``.  A
-    block of at most ``DENSE_THRESHOLD`` states keeps X as a dense array
-    too, once :meth:`dense` or :meth:`hop_expectation` first needs it
-    (:attr:`dense_hop`).
+    for a half.  In them the forward-hop sum is a complex symmetric
+    matrix X, held in ``hop`` as three read-only numpy arrays
+    (:class:`CSRArrays`), whose mirror entries hold one value and whose
+    every diagonal position is stored (a 0 where X has none), at
+    ``diagonal`` in ``hop.data``.  A block of at most ``DENSE_THRESHOLD``
+    states keeps X as a dense array too, once :meth:`dense` or
+    :meth:`hop_expectation` first needs it (:attr:`dense_hop`).  Only
+    :meth:`operator` builds a scipy matrix.
     ``interaction`` is each state's contact energy at unit coupling.
     ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
@@ -220,7 +243,7 @@ class SectorBlock:
     q: int
     parity: int | None
     representatives: np.ndarray
-    hop: sparse.csr_matrix = field(repr=False)
+    hop: CSRArrays = field(repr=False)
     diagonal: np.ndarray = field(repr=False)
     interaction: np.ndarray = field(repr=False)
     lines_t: np.ndarray = field(repr=False)
@@ -233,30 +256,35 @@ class SectorBlock:
 
     @property
     def dimension(self) -> int:
-        return self.hop.shape[0]
+        return len(self.hop.indptr) - 1
 
     def operator(self, forward_amplitude: complex,
                  u: float = 0.0) -> HermitianOperator:
         """amp * X + h.c. + u * interaction = 2 Re(amp * X) + u * interaction:
         real, and exactly symmetric since both mirror entries hold one
         value."""
-        return HermitianOperator(self.hop.shape[0], sparse.csr_matrix(
+        import scipy.sparse as sparse
+
+        n = self.dimension
+        return HermitianOperator(n, sparse.csr_matrix(
             (self._entries(forward_amplitude, u), self.hop.indices,
-             self.hop.indptr), shape=self.hop.shape))
+             self.hop.indptr), shape=(n, n)))
 
     def dense(self, forward_amplitude: complex, u: float = 0.0) -> np.ndarray:
         """The matrix of :meth:`operator` as a dense array, equal to its
         ``to_dense()`` bit for bit at a finite amplitude: for a block of at
         most ``DENSE_THRESHOLD`` states built from the dense X that it
-        keeps (:attr:`dense_hop`), without a sparse matrix; for a larger
-        one, solved densely only under a raised ``dense_threshold``, that
-        ``to_dense()`` itself."""
+        keeps (:attr:`dense_hop`); for a larger one, solved densely only
+        under a raised ``dense_threshold``, from the CSR arrays."""
         n = self.dimension
         if n > DENSE_THRESHOLD:
-            return self.operator(forward_amplitude, u).to_dense()
-        # The complex product of _entries, so each entry rounds alike.
-        dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
-        dense.reshape(-1)[::n + 1] += u * self.interaction
+            dense = np.zeros((n, n))
+            dense[self._rows(), self.hop.indices] = self._entries(
+                forward_amplitude, u)
+        else:
+            # The complex product of _entries, so each entry rounds alike.
+            dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
+            dense.reshape(-1)[::n + 1] += u * self.interaction
         # to_dense() adds the entries to zeros, so an entry of -0.0 reads 0.0.
         dense += 0.0
         return dense
@@ -266,34 +294,48 @@ class SectorBlock:
         """<v| amp * X + h.c. |v> = 2 Re(amp v^T X v) for a real vector
         v: for a block of at most ``DENSE_THRESHOLD`` states from the
         dense X that it keeps (:attr:`dense_hop`), for a larger one from
-        ``hop``."""
-        hop = self.dense_hop if self.dimension <= DENSE_THRESHOLD else self.hop
-        return 2.0 * (complex(forward_amplitude)
-                      * (vector @ (hop @ vector))).real
+        the CSR arrays, each row summed in order as a CSR product sums
+        it."""
+        if self.dimension <= DENSE_THRESHOLD:
+            product = self.dense_hop @ vector
+        else:
+            rows, n = self._rows(), self.dimension
+            terms = self.hop.data * vector[self.hop.indices]
+            product = np.empty(n, dtype=complex)
+            product.real = np.bincount(rows, terms.real, n)
+            product.imag = np.bincount(rows, terms.imag, n)
+        return 2.0 * (complex(forward_amplitude) * (vector @ product)).real
 
     @functools.cached_property
     def dense_hop(self) -> np.ndarray:
         """X as a dense complex array, read-only, built on first use and
         kept with the block: 16 bytes per entry, 640 KB for the blocks of
         2+2 fermions on 8 sites."""
-        hop = self.hop.toarray()
+        n = self.dimension
+        hop = np.zeros((n, n), dtype=complex)
+        hop[self._rows(), self.hop.indices] = self.hop.data
         hop.setflags(write=False)
         return hop
 
+    def _rows(self) -> np.ndarray:
+        """The row of each stored entry of X."""
+        return np.repeat(np.arange(self.dimension), np.diff(self.hop.indptr))
+
     def _entries(self, forward_amplitude: complex, u: float) -> np.ndarray:
-        """The values of the block operator at the positions of ``hop``."""
+        """The values of the block operator at the stored positions of X."""
         data = 2.0 * (complex(forward_amplitude) * self.hop.data).real
         data[self.diagonal] += u * self.interaction
         return data
 
 
-def _fixed_columns(c: np.ndarray, partner: np.ndarray) -> sparse.csr_matrix:
+def _fixed_columns(c: np.ndarray, partner: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unitary from m states that Theta maps as Theta|s> = c_s
-    |partner_s> to states that Theta leaves fixed, as a sparse m x m
-    matrix: a state with partner_s = s gives the column sqrt(c_s)|s>, a
-    pair s < s' the columns (|s> + c_s|s'>)/sqrt(2) and
-    i(|s> - c_s|s'>)/sqrt(2), in the order of s.  Theta squares to 1, so
-    c_s' = c_s."""
+    |partner_s> to states that Theta leaves fixed, an m x m matrix given
+    as its entries (rows, columns, values): a state with partner_s = s
+    gives the column sqrt(c_s)|s>, a pair s < s' the columns (|s> +
+    c_s|s'>)/sqrt(2) and i(|s> - c_s|s'>)/sqrt(2), in the order of s.
+    Theta squares to 1, so c_s' = c_s."""
     state = np.arange(len(c))
     lead = np.minimum(state, partner)
     alone = partner == state
@@ -303,11 +345,17 @@ def _fixed_columns(c: np.ndarray, partner: np.ndarray) -> sparse.csr_matrix:
     first = np.where(alone, np.sqrt(c),
                      np.where(state == lead, half, half * c[lead]))
     second = np.where(state == lead, 1j * half, -1j * half * c[lead])[~alone]
-    return sparse.csr_matrix(
-        (np.concatenate([first, second]),
-         (np.concatenate([state, state[~alone]]),
-          np.concatenate([column, column[~alone] + 1]))),
-        shape=(len(c),) * 2)
+    return (np.concatenate([state, state[~alone]]),
+            np.concatenate([column, column[~alone] + 1]),
+            np.concatenate([first, second]))
+
+
+def _sparse(entries: tuple[np.ndarray, np.ndarray, np.ndarray],
+            shape: tuple[int, int]) -> sparse.csr_matrix:
+    import scipy.sparse as sparse
+
+    rows, cols, values = entries
+    return sparse.csr_matrix((values, (rows, cols)), shape=shape)
 
 
 def _bloch_map(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
@@ -340,9 +388,40 @@ def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
     columns (|r> + c_r|r'>)/sqrt(2) and i(|r> - c_r|r'>)/sqrt(2), in the
     order of r.  Theta squares to 1, so c_r' = c_r.
     """
-    return _fixed_columns(*_bloch_map(basis, orbits, q, members,
-                                      basis.reflect_perm,
-                                      basis.reflect_sign[members]))
+    m = len(members)
+    return _sparse(_fixed_columns(*_bloch_map(
+        basis, orbits, q, members, basis.reflect_perm,
+        basis.reflect_sign[members])), (m, m))
+
+
+def _flip_columns(d: np.ndarray, flipped: np.ndarray, c: np.ndarray,
+                  mirror: np.ndarray, parity: int
+                  ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
+    """The W of :func:`spin_flip_rotation` from the maps F|r,q> = d_r
+    |flipped_r,q> and Theta|r,q> = c_r |mirror_r,q> on m Bloch states:
+    which of them the half holds, W's entries (rows, columns, values) and
+    its column count."""
+    state = np.arange(len(d))
+    inside = (flipped != state) | (d.real * parity > 0)
+    leads = np.flatnonzero((state <= flipped) & inside)
+    column = np.searchsorted(leads, np.minimum(state, flipped))
+    image = mirror[leads]
+    direct = image <= flipped[image]
+    phase = np.where(direct, c[leads],
+                     parity * d[leads].conj() * c[flipped[leads]])
+    # Each entry (s, column, b) of the rotation of the F-states gives W
+    # the entry b times the weight of a Bloch state in F-state s: 1 for a
+    # lone lead, 1/sqrt(2) for the lead r of a pair and parity d_r /
+    # sqrt(2) for its partner r''.
+    fixed_rows, cols, values = _fixed_columns(phase, column[image])
+    lead = leads[fixed_rows]
+    pair = flipped[lead] != lead
+    half = math.sqrt(0.5)
+    entries = (np.concatenate([lead, flipped[lead][pair]]),
+               np.concatenate([cols, cols[pair]]),
+               np.concatenate([np.where(pair, half, 1.0) * values,
+                               (parity * half * d[lead] * values)[pair]]))
+    return inside, entries, len(leads)
 
 
 def spin_flip_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
@@ -366,27 +445,42 @@ def spin_flip_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
     parity conj(d_r) c_r''.
     """
     perm, sign = spin_flip(basis)
-    d, flipped = _bloch_map(basis, orbits, q, members, perm, sign)
-    c, mirror = _bloch_map(basis, orbits, q, members, basis.reflect_perm,
-                           basis.reflect_sign[members])
-    state = np.arange(len(members))
-    inside = (flipped != state) | (d.real * parity > 0)
-    leads = np.flatnonzero((state <= flipped) & inside)
-    column = np.searchsorted(leads, np.minimum(state, flipped))
-    pair = flipped[leads] != leads
-    half = math.sqrt(0.5)
-    states = np.arange(len(leads))
-    combine = sparse.csr_matrix(
-        (np.concatenate([np.where(pair, half, 1.0),
-                         (parity * half * d[leads])[pair]]),
-         (np.concatenate([leads, flipped[leads][pair]]),
-          np.concatenate([states, states[pair]]))),
-        shape=(len(members), len(leads)))
-    image = mirror[leads]
-    direct = image <= flipped[image]
-    phase = np.where(direct, c[leads],
-                     parity * d[leads].conj() * c[flipped[leads]])
-    return inside, combine @ _fixed_columns(phase, column[image])
+    inside, entries, width = _flip_columns(
+        *_bloch_map(basis, orbits, q, members, perm, sign),
+        *_bloch_map(basis, orbits, q, members, basis.reflect_perm,
+                    basis.reflect_sign[members]), parity)
+    return inside, _sparse(entries, (len(members), width))
+
+
+class _Orbits(NamedTuple):
+    """The representatives of a basis grouped into orbits of {1, R, F,
+    RF}, R the reflection and F the spin flip (of {1, R} without F), in
+    the order of their lowest representative: ``group`` and ``slot`` give
+    each representative's orbit and its rank in it, ``lead`` each orbit's
+    lowest representative; ``size`` bounds the orbit sizes (4 with F, 2
+    without)."""
+
+    group: np.ndarray
+    slot: np.ndarray
+    lead: np.ndarray
+    size: int
+
+
+def _symmetry_orbits(reflected: np.ndarray,
+                     flipped: np.ndarray | None) -> _Orbits:
+    """:class:`_Orbits` from the images of each representative under R
+    and, for a basis with a spin flip, F, each as a position among them."""
+    positions = np.arange(len(reflected))
+    images = [positions, reflected]
+    if flipped is not None:
+        images += [flipped, reflected[flipped]]
+    lowest = np.minimum.reduce(images)
+    lead = np.flatnonzero(lowest == positions)
+    group = np.searchsorted(lead, lowest)
+    order = np.argsort(group, kind="stable")
+    slot = np.empty(len(positions), dtype=np.intp)
+    slot[order] = positions - np.searchsorted(group[order], group[order])
+    return _Orbits(group, slot, lead, len(images))
 
 
 def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
@@ -414,78 +508,212 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     down momenta, is an F-state of parity (-1)**(n_up n_down) and gives
     its line to that half alone.
 
+    W is block-diagonal over the orbits of {1, R, F, RF} among a sector's
+    representatives (:class:`_Orbits`): at most 4 of them, and at most 2
+    adjacent columns of W each.  R and F map the Bloch states of a sector
+    to its own, so every orbit lies in a sector or outside it, and the
+    orbits are those of the basis.  So X is a grid of 2 x 2 blocks, one
+    per pair of orbits, and each hop of T_q adds to one of them its value
+    times the rows of W's blocks of its two orbits, in the order of the
+    hops.  The pairs are found once for every sector, and since X is
+    mirrored only those whose first orbit does not come after the second
+    are summed.
+
     Every array of a block is read-only, since a sweep shares its blocks
     between calls.
     """
     orbits = translation_orbits(basis)
     orbit, steps, signs, period, closing = orbits
     n, hops = basis.n_sites, basis.hops
-    from_rep = orbit[hops.cols] == hops.cols
-    rows, cols = hops.rows[from_rep], hops.cols[from_rep]
-    targets = orbit[rows]
-    factors = hops.values[from_rep] * signs[rows] * np.sqrt(
-        period[cols] / period[targets])
     reps = np.flatnonzero(orbit == np.arange(basis.dimension))
+    position = np.zeros(basis.dimension, dtype=np.intp)
+    position[reps] = np.arange(len(reps))
+    flip = spin_flip(basis)
+    groups = _symmetry_orbits(
+        position[orbit[basis.reflect_perm[reps]]],
+        None if flip is None else position[orbit[flip[0][reps]]])
+
+    # The hops out of representatives whose orbit pair lies in the upper
+    # triangle, each with its pair and the slots of its two ends.
+    from_rep = np.flatnonzero(orbit[hops.cols] == hops.cols)
+    source = position[hops.cols[from_rep]]
+    target = position[orbit[hops.rows[from_rep]]]
+    upper = groups.group[target] <= groups.group[source]
+    from_rep, source, target = from_rep[upper], source[upper], target[upper]
+    rows, cols = hops.rows[from_rep], hops.cols[from_rep]
+    factors = hops.values[from_rep] * signs[rows] * np.sqrt(
+        period[cols] / period[orbit[rows]])
+    hop_steps = steps[rows]
+    count = len(groups.lead)
+    # Every orbit's own pair is listed, so every diagonal entry is stored.
+    keys, pair = np.unique(np.concatenate([
+        groups.group[target] * count + groups.group[source],
+        np.arange(count) * (count + 1)]), return_inverse=True)
+    pair = pair[:len(target)]
+    pair_rows, pair_cols = keys // count, keys % count
+    # Both triangles' pairs, in the order of their (row, column) orbits:
+    # the order of X's entries in CSR, orbit by orbit.
+    lower = np.flatnonzero(pair_rows < pair_cols)
+    full = np.concatenate([keys, pair_cols[lower] * count + pair_rows[lower]])
+    order = np.argsort(full)
+    full_rows, full_cols = full[order] // count, full[order] % count
+    full_pair = np.concatenate([np.arange(len(keys)), lower])[order]
+    ends = (groups.group[target] * groups.size + groups.slot[target],
+            groups.group[source] * groups.size + groups.slot[source])
+
     contact = interaction_diagonal(basis.species, basis)
     lines_t, lines_drive, wave_sector = plane_wave_lines(basis)
-    flip = spin_flip(basis)
     blocks = []
     for q in range(n):
         # The integer form of the membership rule: 2qp + N[c < 0] = 0 mod 2N.
-        members = reps[(2 * q * period[reps] + n * (closing[reps] < 0))
-                       % (2 * n) == 0]
-        m = len(members)
-        if not m:
+        inside = (2 * q * period[reps]
+                  + n * (closing[reps] < 0)) % (2 * n) == 0
+        if not inside.any():
             continue
-        keep = np.isin(cols, members) & np.isin(targets, members)
-        bloch = sparse.csr_matrix(
-            (factors[keep] * np.exp(2j * math.pi * q * steps[rows[keep]] / n),
-             (np.searchsorted(members, targets[keep]),
-              np.searchsorted(members, cols[keep]))), shape=(m, m))
+        phases = np.exp(2j * math.pi * q * np.arange(n) / n)
+        members = np.flatnonzero(inside)
+        states = reps[members]
+        mirror = _bloch_map(basis, orbits, q, states, basis.reflect_perm,
+                            basis.reflect_sign[states])
+        in_sector = inside[groups.lead]
+        live = in_sector[pair_rows] & in_sector[pair_cols]
+        renumber = np.cumsum(live) - 1
+        hopping = np.flatnonzero(live[pair])
+        listed = live[full_pair]
+        terms = _Terms(int(renumber[-1]) + 1, renumber[pair[hopping]],
+                       ends[0][hopping], ends[1][hopping],
+                       factors[hopping] * phases[hop_steps[hopping]],
+                       full_rows[listed], full_cols[listed],
+                       renumber[full_pair[listed]])
         waves = np.flatnonzero(wave_sector == q)
         if flip is None:
-            halves = [(None, members,
-                       reflection_rotation(basis, orbits, q, members), waves)]
+            halves = [(None, np.ones(len(members), dtype=bool),
+                       _fixed_columns(*mirror), len(members), waves)]
         else:
             perm, sign = flip
             flipped = perm[waves]
+            flips = _bloch_map(basis, orbits, q, states, perm, sign)
             halves = []
             for parity in (1, -1):
-                inside, w = spin_flip_rotation(basis, orbits, q, members,
-                                               parity)
+                held, entries, width = _flip_columns(*flips, *mirror, parity)
                 own = (flipped == waves) & (sign == parity)
-                if w.shape[1]:
-                    halves.append((parity, members[inside], w,
+                if width:
+                    halves.append((parity, held, entries, width,
                                    waves[(flipped > waves) | own]))
-        for parity, representatives, w, lines in halves:
-            blocks.append(_block(q, parity, representatives, w, bloch,
-                                 contact[members],
-                                 lines_t[lines], lines_drive[lines]))
+        for parity, held, entries, width, lines in halves:
+            blocks.append(_block(
+                q, parity, states[held], groups, members, entries, width,
+                terms, contact[states], lines_t[lines], lines_drive[lines]))
     return tuple(blocks)
 
 
+class _Terms(NamedTuple):
+    """T_q of one sector, summed into the upper triangle of its orbit
+    pairs, numbered 0 to ``pairs`` - 1: each hop's pair, the orbit slots
+    (orbit * size + slot) of its target and source, and its value; then
+    the pairs of both triangles in CSR order, as their row and column
+    orbits and the number of the upper pair that holds their block."""
+
+    pairs: int
+    pair: np.ndarray
+    target: np.ndarray
+    source: np.ndarray
+    values: np.ndarray
+    full_rows: np.ndarray
+    full_cols: np.ndarray
+    full_pair: np.ndarray
+
+
 def _block(q: int, parity: int | None, representatives: np.ndarray,
-           w: sparse.csr_matrix, bloch: sparse.csr_matrix,
-           contact: np.ndarray, *lines: np.ndarray) -> SectorBlock:
+           groups: _Orbits, members: np.ndarray,
+           entries: tuple[np.ndarray, np.ndarray, np.ndarray], width: int,
+           terms: _Terms, contact: np.ndarray,
+           *lines: np.ndarray) -> SectorBlock:
     """The block X = W^H T_q W, mirrored, with its contact energies
-    |W|^2 D, from the Bloch hop matrix T_q and the contact energies D of
-    the sector's representatives."""
-    m = w.shape[1]
-    upper = sparse.triu(w.conj().T @ bloch @ w, format="coo")
-    off = upper.row < upper.col
-    states = np.arange(m)
-    # Mirrored, both entries hold one value, so every block operator is
-    # exactly symmetric; the zeros store every diagonal position.
-    hop = sparse.csr_matrix(
-        (np.concatenate([upper.data, upper.data[off], np.zeros(m)]),
-         (np.concatenate([upper.row, upper.col[off], states]),
-          np.concatenate([upper.col, upper.row[off], states]))),
-        shape=(m, m))
-    diagonal = np.flatnonzero(np.repeat(states, np.diff(hop.indptr))
-                              == hop.indices)
-    interaction = abs(w).power(2).T @ contact
-    for arr in (representatives, hop.data, hop.indices, hop.indptr, diagonal,
-                interaction, *lines):
+    |W|^2 D.  ``entries`` gives W's entries (rows, columns, values); row
+    i is the Bloch state of the representative at position ``members[i]``
+    among all, with contact energy ``contact[i]``."""
+    rows, cols, values = entries
+    count, size = len(groups.lead), groups.size
+    group, slot = groups.group[members[rows]], groups.slot[members[rows]]
+    # W's columns follow its orbits' lowest representatives, at most two
+    # adjacent ones per orbit; ``small`` holds W's block of each orbit,
+    # one row per slot.
+    owner = np.empty(width, dtype=np.intp)
+    owner[cols] = group
+    wide = np.bincount(owner, minlength=count)
+    start = np.cumsum(wide) - wide
+    small = np.zeros((count * size, 2), dtype=complex)
+    small[group * size + slot, cols - start[group]] = values
+    *hop, diagonal = _mirrored_csr(_pair_sums(small, terms), terms, wide,
+                                   start)
+    interaction = np.bincount(cols, np.abs(values) ** 2 * contact[rows],
+                              width)
+    for arr in (representatives, *hop, diagonal, interaction, *lines):
         arr.setflags(write=False)
-    return SectorBlock(q, parity, representatives, hop, diagonal,
+    return SectorBlock(q, parity, representatives, CSRArrays(*hop), diagonal,
                        interaction, *lines)
+
+
+def _pair_sums(small: np.ndarray, terms: _Terms) -> np.ndarray:
+    """The 2 x 2 blocks of X = W^H T_q W of the upper pairs, as a (pairs,
+    2, 2) array, from W's blocks ``small``: each hop adds conj(W[target,
+    i]) * value * W[source, j] to entry (i, j) of its pair's block, in the
+    order of the hops, so the sums are the same on every run."""
+    conj_target = small[terms.target].conj()
+    weighted = terms.values[:, None] * small[terms.source]
+    x = np.empty((terms.pairs, 2, 2), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            part = conj_target[:, i] * weighted[:, j]
+            x[:, i, j].real = np.bincount(terms.pair, part.real, terms.pairs)
+            x[:, i, j].imag = np.bincount(terms.pair, part.imag, terms.pairs)
+    return x
+
+
+def _mirrored_csr(x: np.ndarray, terms: _Terms, wide: np.ndarray,
+                  start: np.ndarray) -> tuple[np.ndarray, ...]:
+    """X as (data, indices, indptr, diagonal), from the blocks ``x`` of
+    the upper pairs and the column count ``wide`` and first column
+    ``start`` of each orbit.
+
+    Each row of orbit A holds, pair by pair in column order, the row's
+    entries of the pair's block: ``length[A]`` in all.  A lower pair reads
+    its upper pair's block transposed, and a diagonal pair its upper
+    triangle, so both mirror entries hold one value.  Exact zeros are
+    left out, and every diagonal position is stored, an entry of -0.0 as
+    0.0.
+    """
+    rows, cols, pair = terms.full_rows, terms.full_cols, terms.full_pair
+    width = int(wide.sum())
+    per_row = wide[cols] * (wide[rows] > 0)
+    before = np.cumsum(per_row) - per_row
+    length = np.bincount(rows, per_row, len(wide)).astype(np.intp)
+    head = (np.cumsum(wide * length) - wide * length)[rows] + before \
+        - before[np.searchsorted(rows, rows)]
+    data = np.empty(int((wide * length).sum()), dtype=complex)
+    indices = np.empty(len(data), dtype=np.int32)
+    on = np.zeros(len(data), dtype=bool)
+    flat = x.reshape(-1)
+    for i in range(2):
+        for j in range(2):
+            valid = np.flatnonzero((i < wide[rows]) & (j < wide[cols]))
+            swap = rows[valid] > cols[valid]
+            if i > j:
+                swap |= rows[valid] == cols[valid]
+            at = head[valid] + i * length[rows[valid]] + j
+            data[at] = flat[4 * pair[valid] + np.where(swap, 2 * j + i,
+                                                       2 * i + j)]
+            indices[at] = start[cols[valid]] + j
+            if i == j:
+                on[at[rows[valid] == cols[valid]]] = True
+    row_length = np.repeat(length, wide)
+    stored = on | (data != 0)
+    if not stored.all():
+        data, indices, on = data[stored], indices[stored], on[stored]
+        row_length = np.add.reduceat(stored, np.cumsum(row_length)
+                                     - row_length)
+    data += 0.0
+    indptr = np.zeros(width + 1, dtype=np.int32)
+    np.cumsum(row_length, out=indptr[1:])
+    return data, indices, indptr, np.flatnonzero(on)

@@ -78,6 +78,7 @@ from .eigen import (
     _check_tolerances,
     _dense_levels,
     _krylov,
+    _lapack_provenance,
     _level_end,
     _level_stages,
 )
@@ -609,7 +610,8 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
     ConvergenceError it raised; the pass then finishes the rows.  The
     provenance's ``solver_summary`` counts the pass's block solves (main
     runs, a failed one left out), skipped blocks, and lock loops run and
-    skipped."""
+    skipped; its ``lapack`` names the LAPACK that the dense solves call
+    (:func:`~ringlat.eigen._lapack_provenance`)."""
     tally = Counter()
     _, row, points = grid = _grid_point(spec, workers, tol, degeneracy_tol,
                                         options, search, tally)
@@ -644,6 +646,7 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
             "blocks_skipped": tally["skipped"],
             "lock_loops_run": tally["locked"],
             "lock_loops_skipped": tally["lock skipped"]},
+        "lapack": _lapack_provenance(),
     }
     return SweepResult(spec=spec, rows=tuple(rows),
                        provenance=provenance), found

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -364,16 +365,21 @@ class TestConfigHandling:
         assert main(["spectrum", "--out", str(blocker)]) == 3
 
 
+def _run_fresh(code: str) -> str:
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports this checkout's ringlat."""
+    src = str(Path(ringlat.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True,
+                          timeout=300).stdout
+
+
 def _imported_after_start(module: str) -> bool:
     """Whether ``import ringlat, ringlat.cli`` imports ``module``."""
     code = ("import sys, ringlat, ringlat.cli; "
             f"print({module!r} in sys.modules)")
-    src = str(Path(ringlat.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True,
-                            timeout=120)
-    return result.stdout.strip() == "True"
+    return _run_fresh(code).strip() == "True"
 
 
 def test_import_leaves_scipy_optimize_out():
@@ -385,3 +391,79 @@ def test_import_leaves_arpack_out():
     # scipy.sparse.linalg (ARPACK) serves only the Krylov path; importing
     # it adds about 27 ms and 2 MB to every start.
     assert not _imported_after_start("scipy.sparse.linalg")
+
+
+def test_import_leaves_scipy_out():
+    # A dense grid point calls LAPACK through ctypes and builds its blocks
+    # in numpy, so starting the package imports no scipy module at all.
+    code = ("import sys, ringlat, ringlat.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_dense_calls_import_no_scipy(tmp_path):
+    # A sweep from the command line, a crossing search and a boundary
+    # search whose blocks are all dense never import scipy.
+    code = f"""
+import sys
+import ringlat
+from ringlat import cli
+assert cli.main(["sweep", "--sites", "8", "--species", "fermion",
+                 "--n-up", "2", "--n-down", "2", "--u", "4",
+                 "--omega-min", "0", "--omega-max", "40",
+                 "--omega-points", "41", "--out", {str(tmp_path)!r}]) == 0
+print(ringlat.find_crossings(ringlat.SweepSpec(
+    ringlat.make_ring(8), ringlat.Bosons(4, u=1.0),
+    ringlat.OmegaGrid(0.0, 8.0, 13), 1e-7)))
+ring = ringlat.make_ring(8)
+print(ringlat.fast_mode_boundary(ringlat.SweepSpec(
+    ring, ringlat.Fermions(2, 2),
+    ringlat.InteractionGrid(-23.0, -15.0, 3,
+                            omega=10 * ring.t / ring.k_factor),
+    bisection_tol=0.02)))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    lines = _run_fresh(code).strip().splitlines()
+    assert lines[-1] == "[]"
+    crossings = ast.literal_eval(lines[-3])
+    assert len(crossings) >= 1
+    assert (tmp_path / "sweep.csv").is_file()
+
+
+def test_krylov_run_still_works():
+    # The Krylov path imports ARPACK inside the functions that call it,
+    # and finds the dense path's levels.
+    code = """
+import sys
+import ringlat
+spec = ringlat.SweepSpec(ringlat.make_ring(6), ringlat.Fermions(2, 1, u=3.0),
+                         ringlat.OmegaGrid(0.0, 6.0, 3))
+krylov = ringlat.run(spec, options=ringlat.SolverOptions(dense_threshold=1))
+print("scipy.sparse.linalg" in sys.modules)
+print([row.ground_energy for row in krylov.rows])
+"""
+    imported, energies = _run_fresh(code).strip().splitlines()
+    assert imported == "True"
+    spec = ringlat.SweepSpec(ringlat.make_ring(6),
+                             ringlat.Fermions(2, 1, u=3.0),
+                             ringlat.OmegaGrid(0.0, 6.0, 3))
+    dense = [row.ground_energy for row in ringlat.run(spec).rows]
+    assert np.allclose(ast.literal_eval(energies), dense, rtol=0, atol=1e-9)
+
+
+def test_lapack_provenance_and_comment(tmp_path):
+    spec = ringlat.SweepSpec(ringlat.make_ring(6), ringlat.Fermions(1, 1),
+                             ringlat.OmegaGrid(0.0, 2.0, 2))
+    lapack = ringlat.run(spec).provenance["lapack"]
+    assert lapack == ringlat.eigen._lapack_provenance()
+    assert main(["sweep", "--sites", "6", "--species", "fermion",
+                 "--n-up", "1", "--n-down", "1", "--omega-min", "0",
+                 "--omega-max", "2", "--omega-points", "2",
+                 "--out", str(tmp_path)]) == 0
+    comments, _, _ = read_csv(tmp_path / "sweep.csv")
+    (line,) = [c for c in comments if c.startswith("# lapack: ")]
+    assert json.loads(line[len("# lapack: "):]) == lapack
+    assert lapack["library"] == "cython_lapack" or (
+        lapack["library"].startswith("libscipy_openblas")
+        and lapack["config"].startswith("OpenBLAS") and lapack["threads"] >= 1)

@@ -467,6 +467,136 @@ class TestCertificate:
         assert not eigen._certified_above(dense, -1e300)
 
 
+@pytest.fixture(params=["openblas", "cython_lapack"])
+def lapack_binding(request, monkeypatch):
+    """Each way the LAPACK routines are bound: from the OpenBLAS that the
+    scipy wheel ships, and from scipy's cython_lapack capsules, forced by
+    hiding that library."""
+    if request.param == "cython_lapack":
+        monkeypatch.setattr(eigen, "_bundled_openblas", lambda: None)
+    for cached in (eigen._lapack, eigen._evr_workspace, eigen._evr_plan):
+        cached.cache_clear()
+    yield request.param
+    for cached in (eigen._lapack, eigen._evr_workspace, eigen._evr_plan):
+        cached.cache_clear()
+
+
+def _random_hermitian(rng, n, complex_):
+    dense = rng.standard_normal((n, n))
+    if complex_:
+        dense = dense + 1j * rng.standard_normal((n, n))
+    return dense + dense.conj().T
+
+
+class TestLapackBinding:
+    def test_binding_is_the_one_forced(self, lapack_binding):
+        name = eigen._lapack().name
+        if lapack_binding == "cython_lapack":
+            assert name == "cython_lapack"
+        else:
+            assert name.startswith("libscipy_openblas")
+
+    @pytest.mark.parametrize("complex_", [False, True],
+                             ids=["dsyevr", "zheevr"])
+    def test_workspace_matches_scipy(self, lapack_binding, complex_):
+        from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
+
+        query = get_lapack_funcs("heevr_lwork" if complex_ else "syevr_lwork",
+                                 dtype=np.dtype(complex if complex_
+                                                else float))
+        for n in range(1, 65):
+            want = _compute_lwork(query, n=n, lower=1)
+            lwork, liwork, lrwork = eigen._evr_workspace(complex_, n)
+            assert (want == (lwork, lrwork, liwork) if complex_
+                    else want == (lwork, liwork))
+
+    @pytest.mark.parametrize("complex_", [False, True],
+                             ids=["dsyevr", "zheevr"])
+    def test_evr_matches_eigh_bit_for_bit(self, lapack_binding, complex_):
+        rng = np.random.default_rng(11)
+        for n in range(1, 65):
+            dense = _random_hermitian(rng, n, complex_)
+            for first, last in {(1, n), (1, min(2, n)), (n, n),
+                                (max(1, n // 3), max(1, n // 2))}:
+                assert _bits(*eigen._evr(dense, (first, last))) == _bits(
+                    *sla.eigh(dense, subset_by_index=(first - 1, last - 1),
+                              driver="evr"))
+            assert _bits(*eigen._evr(dense, None)) == _bits(
+                *sla.eigh(dense, driver="evr"))
+
+    def test_cholesky_matches_scipy_potrf(self, lapack_binding):
+        potrf = sla.get_lapack_funcs("potrf", dtype=np.dtype(float))
+        rng = np.random.default_rng(5)
+        outcomes = set()
+        for n in range(1, 41):
+            dense = _random_hermitian(rng, n, False)
+            lowest = np.linalg.eigvalsh(dense)[0]
+            for shift in (lowest - 1.0, lowest - 1e-9, lowest + 1e-9,
+                          lowest + 1.0):
+                shifted = dense - shift * np.eye(n)
+                factor, info = potrf(shifted.T.copy(order="F"), lower=1,
+                                     clean=0)
+                want = info == 0 and bool(np.isfinite(factor.diagonal()).all())
+                assert eigen._positive_definite(shifted.copy()) == want
+                outcomes.add(want)
+        assert outcomes == {False, True}
+
+    def test_certificate_decides_as_with_scipy_potrf(self, lapack_binding,
+                                                     monkeypatch):
+        potrf = sla.get_lapack_funcs("potrf", dtype=np.dtype(float))
+
+        def with_scipy(shifted):
+            factor, info = potrf(shifted.T, lower=1, overwrite_a=1, clean=0)
+            return info == 0 and bool(np.isfinite(factor.diagonal()).all())
+
+        rng = np.random.default_rng(8)
+        cases = []
+        for n in range(1, 41):
+            dense = _random_hermitian(rng, n, False)
+            lowest = np.linalg.eigvalsh(dense)[0]
+            cases += [(dense, lowest + offset)
+                      for offset in (-1.0, -1e-3, -1e-12, 0.0, 1e-3)]
+        got = [eigen._certified_above(dense, bound) for dense, bound in cases]
+        monkeypatch.setattr(eigen, "_positive_definite", with_scipy)
+        assert got == [eigen._certified_above(dense, bound)
+                       for dense, bound in cases]
+        assert set(got) == {False, True}
+
+    @pytest.mark.parametrize("shape,index", [
+        ((3, 3), (0, 1)), ((3, 3), (2, 1)), ((3, 3), (1, 4)),
+        ((3, 2), None)], ids=["first 0", "reversed", "past n", "not square"])
+    def test_bad_arguments_never_reach_lapack(self, shape, index):
+        with pytest.raises(ValueError, match="square array"):
+            eigen._evr(np.zeros(shape), index)
+
+    def test_cholesky_needs_a_square_float64_array(self):
+        with pytest.raises(ValueError, match="square float64"):
+            eigen._positive_definite(np.eye(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="square float64"):
+            eigen._positive_definite(np.zeros((2, 3)))
+
+    def test_threads_may_solve_at_once(self, lapack_binding):
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(2)
+        matrices = [_random_hermitian(rng, n, n % 2 == 1)
+                    for n in range(20, 60)]
+        want = [_bits(*eigen._evr(dense, (1, 2))) for dense in matrices]
+        with ThreadPoolExecutor(4) as pool:
+            got = list(pool.map(
+                lambda dense: _bits(*eigen._evr(dense, (1, 2))), matrices))
+        assert got == want
+
+    def test_provenance_names_the_library(self, lapack_binding):
+        info = eigen._lapack_provenance()
+        assert info["library"] == eigen._lapack().name
+        if lapack_binding == "openblas":
+            assert info["config"].startswith("OpenBLAS")
+            assert info["threads"] >= 1
+        else:
+            assert set(info) == {"library"}
+
+
 class TestGroundState:
     def test_exact_crossing_reports_both_sectors(self):
         base = make_ring(8)

@@ -29,7 +29,7 @@ from ringlat import (
 )
 from ringlat import cli, hamiltonian, sweep
 from ringlat.eigen import ConvergenceError
-from ringlat.hamiltonian import SectorBlock, sector_blocks
+from ringlat.hamiltonian import CSRArrays, SectorBlock, sector_blocks
 from ringlat.verify import _test_systems
 
 from conftest import omega_for
@@ -451,8 +451,8 @@ class TestDenseBlocks:
 
 def _one_state_block(contact: float) -> SectorBlock:
     """A block of one state with no hop and contact energy ``contact``."""
-    hop = scipy.sparse.csr_matrix((np.zeros(1), np.zeros(1, dtype=int),
-                                   np.array([0, 1])), shape=(1, 1))
+    hop = CSRArrays(np.zeros(1, dtype=complex), np.zeros(1, dtype=np.int32),
+                    np.array([0, 1], dtype=np.int32))
     return SectorBlock(0, None, np.zeros(1, dtype=int), hop, np.zeros(1, int),
                        np.array([contact]), np.zeros(1), np.zeros(1))
 
@@ -1273,7 +1273,8 @@ class TestSharedBlocks:
 
         def content(blocks):
             return [(block.q, block.representatives.tolist(),
-                     block.hop.toarray().tolist(), block.interaction.tolist())
+                     [array.tolist() for array in block.hop],
+                     block.interaction.tolist())
                     for block in blocks]
 
         for n_sites, species in (first, second, first, second):
