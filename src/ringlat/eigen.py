@@ -27,6 +27,16 @@ scipy, with the arguments of scipy's own wrappers, so every result is
 bit for bit that of ``scipy.linalg.eigh(..., driver="evr")`` and of
 scipy's ``potrf``.  A dense solve therefore imports no scipy module; only
 the Krylov path imports ARPACK, inside the functions that call it.
+
+For a real symmetric operator the Krylov path runs ARPACK's reverse
+communication loop itself (:func:`_symmetric_lanczos`), calling the
+``dsaupd``/``dseupd`` wrappers that ``eigsh`` calls with the state it
+sets up, and forms each product with scipy's ``csr_matvec`` in ARPACK's
+work array, so each run is bit for bit that of ``eigsh(which="SA")``
+with none of its Python per product.  The lock loop keeps the pairs found
+as they are when the complement's lowest pair lies above the k-th level,
+its usual exit, so unless it finds a missed copy a main run's theta_1 is
+also the solve's.
 """
 
 from __future__ import annotations
@@ -284,7 +294,7 @@ def _level_stages(op: HermitianOperator, k: int, tol: float,
     _check_finite(op.matrix.data)
     rng = np.random.default_rng(options.seed)
     values, vectors = _rayleigh_ritz(
-        op, _arpack_lowest(op.matrix, k, tol, options, rng))
+        op, _arpack_lowest(op.matrix, k, tol, options, rng)[1])
     yield values, vectors, _residuals(op.matrix, values, vectors, tol), False
     values, vectors = _lock_loop(op, values, vectors, k, tol, degeneracy_tol,
                                  options, rng)
@@ -526,35 +536,149 @@ def _evr_layout(complex_: bool, sizes: tuple[int, int, int],
 
 
 def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Ritz vectors of the k lowest eigenvalues.
+                   rng: np.random.Generator, product=None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Ritz values and vectors of the k lowest eigenvalues of the CSR
+    ``matrix``, or of the operator of the same shape and type whose
+    ``product(x, y)`` writes its product with x into y.
 
-    A real symmetric matrix goes through ``eigsh`` (symmetric Lanczos).
-    ``eigsh`` hands complex Hermitian matrices to ``eigs`` without the
-    generator, so those call ``eigs`` directly to keep the restart vectors
-    seeded.
+    A real symmetric operator runs ARPACK's symmetric Lanczos in this
+    module's own reverse-communication loop (:func:`_symmetric_lanczos`),
+    with the arguments that ``eigsh(which="SA", v0=..., rng=...)`` passes,
+    so its results are bit for bit those of ``eigsh``.  ``eigsh`` hands
+    complex Hermitian operators to ``eigs`` without the generator, so those
+    call ``eigs`` directly to keep the restart vectors seeded.
     """
-    # Imported here, not at module level: only the Krylov path needs ARPACK,
-    # and the import costs every start of the package.
-    from scipy.sparse.linalg import ArpackNoConvergence, eigs, eigsh
-
     n = matrix.shape[0]
     ncv = min(n, max(options.max_krylov, 2 * k + 1))
+    maxiter, arpack_tol = options.max_restarts + 1, tol * _ARPACK_TOL_FACTOR
+    product = product or _csr_product(matrix)
     if np.dtype(matrix.dtype).kind == "f":
-        solve, which, start = eigsh, "SA", rng.standard_normal(n)
+        values, vectors = _symmetric_lanczos(
+            product, k, rng.standard_normal(n), rng, ncv, maxiter, arpack_tol)
     else:
-        solve, which = eigs, "SR"
+        # Imported here, not at module level: only the Krylov path needs
+        # ARPACK, and the import costs every start of the package.
+        from scipy.sparse.linalg import (
+            ArpackNoConvergence,
+            LinearOperator,
+            eigs,
+        )
+
+        def matvec(x: np.ndarray) -> np.ndarray:
+            y = np.empty(n, dtype=matrix.dtype)
+            product(x.ravel(), y)
+            return y
+
         start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    try:
-        _, vectors = solve(matrix, k, which=which, v0=start, rng=rng,
-                           ncv=ncv, maxiter=options.max_restarts + 1,
-                           tol=tol * _ARPACK_TOL_FACTOR)
-    except ArpackNoConvergence as error:
+        try:
+            values, vectors = eigs(
+                LinearOperator(matrix.shape, matvec, dtype=matrix.dtype), k,
+                which="SR", v0=start, rng=rng, ncv=ncv, maxiter=maxiter,
+                tol=arpack_tol)
+        except ArpackNoConvergence as error:
+            values, vectors = error.eigenvalues, error.eigenvectors
+    if len(values) < k:
         raise ConvergenceError(
-            f"ARPACK brought {len(error.eigenvalues)}/{k} eigenpairs under "
-            f"residual tol {tol * _ARPACK_TOL_FACTOR:.3e} in "
-            f"{options.max_restarts + 1} iterations with ncv {ncv}") from None
-    return vectors
+            f"ARPACK brought {len(values)}/{k} eigenpairs under residual tol "
+            f"{arpack_tol:.3e} in {maxiter} iterations with ncv {ncv}")
+    return values, vectors
+
+
+def _csr_product(matrix):
+    """``product(x, y)``, which writes the product of the CSR ``matrix``
+    with x into y: scipy's ``csr_matvec`` adds each row's terms in order
+    to zero, the sum that ``matrix @ x`` computes."""
+    from scipy.sparse import _sparsetools
+
+    shape, arrays = matrix.shape, (matrix.indptr, matrix.indices, matrix.data)
+
+    def product(x: np.ndarray, y: np.ndarray) -> None:
+        y.fill(0.0)
+        _sparsetools.csr_matvec(*shape, *arrays, x, y)
+
+    return product
+
+
+@functools.cache
+def _arpack_routines():
+    """ARPACK's ``dsaupd`` and ``dseupd`` as scipy wraps them for
+    ``eigsh``: private routines, so a scipy without them fails here, on
+    first use, by name."""
+    from scipy.sparse.linalg._eigen.arpack import _arpacklib
+
+    routines = []
+    for name in ("dsaupd_wrap", "dseupd_wrap"):
+        routine = getattr(_arpacklib, name, None)
+        if routine is None:
+            raise ImportError(f"{_arpacklib.__name__} has no {name}, which "
+                              f"the Krylov path of a real operator calls")
+        routines.append(routine)
+    return tuple(routines)
+
+
+# The ARPACK state that scipy's _SymmetricArpackParams sets up for eigsh
+# in mode 1 (A x = lambda x) with bmat "I" and which "SA" (7), before the
+# sizes and tolerances of a run; every other counter starts at zero.
+_SAUPD_STATE = {
+    "which": 7, "bmat": 0, "mode": 1, "shift": 1,
+    **dict.fromkeys(("getv0_rnorm0", "aitr_betaj", "aitr_rnorm1",
+                     "aitr_wnorm", "aup2_rnorm"), 0.0),
+    **dict.fromkeys(("ido", "iter", "nconv", "np", "getv0_first",
+                     "getv0_iter", "getv0_itry", "getv0_orth", "aitr_iter",
+                     "aitr_j", "aitr_orth1", "aitr_orth2", "aitr_restart",
+                     "aitr_step3", "aitr_step4", "aitr_ierr", "aup2_initv",
+                     "aup2_iter", "aup2_getv0", "aup2_cnorm", "aup2_kplusp",
+                     "aup2_nev", "aup2_nev0", "aup2_np0", "aup2_numcnv",
+                     "aup2_update", "aup2_ushift"), 0),
+}
+
+
+def _symmetric_lanczos(product, k: int, start: np.ndarray,
+                       rng: np.random.Generator, ncv: int, maxiter: int,
+                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The k lowest Ritz pairs of the real symmetric operator whose
+    ``product(x, y)`` writes its product with x into y, from ARPACK's
+    implicitly restarted Lanczos run by reverse communication (Lehoucq,
+    Sorensen & Yang, *ARPACK Users' Guide*, SIAM 1998, sec. 2.3) from
+    ``start``: the loop of scipy's ``eigsh(which="SA")``, with its state,
+    work arrays and restart vectors from ``rng``, so the pairs are bit for
+    bit those of ``eigsh``.  Fewer than k pairs come back where ARPACK did
+    not converge in ``maxiter`` iterations."""
+    saupd, seupd = _arpack_routines()
+    n = len(start)
+    state = {**_SAUPD_STATE, "tol": tol, "info": 1, "maxiter": maxiter,
+             "n": n, "ncv": ncv, "nev": k}
+    resid, v = np.array(start, dtype=float), np.zeros((n, ncv))
+    workd, workl = np.zeros(3 * n), np.zeros(ncv * (ncv + 8))
+    ipntr = np.zeros(11, dtype=np.int32)
+    while True:
+        saupd(state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        if ido == 1 or ido == 5:
+            x, y = ipntr[0], ipntr[1]
+            product(workd[x:x + n], workd[y:y + n])
+        elif ido == 2:
+            x, y = ipntr[0], ipntr[1]
+            workd[y:y + n] = workd[x:x + n]
+        elif ido == 4:
+            resid[:] = rng.uniform(-1.0, 1.0, n)
+        else:
+            break
+    info = state["info"]
+    if info not in (0, 1):
+        raise ConvergenceError(f"ARPACK dsaupd failed with info {info}")
+    values, vectors = np.zeros(k), np.zeros((n, ncv), order="F")
+    state["info"] = 0
+    seupd(state, True, 0, np.zeros(ncv, dtype=np.int32), values, vectors,
+          0.0, resid, v, ipntr, workd, workl)
+    if state["info"] != 0:
+        if info == 1:
+            return values[:0], vectors[:, :0]
+        raise ConvergenceError(f"ARPACK dseupd failed with info "
+                               f"{state['info']}")
+    found = state["nconv"]
+    return values[:found], vectors[:, :found].copy(order="C")
 
 
 def _rayleigh_ritz(op: HermitianOperator,
@@ -576,30 +700,32 @@ def _lock_loop(op: HermitianOperator, values: np.ndarray,
                options: SolverOptions, rng: np.random.Generator
                ) -> tuple[np.ndarray, np.ndarray]:
     """The Ritz pairs of the main run, with every missed copy of the k-th
-    level and the next pair above it added."""
-    from scipy.sparse.linalg import LinearOperator
-
+    level and the next pair above it added.  The pairs found are kept as
+    they are unless a missed copy joins them."""
     # ARPACK can skip copies of a degenerate level.  Lock the pairs found by
     # shifting them above the spectrum (H + s*V*V^H; 2*max|row sum| bounds
-    # the spread) and add the lowest pair of the rest until it lies above
-    # the k-th level: that last pair is the next one.
+    # the spread) and take the lowest pair of the rest.  A copy of a level
+    # up to the k-th is added by Rayleigh-Ritz, and the loop goes on; a
+    # pair above the k-th level is the next one, inserted in order.
     shift = 1.0 + 2.0 * float(abs(op.matrix).sum(axis=1).max())
+    multiply = _csr_product(op.matrix)
     while len(values) < op.dimension:
         top = values[_level_end(values, k, degeneracy_tol) - 1]
         locked, locked_conj = vectors, vectors.conj()
 
-        def matvec(v: np.ndarray) -> np.ndarray:
-            v = v.ravel()
-            return op.matrix @ v + shift * np.einsum(
-                "ij,j->i", locked, np.einsum("ij,i->j", locked_conj, v))
+        def product(x: np.ndarray, y: np.ndarray) -> None:
+            multiply(x, y)
+            y += shift * np.einsum("ij,j->i", locked,
+                                   np.einsum("ij,i->j", locked_conj, x))
 
-        complement = LinearOperator(op.matrix.shape, matvec,
-                                    dtype=op.matrix.dtype)
-        extra = _arpack_lowest(complement, 1, tol, options, rng)[:, 0]
+        _, found = _arpack_lowest(op.matrix, 1, tol, options, rng, product)
+        extra = found[:, 0]
         value = np.vdot(extra, op.matrix @ extra).real
-        values, vectors = _rayleigh_ritz(op, np.column_stack([locked, extra]))
         if value >= top + degeneracy_tol:
-            break
+            at = int(np.searchsorted(values, value))
+            return (np.insert(values, at, value),
+                    np.insert(vectors, at, extra, axis=1))
+        values, vectors = _rayleigh_ritz(op, np.column_stack([locked, extra]))
     return values, vectors
 
 

@@ -28,8 +28,10 @@ matrix at any point is one complex product and its current one quadratic
 form (:class:`~ringlat.hamiltonian.SectorBlock`).  A Krylov block is
 solved in two stages, its main ARPACK run and then its lock loop, and
 the second stage is screened by the same rule, with the first stage's
-theta_1 - r_1 as the bound (see :func:`_solve`).  Rows and labels are
-those of a solve of every block.  Points run serially (``workers`` is
+theta_1 - r_1 as the bound; a row also keeps a block without its lock
+loop, on its stage-1 pair, where that bound lies above the ground
+multiplet's reach (see :func:`_solve`).  Rows and labels are those of a
+solve of every block.  Points run serially (``workers`` is
 recorded only for compatibility), in order of the control value, so a
 sweep with the same spec is reproducible bit for bit; a failed point is
 recorded in its row.
@@ -316,10 +318,16 @@ def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
     solved.  There it is skipped in turn, unless a level solved meanwhile
     has raised the limit to it; then it is tried again.  Since the bounds
     ascend, every item after the first skipped one is skipped too.
-    ``record(i, bound, outcome)`` receives each solved block's lowest level
-    minus its residual, with outcome "solved" (one stage) or "locked"
-    (lock loop run), and each skipped item's bound, with outcome "skipped"
-    (block not solved) or "lock skipped" (main run only).
+    A Krylov item that a row (``levels`` = 2) does not skip, but whose
+    bound lies above the reach of the ground multiplet alone, joins the
+    result with its stage-1 pair, and its lock loop is skipped.  The
+    bounds ascend, so every level below its bound is final: no level of
+    its block could join the ground multiplet, and a copy of theta_1 or a
+    higher level could not lower the second level.  ``record(i, bound,
+    outcome)`` receives each solved block's lowest level minus its
+    residual, with outcome "solved" (one stage) or "locked" (lock loop
+    run), and each skipped item's bound, with outcome "skipped" (block not
+    solved) or "lock skipped" (main run only, kept or left out).
     """
     amp = hopping_amplitude(ring)
     solved = dict(known or {})
@@ -330,28 +338,38 @@ def _solve(blocks: tuple[SectorBlock, ...], among: Iterable[int],
     heapq.heapify(queue)
     reach = _reach(values, degeneracy_tol, tol, levels)
     while queue:
-        bound, i, stages = heapq.heappop(queue)
+        bound, i, first = heapq.heappop(queue)
         if floors is not None and bound > reach:
-            record(i, bound, "skipped" if stages is None else "lock skipped")
+            record(i, bound, "skipped" if first is None else "lock skipped")
             continue
-        locking = stages is not None
-        if stages is None:
+        if first is not None:
+            stages, found, vectors = first
+            if (floors is not None and levels == 2
+                    and bound > _reach(values, degeneracy_tol, tol, 1)):
+                # No level of the block can join the ground multiplet, and
+                # every level below ``bound`` is final, so theta_1 is the
+                # one level of the block that the row can read.
+                record(i, bound, "lock skipped")
+            else:
+                found, vectors, residuals, _ = next(stages)
+                record(i, float(found[0] - residuals[0]), "locked")
+        else:
             above = (math.inf if floors is None
                      else math.nextafter(reach, math.inf))
             stages = _block_stages(blocks[i], amp, u, tol, degeneracy_tol,
                                    options, above)
-        stage = next(stages, None)
-        if stage is None:
-            # Certified above ``above``: the block waits there, skipped
-            # unless a level solved later raises the reach to it.
-            heapq.heappush(queue, (above, i, None))
-            continue
-        found, vectors, residuals, final = stage
-        low = float(found[0] - residuals[0])
-        if not final:
-            heapq.heappush(queue, (low, i, stages))
-            continue
-        record(i, low, "locked" if locking else "solved")
+            stage = next(stages, None)
+            if stage is None:
+                # Certified above ``above``: the block waits there, skipped
+                # unless a level solved later raises the reach to it.
+                heapq.heappush(queue, (above, i, None))
+                continue
+            found, vectors, residuals, final = stage
+            low = float(found[0] - residuals[0])
+            if not final:
+                heapq.heappush(queue, (low, i, (stages, found, vectors)))
+                continue
+            record(i, low, "solved")
         solved[i] = (blocks[i], found, vectors)
         values = np.sort(np.concatenate([values, found]))
         reach = _reach(values, degeneracy_tol, tol, levels)

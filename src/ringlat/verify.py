@@ -26,7 +26,14 @@ from .basis import (
     sector_of_state,
     translation_orbits,
 )
-from .eigen import DEFAULT_OPTIONS, DEGENERACY_TOL, SolverOptions, lowest_k
+from .eigen import (
+    DEFAULT_OPTIONS,
+    DEGENERACY_TOL,
+    SolverOptions,
+    _evr,
+    _level_stages,
+    lowest_k,
+)
 from .hamiltonian import (
     SectorBlock,
     build_operator,
@@ -549,6 +556,41 @@ def check_screening_bounds() -> CheckResult:
                    detail=f"smallest slack {slack:.3e}")
 
 
+def check_stage_one_bounds() -> CheckResult:
+    """A Krylov block's main run must bound the block's lowest level from
+    below: its theta_1 - r_1 (stage 1 of
+    :func:`~ringlat.eigen._level_stages`) must lie at or below lambda_1
+    (dense ``dsyevr``), as it does when the eigenvalue within r_1 of
+    theta_1 is lambda_1.  :func:`~ringlat.sweep._solve` skips a lock loop,
+    or keeps a block without one, on that bound.  The blocks are every
+    block of 2+2 fermions on 8 sites, forced onto the Krylov path, at u = 0
+    and 4 and omega = 0, 1 and 6, and the five blocks of 3+3 fermions on 10
+    sites with the lowest plane-wave floors at omega = 3 and u = 4.  The
+    deviation is max(0, theta_1 - r_1 - lambda_1); the detail gives the
+    least margin lambda_1 - (theta_1 - r_1).
+    """
+    forced = SolverOptions(dense_threshold=1)
+    cases = [(_system_blocks(8, Fermions(2, 2)), make_ring(8, omega=omega),
+              u, forced) for u in (0.0, 4.0) for omega in (0.0, 1.0, 6.0)]
+    ring, blocks = make_ring(10, omega=3.0), _system_blocks(10, Fermions(3, 3))
+    floors = _plane_wave_floors(blocks, 6)(ring, 4.0)
+    lowest = tuple(blocks[i] for i in np.argsort(floors, kind="stable")[:5])
+    cases.append((lowest, ring, 4.0, DEFAULT_OPTIONS))
+    margins = []
+    for blocks, ring, u, options in cases:
+        amp = hopping_amplitude(ring)
+        for block in blocks:
+            op = block.operator(amp, u)
+            values, _, residuals, _ = next(_level_stages(
+                op, 1, 1e-10, DEGENERACY_TOL, options))
+            exact = _evr(op.to_dense(), (1, 1))[0][0]
+            margins.append(float(exact - (values[0] - residuals[0])))
+    slack = min(margins)
+    return _result("stage_one_bounds", max(0.0, -slack), 1e-10,
+                   detail=f"{len(margins)} blocks, smallest margin "
+                          f"{slack:.3e}")
+
+
 def check_plane_wave_floors() -> CheckResult:
     """Without interaction each sector block is diagonal in its plane-wave
     configurations, so its lowest level must equal its plane-wave floor
@@ -717,6 +759,7 @@ ALL_CHECKS: tuple[Callable[[], CheckResult], ...] = (
     check_twist_degeneracy_crossings,
     check_screening_bounds,
     check_plane_wave_floors,
+    check_stage_one_bounds,
     check_screened_search,
     check_dense_certificates,
     check_determinism,

@@ -293,6 +293,72 @@ class TestLevelStages:
             assert np.array_equal(a, b)
 
 
+def _random_symmetric(n, seed):
+    """A seeded real symmetric CSR matrix with about eight entries a row."""
+    import scipy.sparse as sparse
+
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, n, 4 * n)
+    cols = rng.integers(0, n, 4 * n)
+    upper = sparse.coo_matrix((rng.standard_normal(4 * n), (rows, cols)),
+                              shape=(n, n))
+    return sparse.csr_matrix(upper + upper.T
+                             + sparse.diags(rng.standard_normal(n)))
+
+
+class TestArpackDriver:
+    @pytest.mark.parametrize("n", [30, 300, 720])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_eigsh_bit_for_bit(self, n, k):
+        from scipy.sparse.linalg import eigsh
+
+        matrix = _random_symmetric(n, 100 * n + k)
+        options = SolverOptions()
+        ncv = min(n, max(options.max_krylov, 2 * k + 1))
+        ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+        got = eigen._arpack_lowest(matrix, k, 1e-10, options, ours)
+        want = eigsh(matrix, k, which="SA", v0=theirs.standard_normal(n),
+                     rng=theirs, ncv=ncv, maxiter=options.max_restarts + 1,
+                     tol=1e-10 * eigen._ARPACK_TOL_FACTOR)
+        assert _bits(*got) == _bits(*want)
+        # Both drew the same restart vectors from their generators.
+        assert ours.random() == theirs.random()
+
+    def test_one_iteration_raises_with_diagnostics(self):
+        op = _block_operator(make_ring(8, omega=0.7), Fermions(2, 2, u=4.0),
+                             (2, 1))
+        cramped = SolverOptions(dense_threshold=1, max_krylov=3,
+                                max_restarts=0)
+        with pytest.raises(ConvergenceError,
+                           match=r"^ARPACK brought \d/1 eigenpairs under "
+                                 r"residual tol 1\.000e-14 in 1 iterations"):
+            lowest_k(op, 1, tol=1e-12, options=cramped)
+
+    def test_missing_routine_is_named(self, monkeypatch):
+        from scipy.sparse.linalg._eigen.arpack import _arpacklib
+
+        op = _block_operator(make_ring(8), Fermions(2, 2, u=4.0), (0, 1))
+        monkeypatch.delattr(_arpacklib, "dseupd_wrap")
+        eigen._arpack_routines.cache_clear()
+        with pytest.raises(ImportError, match="dseupd_wrap"):
+            lowest_k(op, 1, options=FORCE_KRYLOV)
+
+    def test_krylov_sweep_builds_no_linear_operator(self, monkeypatch):
+        from scipy.sparse.linalg import LinearOperator
+
+        from ringlat import OmegaGrid, SweepSpec, run
+
+        def refused(self, *args, **kwargs):
+            raise AssertionError("a LinearOperator was built")
+
+        monkeypatch.setattr(LinearOperator, "__init__", refused)
+        spec = SweepSpec(make_ring(10), Fermions(3, 3, u=4.0),
+                         OmegaGrid(3.0, 3.5, 2))
+        result = run(spec)
+        assert not any(row.failed for row in result.rows)
+        assert result.provenance["solver_summary"]["lock_loops_run"] > 0
+
+
 def _eigh_lowest(dense, k, degeneracy_tol):
     """The dense solve through ``scipy.linalg.eigh``: the k + 1 lowest
     pairs, or all of them where the (k+1)-th lies within

@@ -638,20 +638,28 @@ class TestLockLoopScreen:
     def test_skipped_lock_loops_were_out_of_reach(self, spec, options,
                                                   monkeypatch):
         # Stage 2 is skipped only where theta_1 - r_1 of stage 1 lies above
-        # the second level and the top of the ground multiplet by more
-        # than degeneracy_tol plus tol * max(1, |limit|).
+        # the top of the ground multiplet by more than degeneracy_tol plus
+        # tol * max(1, |top|).  A block left out lies above the second
+        # level by as much too; a block kept holds only its stage-1 pair.
         calls = _record_stages(monkeypatch)
         run(spec, options=options)
         firsts = sum(len(first) for _, first, _ in calls)
         seconds = sum(len(second) for *_, second in calls)
         assert 0 < seconds < firsts
+        kept = 0
         for solved, first, second in calls:
             values, _ = sweep._ground(solved, 1e-8)
-            limit = max(values[1],
-                        values[sweep._level_end(values, 1, 1e-8) - 1])
+            top = values[sweep._level_end(values, 1, 1e-8) - 1]
+            limit = max(values[1], top)
             for key in first.keys() - second:
-                assert key not in solved
-                assert first[key] > limit + 1e-8 + 1e-10 * max(1.0, abs(limit))
+                if key in solved:
+                    kept += 1
+                    assert first[key] > top + 1e-8 + 1e-10 * max(1.0, abs(top))
+                    assert len(solved[key][1]) == solved[key][2].shape[1] == 1
+                else:
+                    assert first[key] > limit + 1e-8 + 1e-10 * max(1.0,
+                                                                   abs(limit))
+        assert kept > 0
 
 
 def _record_solves(monkeypatch) -> list:
@@ -1164,7 +1172,7 @@ class TestSolverSummary:
 
     @pytest.mark.parametrize("grid,options,want", [
         (OmegaGrid(0.0, 40.0, 41), sweep.DEFAULT_OPTIONS, (93, 563, 0, 0)),
-        (OmegaGrid(0.0, 40.0, 9), FORCE_KRYLOV, (30, 114, 19, 11)),
+        (OmegaGrid(0.0, 40.0, 9), FORCE_KRYLOV, (30, 114, 9, 21)),
     ], ids=["dense", "krylov"])
     def test_row_screen_counts_are_pinned(self, grid, options, want):
         # The counts above only agree with the solves made; these pin how

@@ -15,6 +15,7 @@ from ringlat.verify import (
     check_sector_labels,
     check_spectrum_vs_diagonalization,
     check_spin_flip,
+    check_stage_one_bounds,
     check_translation_commutation,
     check_twist_current_identity,
     check_twist_degeneracy_crossings,
@@ -166,3 +167,18 @@ def test_certificates_that_never_hold_fail_the_check(monkeypatch):
     result = check_dense_certificates()
     assert not result.passed
     assert result.detail == "no certificate held"
+
+
+def test_stage_one_bound_above_the_level_is_caught(monkeypatch):
+    # A main run whose theta_1 - r_1 lies 1e-6 above the lowest level, as
+    # a loosely converged Ritz vector along the second eigenvector would.
+    stages = verify._level_stages
+
+    def raised(*args):
+        for values, vectors, residuals, final in stages(*args):
+            yield values + 1e-6, vectors, residuals, final
+
+    monkeypatch.setattr(verify, "_level_stages", raised)
+    result = check_stage_one_bounds()
+    assert not result.passed
+    assert result.max_deviation > 0.9e-6
