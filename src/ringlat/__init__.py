@@ -42,6 +42,7 @@ from .eigen import (
     lowest_k,
 )
 from .hamiltonian import (
+    DenseMemoryError,
     HermitianOperator,
     build_boson,
     build_fermion,
@@ -84,6 +85,7 @@ __all__ = [
     "ContinuumSpec",
     "ConvergenceError",
     "CurrentReport",
+    "DenseMemoryError",
     "DomainError",
     "EigenResult",
     "FermionFockState",

@@ -25,15 +25,18 @@ The three LAPACK routines are called through ctypes (:func:`_lapack`),
 in the OpenBLAS that the scipy wheel ships, found without importing
 scipy, with the arguments of scipy's own wrappers, so every result is
 bit for bit that of ``scipy.linalg.eigh(..., driver="evr")`` and of
-scipy's ``potrf``.  A dense solve therefore imports no scipy module; only
-the Krylov path imports ARPACK, inside the functions that call it.
+scipy's ``potrf``.  A dense solve therefore imports no scipy module.
 
 For a real symmetric operator the Krylov path runs ARPACK's reverse
 communication loop itself (:func:`_symmetric_lanczos`), calling the
 ``dsaupd``/``dseupd`` wrappers that ``eigsh`` calls with the state it
 sets up, and forms each product with scipy's ``csr_matvec`` in ARPACK's
 work array, so each run is bit for bit that of ``eigsh(which="SA")``
-with none of its Python per product.  The lock loop keeps the pairs found
+with none of its Python per product.  Both come from their extension
+modules, loaded by file (:func:`_scipy_extension`), so a sector block's
+Krylov solve imports no scipy package either; a complex Hermitian
+operator goes through ``scipy.sparse.linalg.eigs``, imported inside the
+function that calls it.  The lock loop keeps the pairs found
 as they are when the complement's lowest pair lies above the k-th level,
 its usual exit, so unless it finds a missed copy a main run's theta_1 is
 also the solve's.
@@ -43,10 +46,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import importlib.machinery
 import importlib.util
 import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
@@ -54,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hamiltonian import DENSE_THRESHOLD, HermitianOperator
-from .model import DomainError
+from .model import ConvergenceError, DomainError
 
 DEGENERACY_TOL = 1e-8
 KRYLOV_SEED = 7
@@ -84,14 +89,22 @@ class _Lapack(NamedTuple):
 _ROUTINES = {"dsyevr": (3, 18), "zheevr": (3, 20), "dpotrf": (1, 4)}
 
 
+def _scipy_directory() -> Path | None:
+    """The directory of the scipy package, found without importing it;
+    None where scipy is not installed."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    return Path(next(iter(spec.submodule_search_locations)))
+
+
 def _bundled_openblas() -> Path | None:
     """The OpenBLAS that the scipy wheel ships (``scipy.libs`` on Linux
     and Windows, ``scipy/.dylibs`` on macOS), found without importing
     scipy; None where scipy links another LAPACK."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
+    package = _scipy_directory()
+    if package is None:
         return None
-    package = Path(next(iter(spec.submodule_search_locations)))
     found = sorted([*package.parent.glob("scipy.libs/libscipy_openblas*"),
                     *package.glob(".dylibs/libscipy_openblas*")])
     return found[0] if found else None
@@ -174,10 +187,6 @@ def _lapack_provenance() -> dict:
             threads.argtypes, threads.restype = [], ctypes.c_int
             info["threads"] = int(threads())
     return info
-
-
-class ConvergenceError(RuntimeError):
-    """The iterative solver failed to converge; carries diagnostics."""
 
 
 @dataclass(frozen=True)
@@ -539,7 +548,8 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
                    rng: np.random.Generator, product=None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and vectors of the k lowest eigenvalues of the CSR
-    ``matrix``, or of the operator of the same shape and type whose
+    ``matrix`` (:class:`~ringlat.hamiltonian.CSRArrays` or a scipy CSR
+    matrix), or of the operator of the same shape and type whose
     ``product(x, y)`` writes its product with x into y.
 
     A real symmetric operator runs ARPACK's symmetric Lanczos in this
@@ -557,8 +567,9 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
         values, vectors = _symmetric_lanczos(
             product, k, rng.standard_normal(n), rng, ncv, maxiter, arpack_tol)
     else:
-        # Imported here, not at module level: only the Krylov path needs
-        # ARPACK, and the import costs every start of the package.
+        # Imported here, not at module level: only a complex operator's
+        # Krylov solve needs it, and the import of scipy.sparse.linalg
+        # takes about 0.25 s and 29 MB.
         from scipy.sparse.linalg import (
             ArpackNoConvergence,
             LinearOperator,
@@ -587,17 +598,50 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
 
 def _csr_product(matrix):
     """``product(x, y)``, which writes the product of the CSR ``matrix``
-    with x into y: scipy's ``csr_matvec`` adds each row's terms in order
-    to zero, the sum that ``matrix @ x`` computes."""
-    from scipy.sparse import _sparsetools
-
+    (a :class:`~ringlat.hamiltonian.CSRArrays` or a scipy CSR matrix) with
+    x into y: scipy's ``csr_matvec`` adds each row's terms in order to
+    zero, the sum that ``matrix @ x`` computes."""
+    matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec
     shape, arrays = matrix.shape, (matrix.indptr, matrix.indices, matrix.data)
 
     def product(x: np.ndarray, y: np.ndarray) -> None:
         y.fill(0.0)
-        _sparsetools.csr_matvec(*shape, *arrays, x, y)
+        matvec(*shape, *arrays, x, y)
 
     return product
+
+
+# The scipy extension modules that _scipy_extension loaded by file.
+_EXTENSIONS = {}
+
+
+def _scipy_extension(name: str):
+    """The scipy extension module ``name`` (a dotted name under
+    ``scipy``), loaded from its file without running the ``__init__`` of
+    any scipy package: ``scipy.sparse.linalg`` alone imports about 150
+    modules.  A module that ``sys.modules`` holds already is returned as
+    it is.  One loaded here is kept here and left out of ``sys.modules``
+    (a module of single-phase initialization enters itself there, and is
+    taken out), so that a later import of its package imports it and
+    binds it to the package as usual.  Where no such file lies under the
+    directory that ``find_spec("scipy")`` reports, the module is imported
+    as usual."""
+    module = sys.modules.get(name) or _EXTENSIONS.get(name)
+    if module is not None:
+        return module
+    package = _scipy_directory()
+    if package is not None:
+        stem = package.joinpath(*name.split(".")[1:])
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = stem.with_name(stem.name + suffix)
+            if path.is_file():
+                found = importlib.util.spec_from_file_location(name, path)
+                module = importlib.util.module_from_spec(found)
+                found.loader.exec_module(module)
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
+                return _EXTENSIONS.setdefault(name, module)
+    return importlib.import_module(name)
 
 
 @functools.cache
@@ -605,8 +649,8 @@ def _arpack_routines():
     """ARPACK's ``dsaupd`` and ``dseupd`` as scipy wraps them for
     ``eigsh``: private routines, so a scipy without them fails here, on
     first use, by name."""
-    from scipy.sparse.linalg._eigen.arpack import _arpacklib
-
+    _arpacklib = _scipy_extension(
+        "scipy.sparse.linalg._eigen.arpack._arpacklib")
     routines = []
     for name in ("dsaupd_wrap", "dseupd_wrap"):
         routine = getattr(_arpacklib, name, None)
@@ -695,6 +739,18 @@ def _rayleigh_ritz(op: HermitianOperator,
     return values, basis @ rotation
 
 
+def _absolute_row_sums(matrix) -> np.ndarray:
+    """The sum of |entries| of each row of the CSR ``matrix``, bit for bit
+    scipy's ``abs(matrix).sum(axis=1)``: ``np.add.reduceat`` of |data| at
+    the start of each row that holds an entry, 0 for a row that holds
+    none (scipy's ``_minor_reduce``)."""
+    indptr = matrix.indptr
+    held = np.flatnonzero(np.diff(indptr))
+    sums = np.zeros(len(indptr) - 1)
+    sums[held] = np.add.reduceat(np.abs(matrix.data), indptr[held])
+    return sums
+
+
 def _lock_loop(op: HermitianOperator, values: np.ndarray,
                vectors: np.ndarray, k: int, tol: float, degeneracy_tol: float,
                options: SolverOptions, rng: np.random.Generator
@@ -707,7 +763,7 @@ def _lock_loop(op: HermitianOperator, values: np.ndarray,
     # the spread) and take the lowest pair of the rest.  A copy of a level
     # up to the k-th is added by Rayleigh-Ritz, and the loop goes on; a
     # pair above the k-th level is the next one, inserted in order.
-    shift = 1.0 + 2.0 * float(abs(op.matrix).sum(axis=1).max())
+    shift = 1.0 + 2.0 * float(_absolute_row_sums(op.matrix).max())
     multiply = _csr_product(op.matrix)
     while len(values) < op.dimension:
         top = values[_level_end(values, k, degeneracy_tol) - 1]

@@ -14,16 +14,21 @@ number of doubly occupied sites for spin-1/2 fermions.
 
 The real-space operators (:func:`build_operator`) are scipy sparse
 matrices.  The sector blocks of :func:`sector_blocks`, which every sweep
-solves, are built in numpy and hold their forward-hop matrix as plain
-CSR arrays (:class:`CSRArrays`), so a sweep whose blocks are all solved
-densely never imports scipy: this module imports ``scipy.sparse`` only
-inside the functions that return a sparse matrix.
+solves, are built in numpy and hold their forward-hop matrix, and give
+their operators, as plain CSR arrays (:class:`CSRArrays`), whose
+products call scipy's CSR kernels loaded from their extension module
+alone.  So a sweep never imports a scipy package: this module imports
+``scipy.sparse`` only inside the functions that return a sparse matrix.
+
+A dense array of a large operator is checked against
+``DENSE_MEMORY_BUDGET`` before it is allocated (:class:`DenseMemoryError`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -32,6 +37,7 @@ import numpy as np
 from .basis import FockBasis, spin_flip, translation_orbits
 from .model import (
     Bosons,
+    ConvergenceError,
     DomainError,
     Fermions,
     RingSpec,
@@ -56,17 +62,55 @@ _DIAG_IMAG_TOL = 1e-14
 _HERMITICITY_TOL = 1e-12
 
 
+def _half_the_memory() -> int | None:
+    """Half the physical memory in bytes, as ``os.sysconf`` reports it;
+    None where it does not."""
+    try:
+        pages, size = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * size // 2 if pages > 0 and size > 0 else None
+
+
+# The most bytes that the arrays of one dense solve may take: half the
+# physical memory, or None (no check) where os.sysconf cannot tell.
+DENSE_MEMORY_BUDGET = _half_the_memory()
+
+
+class DenseMemoryError(ConvergenceError):
+    """A dense solve would take more memory than ``DENSE_MEMORY_BUDGET``;
+    raised before its arrays are allocated."""
+
+
+def _check_dense_memory(dimension: int, dtype) -> None:
+    """Raise :class:`DenseMemoryError` where a dense solve at this
+    dimension and entry type would exceed ``DENSE_MEMORY_BUDGET``: the
+    dense array, and the copy of it and the eigenvectors (all of them,
+    at most) that LAPACK's ``dsyevr``/``zheevr`` works in."""
+    budget = DENSE_MEMORY_BUDGET
+    need = 3 * dimension * dimension * np.dtype(dtype).itemsize
+    if budget is not None and need > budget:
+        raise DenseMemoryError(
+            f"a dense solve at dimension {dimension} needs about "
+            f"{need / 2**30:.3g} GiB, over the budget of "
+            f"{budget / 2**30:.3g} GiB (half the physical memory); a lower "
+            f"dense_threshold solves it by ARPACK")
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Hermitian matrix held as one full CSR matrix.
 
-    ``matrix`` is canonical and Hermitian with a real diagonal: complex
-    and checked on assembly for the real-space operators, or real and
-    exactly symmetric by construction for a :class:`SectorBlock`.
+    ``matrix`` is canonical and Hermitian with a real diagonal: a complex
+    scipy ``csr_matrix``, checked on assembly, for the real-space
+    operators, or real :class:`CSRArrays`, exactly symmetric by
+    construction, for a :class:`SectorBlock`.  Both give ``shape``,
+    ``dtype``, ``data``, ``indices``, ``indptr``, ``@`` and ``toarray``,
+    which is all that the solvers read.
     """
 
     dimension: int
-    matrix: sparse.csr_matrix = field(repr=False, compare=False)
+    matrix: sparse.csr_matrix | CSRArrays = field(repr=False, compare=False)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product, exact within floating point."""
@@ -76,6 +120,9 @@ class HermitianOperator:
         return self.matrix @ vector
 
     def to_dense(self) -> np.ndarray:
+        """The matrix as a dense array, once :func:`_check_dense_memory`
+        allows a dense solve of it."""
+        _check_dense_memory(self.dimension, self.matrix.dtype)
         return self.matrix.toarray()
 
     def expectation(self, vector: np.ndarray) -> float:
@@ -205,14 +252,61 @@ def hopping_amplitude(ring: RingSpec, twist: float = 0.0) -> complex:
     return (-ring.t - 1j * ring.omega * ring.k_factor) * np.exp(1j * twist)
 
 
+def _sparsetools():
+    """scipy's CSR kernels, loaded from their extension module alone
+    (:func:`ringlat.eigen._scipy_extension`)."""
+    from .eigen import _scipy_extension  # eigen imports this module
+
+    return _scipy_extension("scipy.sparse._sparsetools")
+
+
 class CSRArrays(NamedTuple):
     """A square matrix in compressed sparse row form, as plain arrays:
     row i holds ``data[indptr[i]:indptr[i + 1]]`` in the columns
-    ``indices[indptr[i]:indptr[i + 1]]``, ascending."""
+    ``indices[indptr[i]:indptr[i + 1]]``, ascending.
+
+    ``@`` and :meth:`toarray` call the kernels that those of scipy's
+    ``csr_matrix((data, indices, indptr))`` call, with the same arguments:
+    ``csr_matvec`` for a vector or one column, ``csr_matvecs`` for more
+    columns, ``csr_todense``.  So each result is bit for bit scipy's,
+    without importing ``scipy.sparse``."""
 
     data: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = len(self.indptr) - 1
+        return n, n
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.data.dtype
+
+    def __matmul__(self, other) -> np.ndarray:
+        other = np.asarray(other)
+        n = len(self.indptr) - 1
+        if not 1 <= other.ndim <= 2 or other.shape[0] != n:
+            raise ValueError(f"matmul: need an operand of {n} rows, got "
+                             f"shape {other.shape}")
+        result = np.zeros(other.shape,
+                          np.result_type(self.data.dtype, other.dtype))
+        # ravel() copies an operand that is not C-ordered, as scipy's does,
+        # and is a view of the fresh result.
+        arrays = (self.indptr, self.indices, self.data, other.ravel(),
+                  result.ravel())
+        if other.ndim == 1 or other.shape[1] == 1:
+            _sparsetools().csr_matvec(n, n, *arrays)
+        else:
+            _sparsetools().csr_matvecs(n, n, other.shape[1], *arrays)
+        return result
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape, dtype=self.data.dtype)
+        _sparsetools().csr_todense(*self.shape, self.indptr, self.indices,
+                                   self.data, dense)
+        return dense
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,8 +326,8 @@ class SectorBlock:
     every diagonal position is stored (a 0 where X has none), at
     ``diagonal`` in ``hop.data``.  A block of at most ``DENSE_THRESHOLD``
     states keeps X as a dense array too, once :meth:`dense` or
-    :meth:`hop_expectation` first needs it (:attr:`dense_hop`).  Only
-    :meth:`operator` builds a scipy matrix.
+    :meth:`hop_expectation` first needs it (:attr:`dense_hop`).  No
+    method builds a scipy matrix.
     ``interaction`` is each state's contact energy at unit coupling.
     ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
@@ -262,29 +356,24 @@ class SectorBlock:
                  u: float = 0.0) -> HermitianOperator:
         """amp * X + h.c. + u * interaction = 2 Re(amp * X) + u * interaction:
         real, and exactly symmetric since both mirror entries hold one
-        value."""
-        import scipy.sparse as sparse
-
-        n = self.dimension
-        return HermitianOperator(n, sparse.csr_matrix(
-            (self._entries(forward_amplitude, u), self.hop.indices,
-             self.hop.indptr), shape=(n, n)))
+        value, as :class:`CSRArrays` on X's positions."""
+        return HermitianOperator(self.dimension, CSRArrays(
+            self._entries(forward_amplitude, u), self.hop.indices,
+            self.hop.indptr))
 
     def dense(self, forward_amplitude: complex, u: float = 0.0) -> np.ndarray:
         """The matrix of :meth:`operator` as a dense array, equal to its
         ``to_dense()`` bit for bit at a finite amplitude: for a block of at
         most ``DENSE_THRESHOLD`` states built from the dense X that it
         keeps (:attr:`dense_hop`); for a larger one, solved densely only
-        under a raised ``dense_threshold``, from the CSR arrays."""
+        under a raised ``dense_threshold``, as ``to_dense()`` itself,
+        which checks the memory first."""
         n = self.dimension
         if n > DENSE_THRESHOLD:
-            dense = np.zeros((n, n))
-            dense[self._rows(), self.hop.indices] = self._entries(
-                forward_amplitude, u)
-        else:
-            # The complex product of _entries, so each entry rounds alike.
-            dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
-            dense.reshape(-1)[::n + 1] += u * self.interaction
+            return self.operator(forward_amplitude, u).to_dense()
+        # The complex product of _entries, so each entry rounds alike.
+        dense = 2.0 * (complex(forward_amplitude) * self.dense_hop).real
+        dense.reshape(-1)[::n + 1] += u * self.interaction
         # to_dense() adds the entries to zeros, so an entry of -0.0 reads 0.0.
         dense += 0.0
         return dense
@@ -294,16 +383,9 @@ class SectorBlock:
         """<v| amp * X + h.c. |v> = 2 Re(amp v^T X v) for a real vector
         v: for a block of at most ``DENSE_THRESHOLD`` states from the
         dense X that it keeps (:attr:`dense_hop`), for a larger one from
-        the CSR arrays, each row summed in order as a CSR product sums
-        it."""
-        if self.dimension <= DENSE_THRESHOLD:
-            product = self.dense_hop @ vector
-        else:
-            rows, n = self._rows(), self.dimension
-            terms = self.hop.data * vector[self.hop.indices]
-            product = np.empty(n, dtype=complex)
-            product.real = np.bincount(rows, terms.real, n)
-            product.imag = np.bincount(rows, terms.imag, n)
+        the CSR arrays (:class:`CSRArrays` ``@``)."""
+        hop = self.dense_hop if self.dimension <= DENSE_THRESHOLD else self.hop
+        product = hop @ vector
         return 2.0 * (complex(forward_amplitude) * (vector @ product)).real
 
     @functools.cached_property

@@ -1,9 +1,11 @@
-"""Parameter types shared by every other module.
+"""Parameter types and errors shared by every other module.
 
 All quantities use hbar = 1 and lattice constant = 1, so hopping t, the
 stirring frequency omega, and the interaction u all carry energy units.
 Every type is an immutable value object; construction validates the
 physical domain and raises :class:`DomainError` naming the bad field.
+A solve that fails raises :class:`ConvergenceError` or a subclass of it,
+which a sweep records as a failed row.
 """
 
 from __future__ import annotations
@@ -14,6 +16,10 @@ from dataclasses import dataclass
 
 class DomainError(ValueError):
     """A parameter lies outside its physically allowed domain."""
+
+
+class ConvergenceError(RuntimeError):
+    """The iterative solver failed to converge; carries diagnostics."""
 
 
 def _require(condition: bool, field: str, message: str) -> None:

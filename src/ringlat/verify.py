@@ -355,6 +355,8 @@ def check_sector_blocks() -> CheckResult:
     their own sector that the reflection times complex conjugation leaves
     fixed, be real and exactly symmetric, equal H in those states and
     together hold the dense spectrum."""
+    import scipy.sparse as sparse
+
     worst, problems = 0.0, []
     # 4+2 fermions on 6 sites have orbits whose closing sign is -1.
     systems = _with_rest_doublet() + [(make_ring(6, omega=1.3),
@@ -363,7 +365,8 @@ def check_sector_blocks() -> CheckResult:
         basis = enumerate_basis(ring, species)
         blocks = sector_blocks(basis)
         amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
-        matrices = [block.operator(amp, u).matrix for block in blocks]
+        matrices = [sparse.csr_matrix(tuple(op.matrix), shape=op.matrix.shape)
+                    for op in (block.operator(amp, u) for block in blocks)]
         problems.extend(
             f"{species!r}: block q={block.q}, parity={block.parity} is not "
             f"real and exactly symmetric"

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import ringlat
+from ringlat import hamiltonian
 from ringlat.cli import main
 
 SQRT2 = math.sqrt(2.0)
@@ -153,6 +154,24 @@ class TestSweep:
         _, _, body = read_csv(tmp_path / "sweep.csv")
         assert len(body) == 5
         assert all(row["sector"] == "failed" for row in body)
+
+    def test_dense_solve_over_the_memory_budget_fails_its_rows(
+            self, tmp_path, capsys, monkeypatch):
+        # A dense_threshold raised above blocks of 387-398 states, with a
+        # budget too small for any dense block above DENSE_THRESHOLD:
+        # every point fails before its dense array is allocated.
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET",
+                            3 * hamiltonian.DENSE_THRESHOLD ** 2 * 8)
+        config_path = tmp_path / "run.json"
+        config_path.write_text(json.dumps({"solver": {"dense_threshold": 400}}))
+        assert main(["sweep", "--sites", "9", "--species", "fermion",
+                     "--n-up", "3", "--n-down", "3", "--omega-min", "0",
+                     "--omega-max", "1", "--omega-points", "2",
+                     "--config", str(config_path), "--out",
+                     str(tmp_path)]) == 2
+        assert "2 grid points failed" in capsys.readouterr().err
+        _, _, body = read_csv(tmp_path / "sweep.csv")
+        assert [row["sector"] for row in body] == ["failed", "failed"]
 
     def test_drive_that_overflows_fails_its_row(self, tmp_path, capsys):
         # The block entries at omega = 1.7e308 overflow to inf: that point
@@ -432,7 +451,8 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
 
 def test_krylov_run_still_works():
-    # The Krylov path imports ARPACK inside the functions that call it,
+    # The Krylov path loads ARPACK's and csr_matvec's extension modules by
+    # file, so it imports neither scipy.sparse nor scipy.sparse.linalg,
     # and finds the dense path's levels.
     code = """
 import sys
@@ -440,16 +460,66 @@ import ringlat
 spec = ringlat.SweepSpec(ringlat.make_ring(6), ringlat.Fermions(2, 1, u=3.0),
                          ringlat.OmegaGrid(0.0, 6.0, 3))
 krylov = ringlat.run(spec, options=ringlat.SolverOptions(dense_threshold=1))
-print("scipy.sparse.linalg" in sys.modules)
+print([m for m in ("scipy.sparse", "scipy.sparse.linalg") if m in sys.modules])
 print([row.ground_energy for row in krylov.rows])
 """
     imported, energies = _run_fresh(code).strip().splitlines()
-    assert imported == "True"
+    assert imported == "[]"
     spec = ringlat.SweepSpec(ringlat.make_ring(6),
                              ringlat.Fermions(2, 1, u=3.0),
                              ringlat.OmegaGrid(0.0, 6.0, 3))
     dense = [row.ground_energy for row in ringlat.run(spec).rows]
     assert np.allclose(ast.literal_eval(energies), dense, rtol=0, atol=1e-9)
+
+
+_KRYLOV_CALLS = """
+import sys
+{first}
+import ringlat
+from ringlat import cli
+
+spec = ringlat.SweepSpec(ringlat.make_ring(10), ringlat.Fermions(3, 3, u=4.0),
+                         ringlat.OmegaGrid(3.0, 3.5, 2))
+result = ringlat.run(spec)
+print(repr(result.rows))
+print(repr(result.provenance["solver_summary"]))
+assert cli.main(["sweep", "--sites", "10", "--species", "fermion",
+                 "--n-up", "3", "--n-down", "3", "--u", "4",
+                 "--omega-min", "3", "--omega-max", "3.5",
+                 "--omega-points", "2", "--out", {out!r}]) == 0
+with open({out!r} + "/sweep.csv") as csv:
+    print(repr([line for line in csv if not line.startswith("# timestamp")]))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+
+# The real-space API imports scipy.sparse and scipy.sparse.linalg after the
+# extension modules were loaded by file, and eigs still finds the levels.
+ring = ringlat.make_ring(6, omega=1.3)
+species = ringlat.Fermions(2, 1, u=3.0)
+op = ringlat.build_operator(ring, species,
+                            ringlat.enumerate_basis(ring, species))
+krylov = ringlat.lowest_k(op, 3, options=ringlat.SolverOptions(
+    dense_threshold=1))
+print(float(abs(krylov.values - ringlat.lowest_k(op, 3).values).max()))
+"""
+
+
+def test_krylov_calls_import_no_scipy_package(tmp_path):
+    # A Krylov run and a Krylov ringlat sweep of 3+3 fermions on 10 sites
+    # load scipy's extension modules by file and leave no scipy module in
+    # sys.modules, with the rows of a process that imported
+    # scipy.sparse.linalg first.
+    def printed(first, out):
+        lines = _run_fresh(_KRYLOV_CALLS.format(
+            first=first, out=str(tmp_path / out))).strip().splitlines()
+        return [line for line in lines if not line.startswith("wrote ")]
+
+    plain = printed("", "plain")
+    scipy_first = printed("import scipy.sparse.linalg", "scipy")
+    rows, summary, csv, packages, deviation = plain
+    assert packages == "[]"
+    assert [rows, summary, csv] == scipy_first[:3]
+    assert "failed=True" not in rows
+    assert float(deviation) < 1e-9
 
 
 def test_lapack_provenance_and_comment(tmp_path):

@@ -1,4 +1,8 @@
+import functools
+import importlib
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -357,6 +361,91 @@ class TestArpackDriver:
         result = run(spec)
         assert not any(row.failed for row in result.rows)
         assert result.provenance["solver_summary"]["lock_loops_run"] > 0
+
+
+@functools.cache
+def _kernel_blocks():
+    """The real sector block operators of 3+3 fermions on 10 sites, and
+    of 2+2 fermions on 8 sites, which the Krylov path solves under
+    ``FORCE_KRYLOV``, and their complex forward-hop matrices X, each as
+    CSRArrays with scipy's csr_matrix of the same arrays."""
+    import scipy.sparse as sparse
+
+    pairs = []
+    for ring, species in [(make_ring(10, omega=3.0), Fermions(3, 3, u=4.0)),
+                          (make_ring(8, omega=1.3), Fermions(2, 2, u=4.0))]:
+        amp = hopping_amplitude(ring)
+        for block in sector_blocks(enumerate_basis(ring, species)):
+            for arrays in (block.operator(amp, species.u).matrix, block.hop):
+                pairs.append((arrays, sparse.csr_matrix(
+                    tuple(arrays), shape=arrays.shape)))
+    return pairs
+
+
+class TestScipyKernels:
+    """A block operator's CSRArrays call scipy's CSR kernels themselves;
+    every result must be scipy's csr_matrix's, bit for bit."""
+
+    def test_products_match_csr_matrix(self):
+        rng = np.random.default_rng(11)
+        for ours, theirs in _kernel_blocks():
+            n = ours.shape[0]
+            wide = rng.standard_normal((n, 3))
+            for operand in (rng.standard_normal(n), wide,
+                            np.asfortranarray(wide), wide[:, :1],
+                            rng.standard_normal((n, 4))[:, ::2],
+                            rng.standard_normal(n)
+                            + 1j * rng.standard_normal(n)):
+                got, want = ours @ operand, theirs @ operand
+                assert got.dtype == want.dtype
+                assert _bits(got) == _bits(want)
+
+    def test_dense_arrays_match_csr_matrix(self):
+        for ours, theirs in _kernel_blocks():
+            assert ours.dtype == theirs.dtype
+            assert ours.shape == theirs.shape
+            assert _bits(ours.toarray()) == _bits(theirs.toarray())
+
+    def test_absolute_row_sums_match_csr_matrix(self):
+        complex_op = ring_operator(x=1.3, species=Fermions(2, 1, u=2.0))[3]
+        for ours, theirs in [*_kernel_blocks(),
+                             (complex_op.matrix, complex_op.matrix)]:
+            want = np.asarray(abs(theirs).sum(axis=1)).ravel()
+            assert _bits(eigen._absolute_row_sums(ours)) == _bits(want)
+
+    def test_operand_of_other_length_is_refused(self):
+        ours, _ = _kernel_blocks()[0]
+        with pytest.raises(ValueError, match="need an operand of"):
+            ours @ np.ones(ours.shape[0] + 1)
+
+
+class TestScipyExtension:
+    NAME = "scipy.sparse._sparsetools"
+
+    def test_a_loaded_module_is_returned(self, monkeypatch):
+        loaded = object()
+        monkeypatch.setitem(sys.modules, self.NAME, loaded)
+        assert eigen._scipy_extension(self.NAME) is loaded
+
+    def test_loads_the_file_under_scipy(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        monkeypatch.setattr(eigen, "_EXTENSIONS", {})
+        module = eigen._scipy_extension(self.NAME)
+        path = Path(module.__file__)
+        assert path.parent == eigen._scipy_directory() / "sparse"
+        assert path.name.startswith("_sparsetools.")
+        assert callable(module.csr_matvec)
+        # Kept by the loader, out of sys.modules, and loaded once.
+        assert self.NAME not in sys.modules
+        assert eigen._scipy_extension(self.NAME) is module
+
+    def test_imports_where_no_file_is_found(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, self.NAME, raising=False)
+        monkeypatch.setattr(eigen, "_EXTENSIONS", {})
+        monkeypatch.setattr(eigen, "_scipy_directory", lambda: tmp_path)
+        monkeypatch.setattr(importlib, "import_module",
+                            lambda name: ("imported", name))
+        assert eigen._scipy_extension(self.NAME) == ("imported", self.NAME)
 
 
 def _eigh_lowest(dense, k, degeneracy_tol):

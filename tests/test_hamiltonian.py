@@ -3,6 +3,7 @@ import operator
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from ringlat import (
     OmegaGrid,
     PolarizedFermions,
     RingSpec,
+    SolverOptions,
     SweepSpec,
     build_boson,
     build_fermion,
@@ -25,8 +27,10 @@ from ringlat import (
     winding_state,
 )
 from ringlat.basis import translation_orbits
+from ringlat import hamiltonian
 from ringlat.model import particle_count
 from ringlat.hamiltonian import (
+    DenseMemoryError,
     hopping_amplitude,
     interaction_diagonal,
     operator_from_entries,
@@ -291,9 +295,10 @@ class TestSectorBlocks:
             assert np.allclose(states.conj().T @ states, np.eye(size),
                                atol=1e-12)
             projected = states.conj().T @ dense @ states
-            matrix = block.operator(amp, getattr(species, "u", 0.0)).matrix
-            assert np.abs(projected - matrix.toarray()).max() < 1e-12
-            assert matrix.dtype == np.float64
+            arrays = block.operator(amp, getattr(species, "u", 0.0)).matrix
+            matrix = scipy.sparse.csr_matrix(tuple(arrays), shape=arrays.shape)
+            assert np.abs(projected - arrays.toarray()).max() < 1e-12
+            assert arrays.dtype == np.float64
             assert (matrix != matrix.T).nnz == 0
 
     @pytest.mark.parametrize("species", [
@@ -449,3 +454,59 @@ class TestSpinFlipHalves:
                     1 if lowest[(q, 1)] < lowest[(q, -1)] else -1)
         assert any(len(lower[q]) == 2 for q in lower)
         assert repr(run(spec).rows) == repr(unscreened_rows(spec))
+
+
+class TestDenseMemoryBudget:
+    """A dense solve's arrays (the dense matrix, and the copy of it and
+    the eigenvectors that LAPACK works in) are checked against
+    ``DENSE_MEMORY_BUDGET`` before they are allocated."""
+
+    def test_operator_estimate_counts_three_arrays(self, monkeypatch):
+        ring, species = make_ring(6, omega=1.3), Fermions(2, 1, u=3.0)
+        op = build_operator(ring, species, enumerate_basis(ring, species))
+        need = 3 * op.dimension ** 2 * 16
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET", need)
+        assert op.to_dense().shape == (op.dimension, op.dimension)
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET", need - 1)
+        with pytest.raises(DenseMemoryError, match=r"dimension 90 needs"):
+            op.to_dense()
+
+    def test_large_block_is_refused_before_its_array(self, monkeypatch):
+        # 3+3 fermions on 9 sites: blocks of 387-398 states, above
+        # DENSE_THRESHOLD, so dense() builds them from the CSR arrays.
+        ring = make_ring(9, omega=1.0)
+        block = min(sector_blocks(enumerate_basis(ring, Fermions(3, 3))),
+                    key=lambda block: block.dimension)
+        n = block.dimension
+        assert n > hamiltonian.DENSE_THRESHOLD
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET",
+                            3 * n * n * 8 - 1)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("an array was allocated")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "zeros", refused)
+            with pytest.raises(DenseMemoryError):
+                block.dense(hopping_amplitude(ring), 4.0)
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET", 3 * n * n * 8)
+        assert block.dense(hopping_amplitude(ring), 4.0).shape == (n, n)
+
+    def test_failed_rows_in_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET", 1)
+        spec = SweepSpec(make_ring(9), Fermions(3, 3, u=4.0),
+                         OmegaGrid(0.0, 1.0, 2))
+        rows = run(spec, options=SolverOptions(dense_threshold=400)).rows
+        assert all(row.failed and row.error.startswith("DenseMemoryError: ")
+                   for row in rows)
+
+    def test_no_budget_where_sysconf_cannot_tell(self, monkeypatch):
+        assert hamiltonian._half_the_memory() > 0
+
+        def unknown(name):
+            raise ValueError(name)
+
+        monkeypatch.setattr(hamiltonian.os, "sysconf", unknown)
+        assert hamiltonian._half_the_memory() is None
+        monkeypatch.setattr(hamiltonian, "DENSE_MEMORY_BUDGET", None)
+        hamiltonian._check_dense_memory(10 ** 9, complex)
