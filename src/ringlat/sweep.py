@@ -18,7 +18,7 @@ times the block's slope.  A row reads the ground multiplet and the
 second level, so a block whose bound lies above both is skipped; a
 search label reads the ground multiplet alone, so a search solve skips
 every block whose bound lies above it, from the first point on (see
-:func:`_grid_point`).  A dense block that the bounds do not rule out is
+:class:`_Scan`).  A dense block that the bounds do not rule out is
 first tried for a certificate: one Cholesky factorization of its matrix
 shifted just above the skip limit, which, if it completes, proves every
 level of the block above that limit with room for rounding, and the
@@ -136,6 +136,11 @@ class InteractionGrid(_Grid):
 
     omega: float
 
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not math.isfinite(self.omega):
+            raise DomainError(f"omega: must be finite, got {self.omega!r}")
+
 
 SweepControl = OmegaGrid | InteractionGrid
 
@@ -185,21 +190,6 @@ class BoundaryPoint:
     u_star: float
     sign_below: int
     sign_above: int
-
-
-def _sector_blocks(spec: SweepSpec,
-                   workers: int) -> tuple[SectorBlock, ...] | None:
-    """The spec's sector blocks, kept per system (:func:`_system_blocks`);
-    None for polarized fermions (closed forms)."""
-    if workers < 1:
-        raise DomainError(f"workers: must be at least 1, got {workers}")
-    validate_species(spec.species, spec.ring)
-    if isinstance(spec.species, PolarizedFermions):
-        if isinstance(spec.control, InteractionGrid):
-            raise DomainError("control: polarized fermions carry no "
-                              "interaction to scan")
-        return None
-    return _system_blocks(spec.ring.n_sites, replace(spec.species, u=0.0))
 
 
 @functools.lru_cache(maxsize=2)
@@ -423,11 +413,6 @@ def _ground(solved: dict, degeneracy_tol: float
     return values[order], [pairs[i] for i in members]
 
 
-def _ground_sectors(solved: dict, degeneracy_tol: float) -> set[int]:
-    """Sectors of the solved blocks' ground multiplet."""
-    return {block.q for _, block, _ in _ground(solved, degeneracy_tol)[1]}
-
-
 def _ground_positions(solved: dict, degeneracy_tol: float) -> set[int]:
     """Positions of the blocks that hold the solved blocks' ground
     multiplet."""
@@ -509,109 +494,134 @@ def _polarized_row(ring: RingSpec, species: PolarizedFermions,
     )
 
 
-def _failed_row(ring: RingSpec, species: SpeciesSpec, value: float,
-                error: Exception) -> SweepRow:
-    nan = math.nan
-    return SweepRow(control_value=float(value), omega=float(ring.omega),
-                    u=float(getattr(species, "u", 0.0)),
-                    ground_energy=nan, gap=nan, total_current=nan,
-                    per_particle_current=nan, sectors=(), degenerate=False,
-                    is_fast_current=False, is_max_winding=False,
-                    failed=True, error=f"{type(error).__name__}: {error}")
+class _Scan:
+    """The grid walk of one scan call, after the checks of ``search``
+    (:func:`_crossings` or :func:`_boundaries`): its settings, its sector
+    blocks (None for polarized fermions) and their bounds, its ledger and
+    its outcome counts.
 
-
-def _grid_point(spec: SweepSpec, workers: int, tol: float,
-                degeneracy_tol: float, options: SolverOptions, search=None,
-                tally: Counter | None = None):
-    """The grid-point path of one scan, as three functions, after the
-    checks of ``search`` (:func:`_crossings` or :func:`_boundaries`).
-
-    ``solve(value, among, known, levels)`` solves the blocks at the
-    positions ``among`` in full at a control value and returns them keyed
-    by position, or None for polarized fermions; ``known`` passes blocks
-    already solved there and ``levels`` is the number of levels the
-    caller reads, 2 for a row and 1 for a search label (see
-    :func:`_solve`).  ``row(value, solved)`` builds the point's
-    :class:`SweepRow` from a solve with ``levels`` = 2.
-    ``points(levels)``, the one walk over the grid, solves the grid values
-    in order, lazily, and yields (value, solved, None), or (value, None,
-    error) where the solve raised.  ``tally``, if given, counts the
-    outcomes that :func:`_solve` records.
-
-    With ``among`` left out, ``solve`` screens every block, at bound
+    With ``among`` left out, :meth:`solve` screens every block, at bound
     max(ledger bound, F_q).  F_q is the block's plane-wave floor
     (:func:`_plane_wave_floors`), which holds from the first point on.
-    The ledger, kept for the call, holds per block a control value x0 and
-    a bound l on the block's lowest level there, -inf until the block is
-    first solved or skipped.  Each block is affine in the control, so at
-    x its lowest level is at least l - (x0 - x) * down - (x - x0) * up,
-    with the block's slopes (:func:`_slopes`), and only the positive part
-    of each step counts.  :func:`_solve` then skips every block, and the
-    lock loop of every Krylov block, that cannot reach the ground
-    multiplet or, for a row, the second level, so the rows and labels are
-    those of a solve of every block.  Each solve or skip records its
-    bound in the ledger, under either screen, since a skip bound is a
+    The ledger holds per block a control value ``x0`` and a ``bound`` on
+    the block's lowest level there, -inf until the block is first solved
+    or skipped.  Each block is affine in the control, so at x its lowest
+    level is at least bound - (x0 - x) * down - (x - x0) * up, with the
+    block's slopes (:func:`_slopes`), and only the positive part of each
+    step counts.  :func:`_solve` then skips every block, and the lock
+    loop of every Krylov block, that cannot reach the ground multiplet
+    or, for a row, the second level, so the rows and labels are those of
+    a solve of every block.  Each solve or skip records its bound in the
+    ledger (:meth:`record`), under either screen, since a skip bound is a
     lower bound too; a block whose solve raises a ConvergenceError keeps
     its entry.
     """
-    if search is _crossings and not isinstance(spec.control, OmegaGrid):
-        raise DomainError("control: crossing detection scans the drive "
-                          "frequency; use an OmegaGrid")
-    if search is _boundaries and not isinstance(spec.control, InteractionGrid):
-        raise DomainError("control: boundary detection scans the "
-                          "interaction; use an InteractionGrid")
-    if search is _boundaries and not isinstance(spec.species, Fermions):
-        raise DomainError(f"species: boundary detection needs Fermions, "
-                          f"got {type(spec.species).__name__}")
-    blocks = _sector_blocks(spec, workers)
-    _check_tolerances(tol, degeneracy_tol)
-    tally = Counter() if tally is None else tally
-    if blocks is not None:
-        down, up = _slopes(blocks, spec.ring, spec.control)
-        plane = _plane_wave_floors(blocks, particle_count(spec.species))
-        x0, ledger = np.zeros(len(blocks)), np.full(len(blocks), -math.inf)
 
-    def solve(value: float, among=None, known=None,
-              levels: int = 2) -> dict | None:
-        if blocks is None:
+    def __init__(self, spec: SweepSpec, workers: int, tol: float,
+                 degeneracy_tol: float, options: SolverOptions,
+                 search=None) -> None:
+        if search is _crossings and not isinstance(spec.control, OmegaGrid):
+            raise DomainError("control: crossing detection scans the drive "
+                              "frequency; use an OmegaGrid")
+        if (search is _boundaries
+                and not isinstance(spec.control, InteractionGrid)):
+            raise DomainError("control: boundary detection scans the "
+                              "interaction; use an InteractionGrid")
+        if search is _boundaries and not isinstance(spec.species, Fermions):
+            raise DomainError(f"species: boundary detection needs Fermions, "
+                              f"got {type(spec.species).__name__}")
+        if (isinstance(workers, bool)
+                or not isinstance(workers, numbers.Integral) or workers < 1):
+            raise DomainError(f"workers: must be an integer >= 1, got "
+                              f"{workers!r}")
+        validate_species(spec.species, spec.ring)
+        polarized = isinstance(spec.species, PolarizedFermions)
+        if polarized and isinstance(spec.control, InteractionGrid):
+            raise DomainError("control: polarized fermions carry no "
+                              "interaction to scan")
+        self.blocks = None if polarized else _system_blocks(
+            spec.ring.n_sites, replace(spec.species, u=0.0))
+        _check_tolerances(tol, degeneracy_tol)
+        self.spec, self.tol, self.degeneracy_tol = spec, tol, degeneracy_tol
+        self.options, self.counts = options, Counter()
+        if self.blocks is not None:
+            self.down, self.up = _slopes(self.blocks, spec.ring, spec.control)
+            self.plane = _plane_wave_floors(self.blocks,
+                                            particle_count(spec.species))
+            self.x0 = np.zeros(len(self.blocks))
+            self.bound = np.full(len(self.blocks), -math.inf)
+
+    def record(self, value: float, i: int, low: float, outcome: str) -> None:
+        """Count ``outcome``; enter block i's bound ``low`` at ``value``."""
+        self.counts[outcome] += 1
+        self.x0[i], self.bound[i] = value, low
+
+    def solve(self, value: float, among: Iterable[int] | None = None,
+              known: dict | None = None, levels: int = 2) -> dict | None:
+        """The blocks at the positions ``among`` (every one, screened, if
+        left out) solved at a control value, keyed by position, or None
+        for polarized fermions; ``known`` and ``levels`` as in
+        :func:`_solve` (2 levels for a row, 1 for a search label)."""
+        if self.blocks is None:
             return None
-        ring, species = _point_parameters(spec, value)
+        ring, species = _point_parameters(self.spec, value)
         u = getattr(species, "u", 0.0)
-
-        def record(i: int, low: float, outcome: str) -> None:
-            tally[outcome] += 1
-            x0[i], ledger[i] = value, low
-
         # A drive near the float limit overflows the floors and the block
         # entries; the solve then fails on its finiteness or residual check.
         with np.errstate(over="ignore", invalid="ignore"):
             if among is None:
-                among = range(len(blocks))
-                stepped = (ledger - np.maximum(x0 - value, 0.0) * down
-                           - np.maximum(value - x0, 0.0) * up)
-                floor = plane(ring, u)
+                among = range(len(self.blocks))
+                stepped = (self.bound
+                           - np.maximum(self.x0 - value, 0.0) * self.down
+                           - np.maximum(value - self.x0, 0.0) * self.up)
+                floor = self.plane(ring, u)
                 # max(stepped, floor) as Python's max takes it: a NaN
                 # ledger bound is kept and a NaN floor dropped.
                 floors = np.where(floor > stepped, floor, stepped).tolist()
             else:
                 floors = None
-            return _solve(blocks, among, ring, u, degeneracy_tol, tol,
-                          options, floors, record, known=known, levels=levels)
+            return _solve(self.blocks, among, ring, u, self.degeneracy_tol,
+                          self.tol, self.options, floors,
+                          functools.partial(self.record, value),
+                          known=known, levels=levels)
 
-    def row(value: float, solved: dict | None) -> SweepRow:
-        ring, species = _point_parameters(spec, value)
+    def row(self, value: float, solved: dict | None,
+            error: Exception | None = None) -> SweepRow:
+        """The point's :class:`SweepRow` from a solve with ``levels`` = 2,
+        or its failed row where the solve raised ``error``."""
+        ring, species = _point_parameters(self.spec, value)
+        if error is not None:
+            nan = math.nan
+            return SweepRow(
+                control_value=float(value), omega=float(ring.omega),
+                u=float(getattr(species, "u", 0.0)), ground_energy=nan,
+                gap=nan, total_current=nan, per_particle_current=nan,
+                sectors=(), degenerate=False, is_fast_current=False,
+                is_max_winding=False, failed=True,
+                error=f"{type(error).__name__}: {error}")
         if solved is None:
             return _polarized_row(ring, species, float(value))
-        return _block_row(ring, species, solved, float(value), degeneracy_tol)
+        return _block_row(ring, species, solved, float(value),
+                          self.degeneracy_tol)
 
-    def points(levels: int):
-        for value in map(float, spec.control.values()):
+    def points(self, levels: int) -> Iterable[tuple]:
+        """The grid values solved in order, lazily, as (value, solved,
+        None), or (value, None, error) where the solve raised."""
+        for value in map(float, self.spec.control.values()):
             try:
-                yield value, solve(value, levels=levels), None
+                yield value, self.solve(value, levels=levels), None
             except ConvergenceError as error:
                 yield value, None, error
 
-    return solve, row, points
+    def summary(self) -> dict:
+        """Block solves (main runs, a failed one left out), skipped
+        blocks, and lock loops run and skipped, so far."""
+        counts = self.counts
+        return {"block_solves": counts["solved"] + counts["locked"]
+                + counts["lock skipped"],
+                "blocks_skipped": counts["skipped"],
+                "lock_loops_run": counts["locked"],
+                "lock_loops_skipped": counts["lock skipped"]}
 
 
 def run(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
@@ -626,24 +636,20 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
     """One pass over the grid: :func:`run`'s result, and what ``search``
     returns from the same points as they are solved, or the
     ConvergenceError it raised; the pass then finishes the rows.  The
-    provenance's ``solver_summary`` counts the pass's block solves (main
-    runs, a failed one left out), skipped blocks, and lock loops run and
-    skipped; its ``lapack`` names the LAPACK that the dense solves call
+    provenance's ``solver_summary`` is the pass's :meth:`_Scan.summary`;
+    its ``lapack`` names the LAPACK that the dense solves call
     (:func:`~ringlat.eigen._lapack_provenance`)."""
-    tally = Counter()
-    _, row, points = grid = _grid_point(spec, workers, tol, degeneracy_tol,
-                                        options, search, tally)
+    scan = _Scan(spec, workers, tol, degeneracy_tol, options, search)
     rows = []
 
     def recorded():
-        for value, solved, error in points(2):
-            rows.append(row(value, solved) if error is None else _failed_row(
-                *_point_parameters(spec, value), value, error))
-            yield value, solved, error
+        for point in scan.points(2):
+            rows.append(scan.row(*point))
+            yield point
 
     source = recorded()
     try:
-        found = search(spec, grid, degeneracy_tol, source) if search else None
+        found = search(scan, source) if search else None
     except ConvergenceError as error:
         found = error
     for _ in source:
@@ -658,12 +664,7 @@ def _scan(spec: SweepSpec, workers: int, tol: float, degeneracy_tol: float,
                    "dense_threshold": options.dense_threshold,
                    "seed": options.seed},
         "workers": workers,
-        "solver_summary": {
-            "block_solves": tally["solved"] + tally["locked"]
-            + tally["lock skipped"],
-            "blocks_skipped": tally["skipped"],
-            "lock_loops_run": tally["locked"],
-            "lock_loops_skipped": tally["lock skipped"]},
+        "solver_summary": scan.summary(),
         "lapack": _lapack_provenance(),
     }
     return SweepResult(spec=spec, rows=tuple(rows),
@@ -684,21 +685,20 @@ def find_crossings(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     levels within 1e-9 of each other as tied, like the sweep rows, but
     bisection steps order the levels exactly.
     """
-    grid = _grid_point(spec, workers, tol, degeneracy_tol, options, _crossings)
-    return _crossings(spec, grid, degeneracy_tol, grid[2](1))
+    scan = _Scan(spec, workers, tol, degeneracy_tol, options, _crossings)
+    return _crossings(scan, scan.points(1))
 
 
-def _crossings(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
-               points) -> tuple[float, ...]:
-    """:func:`find_crossings` on ``points``; a failed point raises."""
-    solve, row, _ = grid
+def _crossings(scan: _Scan, points: Iterable[tuple]) -> tuple[float, ...]:
+    """:func:`find_crossings` on ``points`` of ``scan``; a failed point
+    raises."""
 
     def label(omega: float, solved: dict | None) -> int:
         if solved is not None:
             return min(solved.values(), key=lambda entry: entry[1][0])[0].q
-        ring = spec.ring.with_omega(omega)
+        ring = scan.spec.ring.with_omega(omega)
         left, _, _ = analytic.polarized_occupation_limits(
-            spec.species.n_particles, ring, tol=0.0)
+            scan.spec.species.n_particles, ring, tol=0.0)
         return sum(s.n for s in left) % ring.n_sites
 
     def ends():
@@ -708,26 +708,27 @@ def _crossings(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
             if solved is None:
                 # The row's tie window keeps the grid's labels where two
                 # Fermi levels differ by a few ulps, as at omega = 0.
-                yield omega, None, row(omega, None).sectors[0]
-            elif len(_ground_sectors(solved, degeneracy_tol)) == 1:
+                yield omega, None, scan.row(omega, None).sectors[0]
+            elif len({block.q for _, block, _ in _ground(
+                    solved, scan.degeneracy_tol)[1]}) == 1:
                 yield omega, solved, label(omega, solved)
 
-    return tuple(_refine(lo, hi, label, solve, degeneracy_tol,
-                         spec.bisection_tol)
+    return tuple(_refine(lo, hi, label, scan)
                  for lo, hi in itertools.pairwise(ends()) if lo[2] != hi[2])
 
 
-def _refine(lo: tuple, hi: tuple, label, solve, degeneracy_tol: float,
-            bisection_tol: float) -> float:
+def _refine(lo: tuple, hi: tuple, label, scan: _Scan) -> float:
     """Where ``label(value, solved)`` changes between the grid points lo
     and hi, each a (value, solved, label) triple, by the rule of the
-    module docstring: Brent's method on two blocks to ``bisection_tol / 4``
-    if its root passes the check, else bisection to ``bisection_tol``,
-    which finds the bracket's first label change.
+    module docstring, with the solves of ``scan``: Brent's method on two
+    blocks to ``bisection_tol / 4`` if its root passes the check, else
+    bisection to ``bisection_tol``, which finds the first label change.
     """
     (x_lo, solved_lo, label_lo), (x_hi, solved_hi, label_hi) = lo, hi
+    degeneracy_tol = scan.degeneracy_tol
+    bisection_tol = scan.spec.bisection_tol
     # Each label reads only the ground multiplet.
-    solve = functools.partial(solve, levels=1)
+    solve = functools.partial(scan.solve, levels=1)
     if solved_lo is not None:
         ground_lo = _ground_positions(solved_lo, degeneracy_tol)
         ground_hi = _ground_positions(solved_hi, degeneracy_tol)
@@ -836,20 +837,20 @@ def fast_mode_boundary(spec: SweepSpec, workers: int = 1, tol: float = 1e-10,
     sign after it differs from the sign before, or when it reaches the
     end of the grid.
     """
-    grid = _grid_point(spec, workers, tol, degeneracy_tol, options,
-                       _boundaries)
-    return _boundaries(spec, grid, degeneracy_tol, grid[2](1))
+    scan = _Scan(spec, workers, tol, degeneracy_tol, options, _boundaries)
+    return _boundaries(scan, scan.points(1))
 
 
-def _boundaries(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
-                points) -> tuple[BoundaryPoint, ...]:
-    """:func:`fast_mode_boundary` on ``points``; a failed point raises."""
-    solve, _, _ = grid
-    eps = FAST_CURRENT_EPS * spec.ring.t
+def _boundaries(scan: _Scan,
+                points: Iterable[tuple]) -> tuple[BoundaryPoint, ...]:
+    """:func:`fast_mode_boundary` on ``points`` of ``scan``; a failed
+    point raises."""
+    eps = FAST_CURRENT_EPS * scan.spec.ring.t
 
     def label(u: float, solved: dict) -> int:
         """Sign of the per-particle current, 0 within eps of zero."""
-        current = _per_particle_current(spec, u, solved, degeneracy_tol)
+        current = _per_particle_current(scan.spec, u, solved,
+                                        scan.degeneracy_tol)
         return int(current > eps) - int(current < -eps)
 
     def labelled():
@@ -869,8 +870,7 @@ def _boundaries(spec: SweepSpec, grid: tuple, degeneracy_tol: float,
                 boundaries.append(BoundaryPoint(*zeros, s_hi))
             zeros = None
         elif s_lo * s_hi < 0:
-            root = _refine(lo, hi, label, solve, degeneracy_tol,
-                           spec.bisection_tol)
+            root = _refine(lo, hi, label, scan)
             boundaries.append(BoundaryPoint(root, s_lo, s_hi))
     if zeros:
         # Zeros up to the end of the grid count as a sign change.

@@ -10,7 +10,6 @@ confirm that a deliberately corrupted convention is caught.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -56,9 +55,8 @@ from .sweep import (
     SweepSpec,
     _boundaries,
     _crossings,
-    _grid_point,
     _plane_wave_floors,
-    _sector_blocks,
+    _Scan,
     _slopes,
     _system_blocks,
     fast_mode_boundary,
@@ -623,18 +621,15 @@ def _every_block_roots(search, spec: SweepSpec) -> tuple[tuple, int]:
     """The roots of ``search`` (:func:`~ringlat.sweep._crossings` or
     :func:`~ringlat.sweep._boundaries`) on ``spec`` with every block
     solved in full at every solve, and the number of block solves."""
-    tally = Counter()
-    solve, row, _ = _grid_point(spec, 1, 1e-10, DEGENERACY_TOL,
-                                DEFAULT_OPTIONS, search, tally)
-    every = range(len(_sector_blocks(spec, 1)))
+    scan = _Scan(spec, 1, 1e-10, DEGENERACY_TOL, DEFAULT_OPTIONS, search)
+    every, solve = range(len(scan.blocks)), scan.solve
 
     def solve_all(value, among=None, known=None, levels=2):
         return solve(value, every if among is None else among, known)
 
-    points = ((value, solve_all(value), None)
-              for value in map(float, spec.control.values()))
-    roots = search(spec, (solve_all, row, None), DEGENERACY_TOL, points)
-    return roots, tally["solved"]
+    scan.solve = solve_all
+    roots = search(scan, scan.points(1))
+    return roots, scan.counts["solved"]
 
 
 def _refine_searches() -> list[tuple[Callable, Callable, SweepSpec]]:

@@ -52,12 +52,15 @@ class TestControls:
         with pytest.raises(DomainError, match="points"):
             OmegaGrid(0.0, 1.0, points)
 
-    @pytest.mark.parametrize("minimum,maximum,field", [
-        (0.0, math.inf, "maximum"), (-math.inf, 1.0, "minimum"),
-        (math.nan, 1.0, "minimum")])
-    def test_grid_needs_finite_ends(self, minimum, maximum, field):
+    @pytest.mark.parametrize("minimum,maximum,omega,field", [
+        (0.0, math.inf, 1.0, "maximum"), (-math.inf, 1.0, 1.0, "minimum"),
+        (math.nan, 1.0, 1.0, "minimum"), (0.0, 1.0, math.nan, "omega"),
+        (0.0, 1.0, math.inf, "omega"), (0.0, 1.0, -math.inf, "omega")],
+        ids=["0.0-inf-maximum", "-inf-1.0-minimum", "nan-1.0-minimum",
+             "nan-omega", "inf-omega", "-inf-omega"])
+    def test_grid_needs_finite_ends(self, minimum, maximum, omega, field):
         with pytest.raises(DomainError, match=f"^{field}:"):
-            InteractionGrid(minimum, maximum, 3, omega=1.0)
+            InteractionGrid(minimum, maximum, 3, omega=omega)
 
     def test_bisection_tol_positive(self):
         with pytest.raises(DomainError, match="bisection_tol"):
@@ -130,7 +133,7 @@ class TestRun:
                          control=OmegaGrid(0.0, 4.0, 7))
         assert run(spec, workers=1).rows == run(spec, workers=4).rows
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2"])
     def test_worker_count_below_one_rejected(self, ring8, workers):
         species = Fermions(1, 1, u=1.0)
         omegas = SweepSpec(ring=ring8, species=species,
@@ -311,10 +314,9 @@ class TestScreen:
         # A grid runs upward; refinement steps also move down, where a
         # falling u lowers levels.
         spec = _screen_cases()[name]
-        solve, row, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8,
-                                          sweep.DEFAULT_OPTIONS)
+        scan = sweep._Scan(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS)
         values = spec.control.values()[::-1]
-        rows = tuple(row(value, solve(value)) for value in values)
+        rows = tuple(scan.row(value, scan.solve(value)) for value in values)
         assert repr(rows) == repr(unscreened_rows(spec)[::-1])
 
     @pytest.mark.parametrize("search,spec", [
@@ -622,9 +624,9 @@ class TestLockLoopScreen:
         # has two copies.
         spec = SweepSpec(make_ring(8), Fermions(2, 2, u=4.0),
                          OmegaGrid(0.0, 1.0, 2))
-        solve, _, _ = sweep._grid_point(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
-        at = _positions(sweep._system_blocks(8, Fermions(2, 2)))
-        solved = solve(0.0, (at[0, -1], at[4, 1]))
+        scan = sweep._Scan(spec, 1, 1e-10, 1e-8, FORCE_KRYLOV)
+        at = _positions(scan.blocks)
+        solved = scan.solve(0.0, (at[0, -1], at[4, 1]))
         assert sorted(solved) == [at[0, -1], at[4, 1]]
         assert solved[at[4, 1]][1][0] > solved[at[0, -1]][1][1]
         assert len(solved[at[4, 1]][1]) == 3
@@ -1189,11 +1191,10 @@ class TestSolverSummary:
         # crossings, of 41 * 8 + 26 blocks met.
         spec = SweepSpec(make_ring(8), Bosons(4, u=1.0),
                          OmegaGrid(0.0, 8.0, 41), 1e-7)
-        tally = Counter()
-        grid = sweep._grid_point(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS,
-                                 sweep._crossings, tally)
-        assert len(sweep._crossings(spec, grid, 1e-8, grid[2](1))) == 2
-        assert tally == Counter(solved=63, skipped=291)
+        scan = sweep._Scan(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS,
+                           sweep._crossings)
+        assert len(sweep._crossings(scan, scan.points(1))) == 2
+        assert scan.counts == Counter(solved=63, skipped=291)
 
 
 def _csv_body(path) -> list[dict]:
@@ -1249,7 +1250,13 @@ class TestSharedBlocks:
                 control=InteractionGrid(lo, hi, points, omega=drive),
                 bisection_tol=0.02))
             for lo, hi, points in ((-30.0, -20.0, 3), (65.0, 78.0, 2))]
-        calls.append((lambda spec: run(spec).rows, SweepSpec(
+        def rows_and_counts(spec):
+            # The run's counts too: neither they nor the ledger carry over
+            # between scans through the blocks kept.
+            result = run(spec)
+            return result.rows, result.provenance["solver_summary"]
+
+        calls.append((rows_and_counts, SweepSpec(
             ring=ring, species=Fermions(2, 2, u=2.0),
             control=OmegaGrid(0.0, omega_for(ring, 3.0), 7))))
         warm = [repr(call(spec)) for call, spec in calls]
@@ -1288,7 +1295,8 @@ class TestSharedBlocks:
         for n_sites, species in (first, second, first, second):
             spec = _two_point_spec(n_sites, species)
             run(spec)
-            assert content(sweep._sector_blocks(spec, 1)) == content(
+            scan = sweep._Scan(spec, 1, 1e-10, 1e-8, sweep.DEFAULT_OPTIONS)
+            assert content(scan.blocks) == content(
                 sector_blocks(enumerate_basis(spec.ring, species)))
         assert builds == [first, second]
 
