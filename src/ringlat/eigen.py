@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hamiltonian import DENSE_THRESHOLD, HermitianOperator
+from .hamiltonian import DENSE_THRESHOLD, HermitianOperator, _sparsetools
 from .model import ConvergenceError, DomainError
 
 DEGENERACY_TOL = 1e-8
@@ -548,9 +548,9 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
                    rng: np.random.Generator, product=None
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Ritz values and vectors of the k lowest eigenvalues of the CSR
-    ``matrix`` (:class:`~ringlat.hamiltonian.CSRArrays` or a scipy CSR
-    matrix), or of the operator of the same shape and type whose
-    ``product(x, y)`` writes its product with x into y.
+    ``matrix`` (:class:`~ringlat.hamiltonian.CSRArrays`), or of the
+    operator of the same shape and type whose ``product(x, y)`` writes
+    its product with x into y.
 
     A real symmetric operator runs ARPACK's symmetric Lanczos in this
     module's own reverse-communication loop (:func:`_symmetric_lanczos`),
@@ -598,10 +598,10 @@ def _arpack_lowest(matrix, k: int, tol: float, options: SolverOptions,
 
 def _csr_product(matrix):
     """``product(x, y)``, which writes the product of the CSR ``matrix``
-    (a :class:`~ringlat.hamiltonian.CSRArrays` or a scipy CSR matrix) with
-    x into y: scipy's ``csr_matvec`` adds each row's terms in order to
-    zero, the sum that ``matrix @ x`` computes."""
-    matvec = _scipy_extension("scipy.sparse._sparsetools").csr_matvec
+    (:class:`~ringlat.hamiltonian.CSRArrays`) with x into y: scipy's
+    ``csr_matvec`` adds each row's terms in order to zero, the sum that
+    ``matrix @ x`` computes."""
+    matvec = _sparsetools().csr_matvec
     shape, arrays = matrix.shape, (matrix.indptr, matrix.indices, matrix.data)
 
     def product(x: np.ndarray, y: np.ndarray) -> None:

@@ -12,13 +12,12 @@ Interactions are diagonal: u * n * (n - 1) summed over sites for bosons
 (note: twice the (u/2) n (n-1) convention some codes use) and u times the
 number of doubly occupied sites for spin-1/2 fermions.
 
-The real-space operators (:func:`build_operator`) are scipy sparse
-matrices.  The sector blocks of :func:`sector_blocks`, which every sweep
-solves, are built in numpy and hold their forward-hop matrix, and give
-their operators, as plain CSR arrays (:class:`CSRArrays`), whose
-products call scipy's CSR kernels loaded from their extension module
-alone.  So a sweep never imports a scipy package: this module imports
-``scipy.sparse`` only inside the functions that return a sparse matrix.
+Every operator is held as plain CSR arrays (:class:`CSRArrays`): the
+real-space ones (:func:`build_operator`) built by the kernels of scipy's
+``coo_matrix(...).tocsr()``, the sector blocks that every sweep solves
+(:func:`sector_blocks`) in numpy.  Their products call scipy's CSR
+kernels too, loaded from their extension module alone, so no operator
+imports a scipy package.
 
 A dense array of a large operator is checked against
 ``DENSE_MEMORY_BUDGET`` before it is allocated (:class:`DenseMemoryError`).
@@ -30,7 +29,7 @@ import functools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +43,6 @@ from .model import (
     SpeciesSpec,
     particle_content,
 )
-
-if TYPE_CHECKING:
-    import scipy.sparse as sparse
 
 # The largest sector block that the default solver options solve densely
 # (eigen), and that keeps its X as a dense array (SectorBlock.dense).
@@ -99,18 +95,13 @@ def _check_dense_memory(dimension: int, dtype) -> None:
 
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
-    """Hermitian matrix held as one full CSR matrix.
-
-    ``matrix`` is canonical and Hermitian with a real diagonal: a complex
-    scipy ``csr_matrix``, checked on assembly, for the real-space
-    operators, or real :class:`CSRArrays`, exactly symmetric by
-    construction, for a :class:`SectorBlock`.  Both give ``shape``,
-    ``dtype``, ``data``, ``indices``, ``indptr``, ``@`` and ``toarray``,
-    which is all that the solvers read.
-    """
+    """Hermitian matrix held as one full canonical CSR matrix
+    (:class:`CSRArrays`) with a real diagonal: complex, checked on
+    assembly, for the real-space operators; real and exactly symmetric
+    by construction for a :class:`SectorBlock`."""
 
     dimension: int
-    matrix: sparse.csr_matrix | CSRArrays = field(repr=False, compare=False)
+    matrix: CSRArrays = field(repr=False, compare=False)
 
     def apply(self, vector: np.ndarray) -> np.ndarray:
         """Matrix-vector product, exact within floating point."""
@@ -136,25 +127,85 @@ def operator_from_entries(dimension: int, rows, cols, values) -> HermitianOperat
 
     The term list must describe a Hermitian matrix (every off-diagonal
     entry accompanied by its conjugate mirror); duplicates are summed.
+    The arrays are scipy's ``coo_matrix(...).tocsr()``, bit for bit; the
+    terms are checked first, as ``coo_matrix`` checks them.
     """
-    import scipy.sparse as sparse
+    terms = (np.asarray(rows, dtype=np.int64),
+             np.asarray(cols, dtype=np.int64),
+             np.asarray(values, dtype=complex))
+    if any(term.ndim != 1 for term in terms):
+        raise ValueError("coordinates and data arrays must be 1-D")
+    if len({len(term) for term in terms}) > 1:
+        raise ValueError("all index and data arrays must have the same "
+                         "length")
+    for axis, index in enumerate(terms[:2]):
+        if len(index) and index.max() >= dimension:
+            raise ValueError(f"axis {axis} index {index.max()} exceeds "
+                             f"matrix dimension {dimension}")
+        if len(index) and index.min() < 0:
+            raise ValueError(f"negative axis {axis} index: {index.min()}")
+    full = _csr_from_terms(dimension, *terms)
 
-    full = sparse.coo_matrix(
-        (np.asarray(values, dtype=complex),
-         (np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64))),
-        shape=(dimension, dimension)).tocsr()
-    full.sum_duplicates()
-
-    scale = max(1.0, np.abs(full.data).max()) if full.nnz else 1.0
-    defect = abs(full - full.conj().T)
-    if defect.nnz and defect.data.max() > _HERMITICITY_TOL * scale:
+    scale = max(1.0, np.abs(full.data).max()) if len(full.data) else 1.0
+    defect = _hermitian_defect(full)
+    if defect.size and defect.max() > _HERMITICITY_TOL * scale:
         raise ValueError(f"generated terms are not Hermitian: max asymmetry "
-                         f"{defect.data.max():.3e}")
-    diag_imag = np.abs(full.diagonal().imag)
+                         f"{defect.max():.3e}")
+    diagonal = np.empty(dimension, dtype=complex)
+    _sparsetools().csr_diagonal(0, dimension, dimension, full.indptr,
+                                full.indices, full.data, diagonal)
+    diag_imag = np.abs(diagonal.imag)
     if diag_imag.size and diag_imag.max() > _DIAG_IMAG_TOL * scale:
         raise ValueError(f"diagonal is not real: max imaginary part "
                          f"{diag_imag.max():.3e}")
     return HermitianOperator(dimension=dimension, matrix=full)
+
+
+def _empty_csr(n: int, nnz: int) -> tuple[np.ndarray, ...]:
+    """Empty complex (indptr, indices, data) for n rows and nnz entries,
+    on scipy's index type: int32 unless n or nnz needs int64."""
+    index = np.int32 if max(n, nnz) <= np.iinfo(np.int32).max else np.int64
+    return (np.empty(n + 1, dtype=index), np.empty(nnz, dtype=index),
+            np.empty(nnz, dtype=complex))
+
+
+def _csr_from_terms(n: int, rows: np.ndarray, cols: np.ndarray,
+                    values: np.ndarray) -> CSRArrays:
+    """Canonical CSR arrays of the checked n x n terms, built kernel by
+    kernel as ``coo_matrix(...).tocsr()`` builds them; explicit zeros are
+    kept."""
+    kernels = _sparsetools()
+    indptr, indices, data = _empty_csr(n, len(values))
+    index = indptr.dtype
+    kernels.coo_tocsr(n, n, len(values), rows.astype(index, copy=False),
+                      cols.astype(index, copy=False), values, indptr,
+                      indices, data)
+    if not kernels.csr_has_canonical_format(n, indptr, indices):
+        if not kernels.csr_has_sorted_indices(n, indptr, indices):
+            kernels.csr_sort_indices(n, indptr, indices, data)
+        kernels.csr_sum_duplicates(n, n, indptr, indices, data)
+        indices, data = indices[:indptr[-1]], data[:indptr[-1]]
+    return CSRArrays(data, indices, indptr)
+
+
+def _hermitian_defect(matrix: CSRArrays) -> np.ndarray:
+    """The stored values of scipy's ``abs(A - A.conj().T)`` for canonical
+    CSR arrays A: ``csr_tocsc`` transposes, ``csr_minus_csr`` subtracts
+    and drops the entries that come out zero."""
+    kernels = _sparsetools()
+    n, nnz = matrix.shape[0], len(matrix.data)
+    # The index type of the difference, which can hold 2 nnz entries.
+    d_indptr, d_indices, d_data = _empty_csr(n, 2 * nnz)
+    indptr = matrix.indptr.astype(d_indptr.dtype, copy=False)
+    indices = matrix.indices.astype(d_indptr.dtype, copy=False)
+    t_indptr, t_indices, t_data = (np.empty_like(array) for array in
+                                   (indptr, indices, matrix.data))
+    kernels.csr_tocsc(n, n, indptr, indices, matrix.data,
+                      t_indptr, t_indices, t_data)
+    kernels.csr_minus_csr(n, n, indptr, indices, matrix.data, t_indptr,
+                          t_indices, t_data.conj(), d_indptr, d_indices,
+                          d_data)
+    return np.abs(d_data[:d_indptr[-1]])
 
 
 def hopping_operator(basis: FockBasis, forward_amplitude: complex,
@@ -319,15 +370,14 @@ class SectorBlock:
     The states are the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``representatives``
     r (T the forward shift, p the period of the orbit of r), rotated by
-    the W of :func:`reflection_rotation`, or of :func:`spin_flip_rotation`
-    for a half.  In them the forward-hop sum is a complex symmetric
+    the W of :func:`_fixed_columns`, or of :func:`_flip_columns` for a
+    half.  In them the forward-hop sum is a complex symmetric
     matrix X, held in ``hop`` as three read-only numpy arrays
     (:class:`CSRArrays`), whose mirror entries hold one value and whose
     every diagonal position is stored (a 0 where X has none), at
     ``diagonal`` in ``hop.data``.  A block of at most ``DENSE_THRESHOLD``
     states keeps X as a dense array too, once :meth:`dense` or
-    :meth:`hop_expectation` first needs it (:attr:`dense_hop`).  No
-    method builds a scipy matrix.
+    :meth:`hop_expectation` first needs it (:attr:`dense_hop`).
     ``interaction`` is each state's contact energy at unit coupling.
     ``lines_t`` and ``lines_drive`` hold the A_c and B_c of the block's
     plane-wave configurations c (:func:`plane_wave_lines`), one per state:
@@ -432,14 +482,6 @@ def _fixed_columns(c: np.ndarray, partner: np.ndarray
             np.concatenate([first, second]))
 
 
-def _sparse(entries: tuple[np.ndarray, np.ndarray, np.ndarray],
-            shape: tuple[int, int]) -> sparse.csr_matrix:
-    import scipy.sparse as sparse
-
-    rows, cols, values = entries
-    return sparse.csr_matrix((values, (rows, cols)), shape=shape)
-
-
 def _bloch_map(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
                members: np.ndarray, perm: np.ndarray, sign
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -455,34 +497,16 @@ def _bloch_map(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
     return c, np.searchsorted(members, orbit[image])
 
 
-def reflection_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
-                        q: int, members: np.ndarray) -> sparse.csr_matrix:
-    """The unitary W from the Bloch states of ``members`` (sector q) to
-    states fixed by Theta = R*K, the site reflection R times complex
-    conjugation, as a sparse m x m matrix (row: Bloch state, column:
-    rotated state).
-
-    ``orbits`` is :func:`~ringlat.basis.translation_orbits` of the basis.
-    Theta commutes with every ring bilinear and maps sector q to itself:
-    Theta|r,q> = c_r |r',q>, where r' represents the orbit of s = R(r)
-    and c_r = Rsign[r] * signs[s] * exp(2*pi*i*q*steps[s]/N).  A state
-    with r' = r gives the column sqrt(c_r)|r,q>; a pair r < r' gives the
-    columns (|r> + c_r|r'>)/sqrt(2) and i(|r> - c_r|r'>)/sqrt(2), in the
-    order of r.  Theta squares to 1, so c_r' = c_r.
-    """
-    m = len(members)
-    return _sparse(_fixed_columns(*_bloch_map(
-        basis, orbits, q, members, basis.reflect_perm,
-        basis.reflect_sign[members])), (m, m))
-
-
 def _flip_columns(d: np.ndarray, flipped: np.ndarray, c: np.ndarray,
                   mirror: np.ndarray, parity: int
                   ) -> tuple[np.ndarray, tuple[np.ndarray, ...], int]:
-    """The W of :func:`spin_flip_rotation` from the maps F|r,q> = d_r
-    |flipped_r,q> and Theta|r,q> = c_r |mirror_r,q> on m Bloch states:
-    which of them the half holds, W's entries (rows, columns, values) and
-    its column count."""
+    """The W of the spin-flip half of parity ``parity`` from the maps
+    F|r,q> = d_r |flipped_r,q> and Theta|r,q> = c_r |mirror_r,q> on m
+    Bloch states: which of them the half holds, W's entries (rows,
+    columns, values) and its column count.  A pair r < r'' = flipped_r
+    gives the F-state (|r,q> + parity d_r |r'',q>)/sqrt(2), a lone r
+    with d_r = parity the state |r,q>; :func:`_fixed_columns` rotates
+    these F-states, which Theta maps to each other up to phases."""
     state = np.arange(len(d))
     inside = (flipped != state) | (d.real * parity > 0)
     leads = np.flatnonzero((state <= flipped) & inside)
@@ -504,34 +528,6 @@ def _flip_columns(d: np.ndarray, flipped: np.ndarray, c: np.ndarray,
                np.concatenate([np.where(pair, half, 1.0) * values,
                                (parity * half * d[lead] * values)[pair]]))
     return inside, entries, len(leads)
-
-
-def spin_flip_rotation(basis: FockBasis, orbits: tuple[np.ndarray, ...],
-                       q: int, members: np.ndarray, parity: int
-                       ) -> tuple[np.ndarray, sparse.csr_matrix]:
-    """The states of sector q with spin-flip parity ``parity`` that Theta
-    leaves fixed, for Fermions with n_up = n_down: which of ``members``
-    they hold, and the isometry W to them from the Bloch states of
-    ``members``, as a sparse m x m' matrix.
-
-    ``members`` holds, with each representative, that of its flipped
-    orbit.  The spin flip F of :func:`~ringlat.basis.spin_flip` commutes
-    with T, so F|r,q> = d_r |r'',q> as in :func:`reflection_rotation`,
-    and F squares to 1, so d_r'' d_r = 1.  A representative with r'' = r
-    has d_r = +-1 and gives the F-state |r,q> to the half of that
-    parity; a pair r < r'' gives (|r,q> + parity d_r |r'',q>)/sqrt(2).
-    Theta commutes with F, so it maps these F-states to each other up to
-    phases c', and :func:`_fixed_columns` rotates them as it rotates the
-    Bloch states of a whole sector.  A pair's state maps to the F-state
-    that leads with r' = R(r), with c' = c_r, or with R(r''), with c' =
-    parity conj(d_r) c_r''.
-    """
-    perm, sign = spin_flip(basis)
-    inside, entries, width = _flip_columns(
-        *_bloch_map(basis, orbits, q, members, perm, sign),
-        *_bloch_map(basis, orbits, q, members, basis.reflect_perm,
-                    basis.reflect_sign[members]), parity)
-    return inside, _sparse(entries, (len(members), width))
 
 
 class _Orbits(NamedTuple):
@@ -574,14 +570,14 @@ def sector_blocks(basis: FockBasis) -> tuple[SectorBlock, ...]:
     into state s of the orbit of r' adds its factor times signs[s] *
     exp(2*pi*i*q*steps[s]/N) * sqrt(p_r/p_r') to the Bloch entry (r', r)
     of the forward-hop sum T_q (Sandvik, arXiv:1101.3281, sec. 4.1).  The
-    block holds X = W^H T_q W for the W of :func:`reflection_rotation`,
+    block holds X = W^H T_q W for the W of :func:`_fixed_columns`,
     its upper triangle mirrored, and the contact energies W^H D W, which
     are diagonal since Theta leaves D invariant, and the plane-wave lines
     of :func:`plane_wave_lines` in sector q.
 
     The spin flip F commutes with H at every t, omega and u, and with T
     and Theta, so with n_up = n_down sector q splits into the halves F =
-    +1 and F = -1, each built on the W of :func:`spin_flip_rotation`,
+    +1 and F = -1, each built on the W of :func:`_flip_columns`,
     parity +1 first.  A plane-wave configuration c and its flip f(c)
     have one (A_c, B_c), and F|c> = (-1)**(n_up n_down) |f(c)>, since F
     acts on the momentum operators as on the site operators.  So a pair

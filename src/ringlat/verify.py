@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import analytic, observables, sweep
+from . import analytic, hamiltonian, observables, sweep
 from .basis import (
     FermionFockState,
     FockBasis,
@@ -35,11 +35,12 @@ from .eigen import (
 )
 from .hamiltonian import (
     SectorBlock,
+    _bloch_map,
+    _fixed_columns,
+    _flip_columns,
     build_operator,
     hopping_amplitude,
-    reflection_rotation,
     sector_blocks,
-    spin_flip_rotation,
 )
 from .model import (
     Bosons,
@@ -153,10 +154,10 @@ def check_scaling_identity() -> CheckResult:
             drive = ring.omega * ring.k_factor
             tau, chi = math.hypot(ring.t, drive), math.atan2(drive, ring.t)
             flux = RingSpec(ring.n_sites, 1.0, ring.k_factor, 0.0)
-            driven = build_operator(ring, species, basis).matrix
+            driven = build_operator(ring, species, basis).to_dense()
             twisted = build_operator(flux, replace(species, u=species.u / tau),
-                                     basis, twist=chi).matrix
-            worst = max(worst, float(abs(driven - tau * twisted).max()))
+                                     basis, twist=chi).to_dense()
+            worst = max(worst, float(np.abs(driven - tau * twisted).max()))
     return _result("scaling_identity", worst, 1e-12)
 
 
@@ -302,33 +303,39 @@ def check_screened_krylov_sweep() -> CheckResult:
 
 
 def bloch_states(basis: FockBasis, block: SectorBlock) -> np.ndarray:
-    """Fock amplitudes of the block's basis states: the Bloch states of
-    its representatives (:func:`_bloch_states`) times the sparse W of
-    :func:`~ringlat.hamiltonian.reflection_rotation`, or of
-    :func:`~ringlat.hamiltonian.spin_flip_rotation` for a spin-flip
-    half."""
-    orbits = translation_orbits(basis)
-    members = block.representatives
-    if block.parity is None:
-        w = reflection_rotation(basis, orbits, block.q, members)
-    else:
-        _, w = spin_flip_rotation(basis, orbits, block.q, members,
-                                  block.parity)
-    return _bloch_states(basis, orbits, block.q, members) @ w.toarray()
+    """Fock amplitudes of the block's basis states."""
+    return _block_states(basis, block.q, block.representatives, block.parity)
 
 
-def _bloch_states(basis: FockBasis, orbits: tuple[np.ndarray, ...], q: int,
-                  members: np.ndarray) -> np.ndarray:
-    """Fock amplitudes of the Bloch states
+def _block_states(basis: FockBasis, q: int, members: np.ndarray,
+                  parity: int | None = None) -> np.ndarray:
+    """Fock amplitudes of the states of sector q's block on ``members`` (of
+    its half of spin-flip parity ``parity``): the Bloch states
     p^(-1/2) sum_{d<p} exp(+2*pi*i*q*d/N) T^d |r> of ``members`` r (p the
-    period of the orbit of r), built here from the translation orbits."""
+    period of the orbit of r), built here from the translation orbits,
+    times the block's W, built densely from the entries that
+    :func:`sector_blocks` builds it from."""
+    orbits = translation_orbits(basis)
     orbit, steps, signs, period, _ = orbits
     inside = np.flatnonzero(np.isin(orbit, members))
     states = np.zeros((basis.dimension, len(members)), dtype=complex)
     states[inside, np.searchsorted(members, orbit[inside])] = (
         signs[inside] / np.sqrt(period[inside]) * np.exp(
             -2j * math.pi * q * steps[inside] / basis.n_sites))
-    return states
+    mirror = _bloch_map(basis, orbits, q, members, basis.reflect_perm,
+                        basis.reflect_sign[members])
+    if parity is None:
+        rows, cols, values = _fixed_columns(*mirror)
+        width = len(members)
+    else:
+        # The spin flip that sector_blocks reads: W is that of its blocks.
+        flip = hamiltonian.spin_flip(basis)
+        _, (rows, cols, values), width = _flip_columns(
+            *_bloch_map(basis, orbits, q, members, *flip), *mirror, parity)
+    w = np.zeros((len(members), width), dtype=complex)
+    # Added to zeros, as csr_todense adds them: an entry of -0.0 reads 0.0.
+    w[rows, cols] += values
+    return states @ w
 
 
 def _reflected(state: FockState, n_sites: int) -> tuple[FockState, int]:
@@ -353,8 +360,6 @@ def check_sector_blocks() -> CheckResult:
     their own sector that the reflection times complex conjugation leaves
     fixed, be real and exactly symmetric, equal H in those states and
     together hold the dense spectrum."""
-    import scipy.sparse as sparse
-
     worst, problems = 0.0, []
     # 4+2 fermions on 6 sites have orbits whose closing sign is -1.
     systems = _with_rest_doublet() + [(make_ring(6, omega=1.3),
@@ -363,15 +368,14 @@ def check_sector_blocks() -> CheckResult:
         basis = enumerate_basis(ring, species)
         blocks = sector_blocks(basis)
         amp, u = hopping_amplitude(ring), getattr(species, "u", 0.0)
-        matrices = [sparse.csr_matrix(tuple(op.matrix), shape=op.matrix.shape)
-                    for op in (block.operator(amp, u) for block in blocks)]
+        matrices = [block.operator(amp, u).to_dense() for block in blocks]
         problems.extend(
             f"{species!r}: block q={block.q}, parity={block.parity} is not "
             f"real and exactly symmetric"
             for block, matrix in zip(blocks, matrices)
-            if matrix.dtype != np.float64 or (matrix != matrix.T).nnz)
+            if matrix.dtype != np.float64 or (matrix != matrix.T).any())
         spectra = np.sort(np.concatenate(
-            [np.linalg.eigvalsh(matrix.toarray()) for matrix in matrices]))
+            [np.linalg.eigvalsh(matrix) for matrix in matrices]))
         if len(spectra) != basis.dimension:
             problems.append(f"{species!r}: blocks hold {len(spectra)} of "
                             f"{basis.dimension} states")
@@ -386,7 +390,7 @@ def check_sector_blocks() -> CheckResult:
             states = bloch_states(basis, block)
             # The block must be H in its basis, not only isospectral.
             worst = max(worst, float(np.max(np.abs(
-                states.conj().T @ dense @ states - matrix.toarray()))))
+                states.conj().T @ dense @ states - matrix))))
             reflected = np.empty_like(states)
             reflected[targets] = signs[:, None] * states.conj()
             worst = max(worst, float(np.max(np.abs(reflected - states))))
@@ -421,8 +425,7 @@ def check_spin_flip() -> CheckResult:
     states must also be eigenvectors of F with its parity, each half must
     carry one plane-wave line per state, and the two halves of a sector
     must together hold the spectrum of the whole sector, built on its
-    Bloch states in the W of
-    :func:`~ringlat.hamiltonian.reflection_rotation`, each within 1e-10.
+    Bloch states (:func:`_block_states`), each within 1e-10.
     """
     tol = 1e-10
     commutator = parity = spectra = 0.0
@@ -443,7 +446,6 @@ def check_spin_flip() -> CheckResult:
             out[targets] = signs[:, None] * states
             return out
 
-        orbits = translation_orbits(basis)
         halves: dict[int, list[SectorBlock]] = {}
         for block in sector_blocks(basis):
             halves.setdefault(block.q, []).append(block)
@@ -460,8 +462,7 @@ def check_spin_flip() -> CheckResult:
         for q, pair in halves.items():
             members = np.unique(np.concatenate(
                 [block.representatives for block in pair]))
-            states = _bloch_states(basis, orbits, q, members) @ (
-                reflection_rotation(basis, orbits, q, members).toarray())
+            states = _block_states(basis, q, members)
             whole = np.linalg.eigvalsh(states.conj().T @ dense @ states)
             split = np.sort(np.concatenate([np.linalg.eigvalsh(
                 block.operator(amp, species.u).to_dense()) for block in pair]))

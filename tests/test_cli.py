@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -491,8 +492,8 @@ with open({out!r} + "/sweep.csv") as csv:
     print(repr([line for line in csv if not line.startswith("# timestamp")]))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 
-# The real-space API imports scipy.sparse and scipy.sparse.linalg after the
-# extension modules were loaded by file, and eigs still finds the levels.
+# A complex operator's Krylov solve imports scipy.sparse.linalg (eigs) after
+# the extension modules were loaded by file, and still finds the levels.
 ring = ringlat.make_ring(6, omega=1.3)
 species = ringlat.Fermions(2, 1, u=3.0)
 op = ringlat.build_operator(ring, species,
@@ -520,6 +521,21 @@ def test_krylov_calls_import_no_scipy_package(tmp_path):
     assert [rows, summary, csv] == scipy_first[:3]
     assert "failed=True" not in rows
     assert float(deviation) < 1e-9
+
+
+def test_library_example_leaves_scipy_out():
+    # The README's Library example (1+1 fermions on 8 sites, all dense)
+    # builds its real-space operators with scipy's CSR kernels loaded by
+    # file, so it leaves no scipy module in sys.modules.
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    example, = re.findall(r"^```python\n(.*?)^```",
+                          readme.read_text(encoding="utf-8"),
+                          re.MULTILINE | re.DOTALL)
+    code = example + """
+import sys
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    assert _run_fresh(code).strip().splitlines()[-1] == "[]"
 
 
 def test_lapack_provenance_and_comment(tmp_path):

@@ -18,6 +18,7 @@ from ringlat import (
     SolverOptions,
     build_operator,
     crossing_frequency,
+    current_operator,
     energy,
     enumerate_basis,
     ground_state,
@@ -407,11 +408,60 @@ class TestScipyKernels:
             assert _bits(ours.toarray()) == _bits(theirs.toarray())
 
     def test_absolute_row_sums_match_csr_matrix(self):
-        complex_op = ring_operator(x=1.3, species=Fermions(2, 1, u=2.0))[3]
-        for ours, theirs in [*_kernel_blocks(),
-                             (complex_op.matrix, complex_op.matrix)]:
+        import scipy.sparse as sparse
+
+        arrays = ring_operator(x=1.3, species=Fermions(2, 1, u=2.0))[3].matrix
+        complex_matrix = sparse.csr_matrix(tuple(arrays), shape=arrays.shape)
+        for ours, theirs in [*_kernel_blocks(), (arrays, complex_matrix)]:
             want = np.asarray(abs(theirs).sum(axis=1)).ravel()
             assert _bits(eigen._absolute_row_sums(ours)) == _bits(want)
+
+    def test_assembly_matches_coo_tocsr(self, monkeypatch):
+        # The real-space operators' arrays, index type included, are those
+        # of scipy's coo_matrix(...).tocsr() of the same terms, bit for bit.
+        import scipy.sparse as sparse
+
+        terms = []
+
+        def recorded(*args):
+            terms.append(args)
+            return operator_from_entries(*args)
+
+        monkeypatch.setattr(hamiltonian, "operator_from_entries", recorded)
+        for n_sites, species in [(8, Fermions(2, 2, u=4.0)),
+                                 (6, Bosons(3, u=2.0)),
+                                 (10, Fermions(3, 3, u=4.0)),
+                                 (5, Fermions(2, 1, u=-2.5))]:
+            ring = make_ring(n_sites, omega=1.3)
+            basis = enumerate_basis(ring, species)
+            build_operator(ring, species, basis)
+            current_operator(ring, species, basis)
+        assert len(terms) == 8
+        # Hermitian random terms on 40 states with duplicates, explicit
+        # zeros and an empty row 0; and no terms on no states.
+        rng = np.random.default_rng(29)
+        rows, cols = rng.integers(1, 40, (2, 300))
+        values = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+        values[:30] = 0.0
+        rows, cols, values = (np.tile(rows, 2), np.tile(cols, 2),
+                              np.tile(values, 2))
+        terms += [(40, np.concatenate([rows, cols]),
+                   np.concatenate([cols, rows]),
+                   np.concatenate([values, values.conj()])),
+                  (0, [], [], [])]
+        for dimension, rows, cols, values in terms:
+            ours = operator_from_entries(dimension, rows, cols, values).matrix
+            theirs = sparse.coo_matrix(
+                (np.asarray(values, dtype=complex),
+                 (np.asarray(rows, dtype=np.int64),
+                  np.asarray(cols, dtype=np.int64))),
+                shape=(dimension, dimension)).tocsr()
+            for got, want in zip(ours, (theirs.data, theirs.indices,
+                                        theirs.indptr)):
+                assert got.dtype == want.dtype
+                assert _bits(got) == _bits(want)
+        random = operator_from_entries(*terms[-2]).matrix
+        assert random.indptr[1] == 0 and (random.data == 0).any()
 
     def test_operand_of_other_length_is_refused(self):
         ours, _ = _kernel_blocks()[0]

@@ -141,8 +141,10 @@ class TestStructure:
         ring = ring8.with_omega(2.0)
         basis = enumerate_basis(ring, Fermions(1, 1, u=2.0))
         op = build_fermion(ring, Fermions(1, 1, u=2.0), basis)
-        assert (op.matrix != op.matrix.conj().T).nnz == 0
-        assert np.max(np.abs(op.matrix.diagonal().imag)) <= 1e-14
+        matrix = scipy.sparse.csr_matrix(tuple(op.matrix),
+                                         shape=op.matrix.shape)
+        assert (matrix != matrix.conj().T).nnz == 0
+        assert np.max(np.abs(matrix.diagonal().imag)) <= 1e-14
 
     @pytest.mark.parametrize("n_sites, species", [
         (6, Bosons(3, u=2.5)),
@@ -255,6 +257,25 @@ class TestMismatchErrors:
         # Small enough to slip past the asymmetry check, still not real.
         with pytest.raises(ValueError, match="diagonal"):
             operator_from_entries(2, [0], [0], [1.0 + 1e-13j])
+
+    @pytest.mark.parametrize("rows, cols, values, message", [
+        ([[0, 1]], [[1, 0]], [[1.0, 1.0]], "must be 1-D"),
+        ([0, 1], [1, 0], [1.0], "same length"),
+        ([0, -1], [-1, 0], [1.0, 1.0], "negative axis 0 index: -1"),
+        ([0, 2], [2, 0], [1.0, 1.0], "axis 0 index 2 exceeds matrix "
+                                     "dimension 2"),
+    ], ids=["not-1d", "lengths", "negative", "too-large"])
+    def test_malformed_terms_rejected(self, rows, cols, values, message):
+        # The assembly kernels check no index, so the terms are checked
+        # before they run, as scipy's coo_matrix checks them.
+        with pytest.raises(ValueError, match=message):
+            operator_from_entries(2, rows, cols, values)
+
+    def test_range_and_float_terms_accepted(self):
+        # Float indices are truncated toward zero.
+        op = operator_from_entries(3, range(3), [0.0, 1.9, 2.5],
+                                   [1.0, 2.0, 3.0])
+        assert np.array_equal(op.to_dense(), np.diag([1.0, 2.0, 3.0]))
 
 
 class TestPolarizedBuild:
